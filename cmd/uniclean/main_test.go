@@ -293,11 +293,16 @@ func TestRunBenchMode(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_test.json")
 	var stdout, stderr bytes.Buffer
+	// One worker: a 500-tuple run is too small for the pool to beat the
+	// sequential engine on a loaded 2-core machine, so the self-gate's
+	// parallel-speedup floor would trip on scheduling noise. The floor
+	// itself is covered by TestCheckBaselineParallelGates.
 	args := []string{
 		"-bench",
 		"-bench.tuples", "500", "-bench.master", "100",
 		"-bench.dirty", "0.05", "-bench.seed", "7",
 		"-bench.out", out,
+		"-workers", "1",
 	}
 	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
 		t.Fatalf("bench run: %v\nstderr:\n%s", err, stderr.String())

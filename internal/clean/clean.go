@@ -338,30 +338,14 @@ type Engine struct {
 	// fj is Options.Fault; nil keeps every hook point inert.
 	fj *fault.Injector
 
-	// Streaming state (see stream.go). Zero on batch engines: RunContext
-	// never sets any of it, so the one-shot pipeline pays nothing for the
-	// update API existing.
-	//
-	// streaming marks an engine built by NewStream; base is its raw input
-	// plus every accepted update (the instance a from-scratch run would be
-	// handed); deleted tracks tombstoned tuple ids; protos holds the master
-	// blocking indexes built once at construction, which every update's
-	// sub-run forks instead of rebuilding.
-	streaming bool
-	base      *relation.Relation
-	deleted   map[int]bool
-	protos    []*matcher
-	// certPrev/prevData feed the incremental certification of finish: the
-	// per-rule reports and final relation of the previously adopted run.
-	// A rule none of whose read attributes changed between prevData and the
-	// new final relation is served from certPrev instead of being
-	// re-checked. certOut is what finish produced, adopted as the next
-	// certPrev on success; certCache is the adopted copy on the streaming
-	// shell.
-	certPrev  []ruleReport
-	prevData  *relation.Relation
-	certOut   []ruleReport
-	certCache []ruleReport
+	// stream is the committed state of a streaming engine (see stream.go),
+	// shared by the shell NewStream returns and each update's sub-run. Nil
+	// on batch engines: RunContext never sets it, so the one-shot pipeline
+	// pays nothing for the update API existing.
+	stream *stream
+	// certOut is finish's per-rule certification, which a streaming commit
+	// keeps as the next sub-run's patch source.
+	certOut []ruleReport
 }
 
 // New prepares an engine: it clones data, orders the rules per Section 6.2,
@@ -380,11 +364,12 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 	return newEngine(ctx, data, master, rule.Order(rules), nil, opts)
 }
 
-// newEngine wires an engine from already-ordered rules and, when protos is
-// non-nil, from prebuilt master blocking indexes (parallel to ordered) that
-// are forked instead of rebuilt — the constructor the streaming update path
-// uses so each update's sub-run reuses the indexes built once at NewStream.
-func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, protos []*matcher, opts Options) *Engine {
+// newEngine wires an engine from already-ordered rules. st is nil for a
+// batch engine; a streaming sub-run gets its stream's committed state, and
+// once the stream holds prebuilt master blocking indexes (parallel to
+// ordered) they are forked instead of rebuilt, so each update's sub-run
+// reuses the indexes the initial run built.
+func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, st *stream, opts Options) *Engine {
 	e := &Engine{
 		data:   data.Clone(),
 		master: master,
@@ -395,16 +380,17 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		ctx:    ctx,
 		start:  time.Now(),
 		fj:     opts.Fault,
+		stream: st,
 	}
 	e.matchers = make([]*matcher, len(e.rules))
 	e.apply = make([]*ApplyStats, len(e.rules))
 	for i, r := range e.rules {
 		if r.Kind == rule.MatchMD && master != nil {
-			if protos != nil && protos[i] != nil {
+			if st != nil && st.protos != nil && st.protos[i] != nil {
 				// A fork shares the immutable equality buckets and suffix
 				// tree with zeroed statistics, so a sub-run's matcher work
 				// counters come out identical to a fresh build's.
-				e.matchers[i] = protos[i].fork()
+				e.matchers[i] = st.protos[i].fork()
 			} else {
 				e.matchers[i] = newMatcher(r.MD, master)
 			}
@@ -586,12 +572,13 @@ func (e *Engine) finish() (*Result, error) {
 	// identical whatever -workers says.
 	ck := newChecker(e.rules, e.master, e.matchers, e.opts.workerCount())
 	ck.fj = e.fj
-	// On the streaming update path (certPrev/prevData set by rebase), rules
-	// none of whose read attributes changed since the previously certified
-	// relation are served from that run's per-rule reports instead of being
-	// re-checked. A batch engine has no previous pass: dirtyRules returns
-	// nil and this is a plain full certification.
-	rep, perRule, err := ck.checkPatched(e.ctx, e.data, e.dirtyRules(), e.certPrev)
+	// On the streaming update path, rules none of whose read attributes
+	// changed since the committed certified relation are served from that
+	// run's per-rule reports instead of being re-checked. A batch engine
+	// has no stream: patch returns nil and this is a plain full
+	// certification.
+	dirty, cached := e.stream.patch(e.data, e.rules)
+	rep, perRule, err := ck.checkPatched(e.ctx, e.data, dirty, cached)
 	if err != nil {
 		return nil, err
 	}

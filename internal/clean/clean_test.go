@@ -425,3 +425,20 @@ md A=A -> B=B
 		t.Errorf("report not certified clean:\n%s", res.Report)
 	}
 }
+
+// TestBatchEngineDeleted pins the update API's read side on a batch engine:
+// an engine built by New has no stream state, so Deleted reports false for
+// every id — before and after the pipeline ran — instead of dereferencing
+// tombstones it never had.
+func TestBatchEngineDeleted(t *testing.T) {
+	in := genInstance(3)
+	e := New(in.relation(nil), nil, in.rules, DefaultOptions())
+	for pass := 0; pass < 2; pass++ {
+		for id := -1; id <= len(in.rows); id++ {
+			if e.Deleted(id) {
+				t.Errorf("pass %d: batch Deleted(%d) = true, want false", pass, id)
+			}
+		}
+		e.Finish()
+	}
+}

@@ -52,8 +52,9 @@ type eref struct {
 // Upsert/Delete reruns the pipeline on a fresh sub-engine whose tree is
 // seeded from the updated base — a deleted tuple's entropy contribution is
 // evicted and its group re-keyed simply by never being seeded (tombstoned
-// cells are Null, which matches no LHS pattern). The shell engine then
-// adopts that tree wholesale. TestDeleteEvictsFrozenEntropyGroup pins the
+// cells are Null, which matches no LHS pattern). The streaming shell holds
+// no tree at all: a successful update commits only the sub-run's Result,
+// and the tree is dropped with the sub-run. TestDeleteEvictsFrozenEntropyGroup pins the
 // observable consequence: deleting a member whose value anchored a frozen
 // group resolution flips the survivors' resolution exactly as a
 // from-scratch run would.

@@ -450,7 +450,7 @@ func (s *scheduler) resetE() {
 // MD compares the conclusion's data cell against master). This is the
 // dependency set the scheduler's attrRules reverse map is built from, and
 // the one the streaming update path diffs relations against to decide
-// which rules a certified Report must re-check (see Engine.dirtyRules).
+// which rules a certified Report must re-check (see stream.patch).
 func ruleReadSet(r rule.Rule, arity int) []bool {
 	reads := make([]bool, arity)
 	for _, a := range r.LHSAttrs() {

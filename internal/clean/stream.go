@@ -14,9 +14,9 @@ import (
 //
 // The semantics are rebase-and-rerun, not patch-the-cleaned-state. A
 // streaming engine keeps the raw base instance — its original input plus
-// every accepted update — and each Upsert/Delete stages the raw write into
-// that base, runs a fresh sub-engine over a clone of it, and atomically
-// adopts the sub-engine's entire state on success. The acceptance bar
+// every accepted update — and each Upsert/Delete builds a candidate base
+// with the write applied, runs a fresh sub-engine over it, and commits the
+// candidate and the sub-engine's Result only on success. The acceptance bar
 // forces this: the repo's contract is that after any update sequence the
 // engine's cell state, Fixes, counters and Report are byte-identical to a
 // from-scratch Run on the final base, and a delta repair of the *cleaned*
@@ -25,23 +25,25 @@ import (
 // the live state with a frozen t2[A] justified by evidence that no longer
 // exists, while the from-scratch run re-derives t2[A] from the new value —
 // same fixpoint algorithm, different result. Re-running from base makes
-// divergence structurally impossible (every adopted state IS a from-scratch
-// run's output), including for degraded runs: a MaxFixes-degraded update
-// matches the from-scratch oracle because the oracle degrades identically.
+// divergence structurally impossible (every committed Result IS a
+// from-scratch run's output), including for degraded runs: a
+// MaxFixes-degraded update matches the from-scratch oracle because the
+// oracle degrades identically.
 //
 // The honest incrementality lives where it cannot bend the output:
 //
 //   - Certification is patched per rule (Checker.checkPatched). A rule
-//     none of whose read columns changed between the previous adopted
+//     none of whose read columns changed between the previous committed
 //     cleaned relation and the new one is served from the previous run's
 //     cached per-rule report — violations, cap, truncation and visit
 //     counters verbatim — because rule certification is a pure function of
 //     those columns and the immutable master. Report.Patched counts the
 //     rules served this way.
 //   - The MD blocking indexes (equality buckets, suffix tree) are built
-//     once over master at NewStream and forked per sub-run instead of
-//     rebuilt; forks share the immutable index structures and carry fresh
-//     statistics, so counters still come out identical to a cold build.
+//     once over master by the initial run and forked per later sub-run
+//     instead of rebuilt; forks share the immutable index structures and
+//     carry fresh statistics, so counters still come out identical to a
+//     cold build.
 //
 // Deletes are tombstones: every cell of the tuple becomes Null with zero
 // confidence and no fix mark, and the id is recorded in deleted. A null
@@ -53,10 +55,33 @@ import (
 //
 // Failure contract (docs/robustness.md extended to updates): a failed
 // update — invalid input, cancellation, injected fault, worker panic —
-// returns a typed error with the engine bit-unchanged: base, cleaned data,
-// Result, Report and the certification cache all stay exactly as the last
-// accepted update left them. Staging into base is undone before returning,
-// and sub-engine state is adopted only after a fully successful run.
+// returns a typed error with the engine bit-unchanged: base, tombstones,
+// Result and the certification cache all stay exactly as the last accepted
+// update left them. This holds by construction: validation precedes the
+// candidate, the candidate shares tuples with base but never writes them,
+// and nothing of the stream is written before the sub-run has succeeded.
+
+// stream is the committed state of a streaming engine. The shell engine
+// returned by NewStream and every update's sub-run share it; sub-runs only
+// read it (index prototypes, certification cache), and only commit writes
+// it, after a sub-run has succeeded.
+type stream struct {
+	// base is the raw input plus every committed update: the instance a
+	// from-scratch run would be handed. Its tuples are never written — a
+	// candidate base copies the tuple-pointer slice and swaps in one fresh
+	// tuple — so a failed candidate leaves base untouched.
+	base    *relation.Relation
+	deleted map[int]bool // tombstoned tuple ids
+	// protos holds the master blocking indexes built by the initial run,
+	// which every later sub-run forks instead of rebuilding; nil until
+	// the initial run commits.
+	protos []*matcher
+	// cert is the committed run's per-rule certification of certData, its
+	// cleaned relation: the next sub-run re-checks only the rules whose
+	// read columns differ from certData and serves the rest from cert.
+	cert     []ruleReport
+	certData *relation.Relation
+}
 
 // NewStream builds a streaming engine: it runs the full pipeline over data
 // once (exactly as Run would) and returns an engine whose Upsert and
@@ -70,18 +95,23 @@ func NewStream(data, master *relation.Relation, rules []rule.Rule, opts Options)
 // NewStreamContext is NewStream with a context attached to the initial
 // run. Later updates do not reuse ctx; each UpsertContext/DeleteContext
 // call carries its own.
+//
+// The returned shell holds only the options, the ordered rules, master,
+// the stream state and the current Result: the initial clean runs on a
+// sub-engine through the same rebase path as every update, with no
+// previous certification and freshly built matchers, which become the
+// fork prototypes. The phase methods (CRepair, ERepair, HRepair, Finish)
+// belong to batch engines and are not for use on the shell.
 func NewStreamContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Engine, error) {
-	e := NewContext(ctx, data, master, rules, opts)
-	e.base = data.Clone()
-	// The matchers built by NewContext have done no work yet: they are the
-	// prototype indexes every update's sub-run forks.
-	e.protos = append([]*matcher(nil), e.matchers...)
-	if _, err := e.runAll(); err != nil {
+	e := &Engine{
+		master: master,
+		rules:  rule.Order(rules),
+		opts:   opts,
+		stream: &stream{deleted: make(map[int]bool)},
+	}
+	if _, err := e.rebase(ctx, data.Clone()); err != nil {
 		return nil, err
 	}
-	e.streaming = true
-	e.deleted = make(map[int]bool)
-	e.certCache = e.certOut
 	return e, nil
 }
 
@@ -89,6 +119,10 @@ func NewStreamContext(ctx context.Context, data, master *relation.Relation, rule
 // initial run or of the last accepted update — by construction identical
 // to what RunContext would return for the current base instance.
 func (e *Engine) Result() *Result { return e.res }
+
+// Deleted reports whether tuple id is currently tombstoned. A batch engine
+// has no tombstones.
+func (e *Engine) Deleted(id int) bool { return e.stream != nil && e.stream.deleted[id] }
 
 // Upsert applies one external write to the streaming engine: it overwrites
 // tuple id (0 <= id < Len) or appends a new tuple (id == Len) with the
@@ -102,15 +136,31 @@ func (e *Engine) Upsert(id int, values []string, conf []float64) (*Result, error
 
 // UpsertContext is Upsert under a context governing this update's re-run.
 func (e *Engine) UpsertContext(ctx context.Context, id int, values []string, conf []float64) (*Result, error) {
-	undo, err := e.stageUpsert(id, values, conf)
+	st := e.stream
+	if st == nil {
+		return nil, ErrNotStreaming
+	}
+	arity := st.base.Schema.Arity()
+	if len(values) != arity {
+		return nil, fmt.Errorf("upsert t%d: %d values for arity %d: %w", id, len(values), arity, ErrBadUpdate)
+	}
+	if conf != nil && len(conf) != arity {
+		return nil, fmt.Errorf("upsert t%d: %d confidences for arity %d: %w", id, len(conf), arity, ErrBadUpdate)
+	}
+	for a, c := range conf {
+		if !(c >= 0 && c <= 1) { // also rejects NaN
+			return nil, fmt.Errorf("upsert t%d: confidence %v for %s outside [0,1]: %w",
+				id, c, st.base.Schema.Attrs[a], ErrBadUpdate)
+		}
+	}
+	if id < 0 || id > st.base.Len() {
+		return nil, fmt.Errorf("upsert t%d: id outside [0, %d]: %w", id, st.base.Len(), ErrBadUpdate)
+	}
+	res, err := e.rebase(ctx, st.with(id, values, conf))
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.rebase(ctx)
-	if err != nil {
-		undo()
-		return nil, err
-	}
+	delete(st.deleted, id)
 	return res, nil
 }
 
@@ -124,158 +174,92 @@ func (e *Engine) Delete(id int) (*Result, error) {
 
 // DeleteContext is Delete under a context governing this update's re-run.
 func (e *Engine) DeleteContext(ctx context.Context, id int) (*Result, error) {
-	undo, err := e.stageDelete(id)
+	st := e.stream
+	if st == nil {
+		return nil, ErrNotStreaming
+	}
+	if id < 0 || id >= st.base.Len() {
+		return nil, fmt.Errorf("delete t%d: id outside [0, %d): %w", id, st.base.Len(), ErrBadUpdate)
+	}
+	if st.deleted[id] {
+		return nil, fmt.Errorf("delete t%d: already deleted: %w", id, ErrBadUpdate)
+	}
+	nulls := make([]string, st.base.Schema.Arity())
+	for a := range nulls {
+		nulls[a] = relation.Null
+	}
+	res, err := e.rebase(ctx, st.with(id, nulls, nil))
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.rebase(ctx)
-	if err != nil {
-		undo()
-		return nil, err
-	}
+	st.deleted[id] = true
 	return res, nil
 }
 
-// stageUpsert validates the write and applies it to base, returning the
-// closure that reverts it. Validation happens before any mutation, so a
-// rejected update touches nothing.
-func (e *Engine) stageUpsert(id int, values []string, conf []float64) (func(), error) {
-	if !e.streaming {
-		return nil, ErrNotStreaming
+// with returns the candidate base of an update: base with tuple id
+// replaced by a fresh unmarked tuple holding values and conf (nil conf
+// means zero confidence everywhere), appended when id == Len. Only the
+// tuple-pointer slice is copied; the committed base is not touched.
+func (st *stream) with(id int, values []string, conf []float64) *relation.Relation {
+	tuples := make([]*relation.Tuple, st.base.Len(), st.base.Len()+1)
+	copy(tuples, st.base.Tuples)
+	t := relation.NewTuple(id, values)
+	copy(t.Conf, conf)
+	if id == len(tuples) {
+		tuples = append(tuples, t)
+	} else {
+		t.ID = tuples[id].ID
+		tuples[id] = t
 	}
-	arity := e.base.Schema.Arity()
-	if len(values) != arity {
-		return nil, fmt.Errorf("upsert t%d: %d values for arity %d: %w", id, len(values), arity, ErrBadUpdate)
-	}
-	if conf != nil && len(conf) != arity {
-		return nil, fmt.Errorf("upsert t%d: %d confidences for arity %d: %w", id, len(conf), arity, ErrBadUpdate)
-	}
-	for a, c := range conf {
-		if !(c >= 0 && c <= 1) { // also rejects NaN
-			return nil, fmt.Errorf("upsert t%d: confidence %v for %s outside [0,1]: %w",
-				id, c, e.base.Schema.Attrs[a], ErrBadUpdate)
-		}
-	}
-	if id < 0 || id > e.base.Len() {
-		return nil, fmt.Errorf("upsert t%d: id outside [0, %d]: %w", id, e.base.Len(), ErrBadUpdate)
-	}
-
-	if id == e.base.Len() {
-		t := e.base.Append(values...)
-		for a := range conf {
-			t.Conf[a] = conf[a]
-		}
-		return func() {
-			e.base.Tuples = e.base.Tuples[:len(e.base.Tuples)-1]
-		}, nil
-	}
-
-	t := e.base.Tuples[id]
-	saved := t.Clone()
-	wasDeleted := e.deleted[id]
-	for a := 0; a < arity; a++ {
-		c := 0.0
-		if conf != nil {
-			c = conf[a]
-		}
-		t.Set(a, values[a], c, relation.FixNone)
-	}
-	delete(e.deleted, id)
-	return func() {
-		e.base.Tuples[id] = saved
-		if wasDeleted {
-			e.deleted[id] = true
-		}
-	}, nil
+	return &relation.Relation{Schema: st.base.Schema, Tuples: tuples}
 }
 
-// stageDelete validates the delete and tombstones tuple id in base,
-// returning the closure that reverts it.
-func (e *Engine) stageDelete(id int) (func(), error) {
-	if !e.streaming {
-		return nil, ErrNotStreaming
-	}
-	if id < 0 || id >= e.base.Len() {
-		return nil, fmt.Errorf("delete t%d: id outside [0, %d): %w", id, e.base.Len(), ErrBadUpdate)
-	}
-	if e.deleted[id] {
-		return nil, fmt.Errorf("delete t%d: already deleted: %w", id, ErrBadUpdate)
-	}
-	t := e.base.Tuples[id]
-	saved := t.Clone()
-	for a := 0; a < e.base.Schema.Arity(); a++ {
-		t.Set(a, relation.Null, 0, relation.FixNone)
-	}
-	e.deleted[id] = true
-	return func() {
-		e.base.Tuples[id] = saved
-		delete(e.deleted, id)
-	}, nil
-}
-
-// rebase runs a fresh sub-engine over the staged base and, on success,
-// adopts its entire state. The sub-engine inherits the shell's options and
-// ordered rules, forks the prototype blocking indexes instead of
-// rebuilding them, and hands its certifier the previous adopted run's
-// per-rule reports so untouched rules are patched rather than re-checked.
-func (e *Engine) rebase(ctx context.Context) (*Result, error) {
-	s := newEngine(ctx, e.base, e.master, e.rules, e.protos, e.opts)
-	s.certPrev = e.certCache
-	s.prevData = e.data
+// rebase runs a fresh sub-engine over base and, on success, commits base,
+// the run's certification and its Result to the stream. The sub-engine
+// inherits the shell's options and ordered rules, forks the prototype
+// blocking indexes instead of rebuilding them, and hands its certifier the
+// committed run's per-rule reports so untouched rules are patched rather
+// than re-checked. On the initial run there are no prototypes yet: the
+// sub-engine builds its matchers, and they become the prototypes.
+func (e *Engine) rebase(ctx context.Context, base *relation.Relation) (*Result, error) {
+	st := e.stream
+	s := newEngine(ctx, base, e.master, e.rules, st, e.opts)
 	res, err := s.runAll()
 	if err != nil {
 		return nil, err
 	}
-	e.adopt(s)
+	if st.protos == nil {
+		st.protos = s.matchers
+	}
+	st.base, st.cert, st.certData = base, s.certOut, res.Data
+	e.res = res
 	return res, nil
 }
 
-// adopt makes the shell engine a full mirror of the sub-engine that just
-// ran: data, result, certification cache and every piece of scheduler and
-// phase state, so any read on the shell observes exactly the state of the
-// run that produced the current Result. The raw base, the tombstone set
-// and the index prototypes stay the shell's own.
-func (e *Engine) adopt(s *Engine) {
-	e.data = s.data
-	e.res = s.res
-	e.matchers = s.matchers
-	e.apply = s.apply
-	e.seen = s.seen
-	e.hleft = s.hleft
-	e.sched = s.sched
-	e.ap = s.ap
-	e.pool = s.pool
-	e.allIDs = s.allIDs
-	e.cSeeded, e.eSeeded, e.hSeeded = s.cSeeded, s.eSeeded, s.hSeeded
-	e.etree, e.egroups, e.eredo = s.etree, s.egroups, s.eredo
-	e.degraded = s.degraded
-	e.start = s.start
-	e.certCache = s.certOut
-}
-
-// dirtyRules computes the certification dirty mask of a sub-run: rule ri
-// must be re-checked unless none of its read columns differ between the
-// previously certified relation (prevData) and the relation just repaired.
-// Certification reads cell values only — never confidences or marks — so
-// the diff is on Values. A nil return means "re-check everything": batch
-// engines (no previous pass) and any cardinality change (positional diff
-// would be meaningless) take it.
-func (e *Engine) dirtyRules() []bool {
-	if e.certPrev == nil || e.prevData == nil || e.prevData.Len() != e.data.Len() {
-		return nil
+// patch computes the certification patch source of a run that repaired
+// d: the dirty mask — rule ri must be re-checked unless none of its read
+// columns differ between the committed certified relation and d — and the
+// committed per-rule reports clean rules are served from. Certification
+// reads cell values only — never confidences or marks — so the diff is on
+// Values. A nil mask means "re-check everything": batch engines (nil
+// stream), the initial streaming run (no committed certification) and any
+// cardinality change (positional diff would be meaningless) take it.
+func (st *stream) patch(d *relation.Relation, rules []rule.Rule) ([]bool, []ruleReport) {
+	if st == nil || st.cert == nil || st.certData.Len() != d.Len() {
+		return nil, nil
 	}
-	arity := e.data.Schema.Arity()
+	arity := d.Schema.Arity()
 	changed := make([]bool, arity)
-	for i, t := range e.prevData.Tuples {
-		u := e.data.Tuples[i]
+	for i, t := range st.certData.Tuples {
+		u := d.Tuples[i]
 		for a := 0; a < arity; a++ {
 			if !changed[a] && t.Values[a] != u.Values[a] {
 				changed[a] = true
 			}
 		}
 	}
-	dirty := make([]bool, len(e.rules))
-	for ri, r := range e.rules {
+	dirty := make([]bool, len(rules))
+	for ri, r := range rules {
 		for a, in := range ruleReadSet(r, arity) {
 			if in && changed[a] {
 				dirty[ri] = true
@@ -283,8 +267,5 @@ func (e *Engine) dirtyRules() []bool {
 			}
 		}
 	}
-	return dirty
+	return dirty, st.cert
 }
-
-// Deleted reports whether tuple id is currently tombstoned.
-func (e *Engine) Deleted(id int) bool { return e.deleted[id] }

@@ -153,7 +153,7 @@ func GenerateUpdates(inst *Instance, cfg UpdateConfig) []Update {
 	return out
 }
 
-// Apply replays u against d, mirroring the staging semantics of the
+// Apply replays u against d, mirroring the update semantics of the
 // streaming engine: overwrite or append for upserts, all-cells-to-Null
 // tombstoning for deletes. It is the from-scratch oracle's way of building
 // the final base instance without a streaming engine.

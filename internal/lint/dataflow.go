@@ -118,8 +118,9 @@ func (sc *funcScope) bindFrom(p *Pass, lhs ast.Expr, src string, typed ast.Expr)
 }
 
 // aliasSource returns the name of the shared type an expression aliases, or
-// "" when it does not alias shared state. The walk mirrors sharedBase but
-// additionally resolves a base identifier through the taint set, and it
+// "" when it does not alias shared state. The walk follows the selector,
+// index and dereference chain down to its base identifier, which names a
+// shared type directly or is resolved through the taint set, and it
 // applies the two sanctioned cuts: call results and owned tuple bindings.
 func aliasSource(p *Pass, taint map[types.Object]string, e ast.Expr) string {
 	if ownedType(p.TypeOf(e)) {
@@ -160,7 +161,7 @@ func aliasSource(p *Pass, taint map[types.Object]string, e ast.Expr) string {
 // sharedWriteBase walks the chain of an assignment target and returns the
 // shared-type name the chain passes through, with viaAlias set when the
 // chain reaches shared state only through a tainted local — the laundering
-// case the lexical v1 check cannot see. A bare identifier target is never a
+// case a lexical chain walk cannot see. A bare identifier target is never a
 // shared write: rebinding a local mutates nothing.
 func sharedWriteBase(p *Pass, taint map[types.Object]string, e ast.Expr) (name string, viaAlias bool) {
 	for {
@@ -190,7 +191,7 @@ func sharedWriteBase(p *Pass, taint map[types.Object]string, e ast.Expr) (name s
 
 // workerBodies collects the worker-scoped bodies lexically reachable from
 // root — `go` statement literals and literal arguments to the pool entry
-// points, as in v1 — plus the two dataflow extensions: local identifiers
+// points — plus the two dataflow extensions: local identifiers
 // bound to a literal and passed to a pool entry point, and literals invoked
 // (directly or transitively) from an already worker-scoped body.
 func workerBodies(p *Pass, root ast.Node, lits map[types.Object]*ast.FuncLit) []*ast.BlockStmt {

@@ -4,15 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
-// ErrContract mechanizes two halves of the failure and streaming contracts
-// of repro/internal/clean:
-//
-// Typed errors only. Every error that can cross the package's API must be
-// one of the typed errors: a package sentinel (ErrCanceled, ErrDeadline,
+// ErrContract mechanizes the typed-error half of the failure contract of
+// repro/internal/clean: every error that can cross the package's API must
+// be one of the typed errors: a package sentinel (ErrCanceled, ErrDeadline,
 // ErrNotStreaming, ErrBadUpdate — any package-level Err* variable), a
 // package-declared error type (*WorkerError), or a fmt.Errorf wrap that
 // carries a sentinel (the %w idiom). The check classifies every error
@@ -23,31 +20,19 @@ import (
 // in-package callee's error is not re-reported: the finding lands once, at
 // the return (or assignment) that introduces the untyped error.
 //
-// Staged mutation pairs with undo. In stream.go, a function whose body
-// mutates staging state — writes through the base instance or the
-// tombstone set, delete() on the tombstone map, Append/Set calls on
-// base-derived values (tracked through local aliases) — must return an
-// undo closure, and every return after the first mutation must return a
-// non-nil closure: an accepted staging path that cannot be reverted breaks
-// the bit-unchanged failure contract. Rebinding the fields themselves
-// (e.base = clone — construction) is not a staged mutation, and function
-// literals are exempt: the undo closures revert base by writing to it.
+// The other half — a failed streaming update leaves the engine
+// bit-unchanged — needs no rule: an update writes nothing before its
+// sub-run has succeeded.
 //
-// Test files are exempt from both halves: tests fabricate errors freely.
+// Test files are exempt: tests fabricate errors freely.
 var ErrContract = &Analyzer{
 	Name:      "errcontract",
-	Doc:       "untyped error crossing the clean API, or staged mutation without undo",
+	Doc:       "untyped error crossing the clean API",
 	AppliesTo: func(path string) bool { return path == "repro/internal/clean" },
 	Run: func(p *Pass) {
 		ec := newErrFacts(p)
 		ec.solve()
 		ec.report()
-		for _, f := range p.Files {
-			name := filepath.Base(p.Fset.Position(f.Pos()).Filename)
-			if name == "stream.go" || strings.HasSuffix(name, "_stream.go") {
-				checkUndoPairing(p, f)
-			}
-		}
 	},
 }
 
@@ -385,180 +370,4 @@ func inspectSkipLits(n ast.Node, visit func(ast.Node)) {
 		}
 		return true
 	})
-}
-
-// --- staged-mutation / undo pairing (stream.go) ---
-
-// stageFields are the staging state of a streaming engine: the raw base
-// instance and the tombstone set.
-var stageFields = map[string]bool{
-	"base":    true,
-	"deleted": true,
-}
-
-// stageMutators are the methods that mutate a relation in place.
-var stageMutators = map[string]bool{
-	"Append": true,
-	"Set":    true,
-}
-
-// checkUndoPairing enforces: in stream.go, a function that mutates staging
-// state must carry an undo-closure result, and every return after the
-// first mutation must return a non-nil closure.
-func checkUndoPairing(p *Pass, f *ast.File) {
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		taint := stageTaint(p, fd.Body)
-		first := firstStageMutation(p, taint, fd.Body)
-		if first == token.NoPos {
-			continue
-		}
-		fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-		if fn == nil {
-			continue
-		}
-		sig := fn.Type().(*types.Signature)
-		undoIdx := -1
-		for i := 0; i < sig.Results().Len(); i++ {
-			if _, ok := sig.Results().At(i).Type().Underlying().(*types.Signature); ok {
-				undoIdx = i
-				break
-			}
-		}
-		if undoIdx < 0 {
-			p.Reportf(first,
-				"staged mutation of the base instance in a function with no undo-closure result; return a func() that reverts the write (failure contract: bit-unchanged on error) or annotate //det:ok errcontract <reason>")
-			continue
-		}
-		inspectSkipLits(fd.Body, func(n ast.Node) {
-			ret, ok := n.(*ast.ReturnStmt)
-			if !ok || ret.Pos() < first || len(ret.Results) != sig.Results().Len() {
-				return
-			}
-			if id, ok := ret.Results[undoIdx].(*ast.Ident); ok && id.Name == "nil" {
-				p.Reportf(ret.Pos(),
-					"staged mutation is not paired with an undo registration on this path; return the closure that reverts the staged write (failure contract: bit-unchanged on error) or annotate //det:ok errcontract <reason>")
-			}
-		})
-	}
-}
-
-// stageTaint computes the locals that alias staged base content: bound
-// from a chain through the base/deleted fields. Call results cut the chain
-// (t.Clone() is a snapshot, not an alias).
-func stageTaint(p *Pass, body ast.Node) map[types.Object]bool {
-	taint := make(map[types.Object]bool)
-	for changed := true; changed; {
-		changed = false
-		bind := func(lhs, rhs ast.Expr) {
-			obj := identObj(p, lhs)
-			if obj == nil || taint[obj] || !stageChain(p, taint, rhs) {
-				return
-			}
-			if !refType(p.TypeOf(lhs)) {
-				return
-			}
-			taint[obj] = true
-			changed = true
-		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				if len(x.Lhs) == len(x.Rhs) {
-					for i := range x.Lhs {
-						bind(x.Lhs[i], x.Rhs[i])
-					}
-				}
-			case *ast.RangeStmt:
-				if x.Value != nil && stageChain(p, taint, x.X) {
-					if obj := identObj(p, x.Value); obj != nil && !taint[obj] && refType(p.TypeOf(x.Value)) {
-						taint[obj] = true
-						changed = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return taint
-}
-
-// stageChain reports whether the expression's access chain passes through
-// a staging field or a stage-tainted local.
-func stageChain(p *Pass, taint map[types.Object]bool, e ast.Expr) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			if stageFields[x.Sel.Name] {
-				return true
-			}
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.Ident:
-			obj := identObj(p, x)
-			return obj != nil && taint[obj]
-		default:
-			return false
-		}
-	}
-}
-
-// firstStageMutation returns the position of the lexically first staged
-// mutation outside any function literal, or NoPos. Rebinding a staging
-// field itself (e.base = clone) is construction, not staging.
-func firstStageMutation(p *Pass, taint map[types.Object]bool, body ast.Node) token.Pos {
-	first := token.NoPos
-	note := func(pos token.Pos) {
-		if first == token.NoPos || pos < first {
-			first = pos
-		}
-	}
-	stageWrite := func(lhs ast.Expr) bool {
-		if sel, ok := lhs.(*ast.SelectorExpr); ok && stageFields[sel.Sel.Name] {
-			return false // rebinding the field itself
-		}
-		if _, ok := lhs.(*ast.Ident); ok {
-			return false // rebinding a local
-		}
-		return stageChain(p, taint, lhs)
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if stageWrite(lhs) {
-					note(lhs.Pos())
-				}
-			}
-		case *ast.IncDecStmt:
-			if stageWrite(x.X) {
-				note(x.Pos())
-			}
-		case *ast.CallExpr:
-			switch fun := x.Fun.(type) {
-			case *ast.Ident:
-				if fun.Name == "delete" && len(x.Args) == 2 && stageChain(p, taint, x.Args[0]) {
-					note(x.Pos())
-				}
-			case *ast.SelectorExpr:
-				if stageMutators[fun.Sel.Name] && stageChain(p, taint, fun.X) {
-					note(x.Pos())
-				}
-			}
-		}
-		return true
-	})
-	return first
 }

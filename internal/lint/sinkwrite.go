@@ -34,56 +34,6 @@ var workerScopeCalls = map[string]bool{
 	"applyGroups": true,
 }
 
-// SinkWriteLexical is the v1 sinkwrite check: purely lexical over the
-// selector chain of each assignment target inside the lexically discovered
-// worker scopes. It is no longer registered in All() — SinkWrite (v2, in
-// sinkwrite2.go) subsumes it with alias tracking — but it is kept exported
-// as the regression baseline: the sinkwritev2 fixture proves that v1 misses
-// the laundering counterexample (s := ap.e.apply[ri]; s.CTuples++) that v2
-// catches, so the gap this upgrade closed stays demonstrable.
-var SinkWriteLexical = &Analyzer{
-	Name:      "sinkwrite",
-	Doc:       "write to shared engine state from worker-scoped code (lexical v1)",
-	AppliesTo: func(path string) bool { return path == "repro/internal/clean" },
-	Run: func(p *Pass) {
-		for _, f := range p.Files {
-			for _, body := range workerScopedBodies(f) {
-				checkSinkWrites(p, body)
-			}
-		}
-	},
-}
-
-// workerScopedBodies collects the function bodies of f that run on pool
-// workers: methods with an applier receiver, `go` statement literals, and
-// literal arguments to the pool entry points. Nested literals are covered
-// implicitly — the caller inspects each body recursively.
-func workerScopedBodies(f *ast.File) []*ast.BlockStmt {
-	var bodies []*ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
-			if x.Recv != nil && x.Body != nil && receiverName(x) == "applier" {
-				bodies = append(bodies, x.Body)
-			}
-		case *ast.GoStmt:
-			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				bodies = append(bodies, lit.Body)
-			}
-		case *ast.CallExpr:
-			if workerScopeCalls[calleeName(x)] {
-				for _, arg := range x.Args {
-					if lit, ok := arg.(*ast.FuncLit); ok {
-						bodies = append(bodies, lit.Body)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return bodies
-}
-
 func receiverName(fd *ast.FuncDecl) string {
 	if len(fd.Recv.List) == 0 {
 		return ""
@@ -111,54 +61,6 @@ func calleeName(call *ast.CallExpr) string {
 		return calleeName(&ast.CallExpr{Fun: fun.X})
 	}
 	return ""
-}
-
-// checkSinkWrites reports every assignment or inc/dec inside body whose
-// target chain passes through a shared-typed value.
-func checkSinkWrites(p *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if base := sharedBase(p, lhs); base != "" {
-					p.Reportf(lhs.Pos(),
-						"write through shared %s from worker-scoped code escapes the propose/commit sink; record the effect through the applier (assert/fix/hfix/conflictf/spend, ap.stat) or annotate //det:ok sinkwrite <reason>",
-						base)
-				}
-			}
-		case *ast.IncDecStmt:
-			if base := sharedBase(p, x.X); base != "" {
-				p.Reportf(x.X.Pos(),
-					"write through shared %s from worker-scoped code escapes the propose/commit sink; record the effect through the applier (assert/fix/hfix/conflictf/spend, ap.stat) or annotate //det:ok sinkwrite <reason>",
-					base)
-			}
-		}
-		return true
-	})
-}
-
-// sharedBase walks the selector/index chain of an assignment target and
-// returns the name of the first shared type the chain passes through, or ""
-// when the write never touches shared state. A bare identifier target is
-// never a shared write — rebinding a local alias mutates nothing.
-func sharedBase(p *Pass, e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		default:
-			return ""
-		}
-		if name := sharedTypeName(p, p.TypeOf(e)); name != "" {
-			return name
-		}
-	}
 }
 
 // sharedTypeName returns the shared-type name behind t (directly or one

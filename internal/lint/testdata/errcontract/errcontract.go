@@ -1,5 +1,5 @@
-// Package errcontract is the golden fixture of the typed-error half of the
-// errcontract analyzer: every error that can cross the package API must be
+// Package errcontract is the golden fixture of the errcontract analyzer:
+// every error that can cross the package API must be
 // a package sentinel (Err*), a package-declared error type, or a fmt.Errorf
 // wrap carrying one. The doubles mirror the engine's shapes: a sentinel, a
 // *WorkerError with a constructor, a fail poison field, a deferred closure

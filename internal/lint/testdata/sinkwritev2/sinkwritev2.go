@@ -1,11 +1,10 @@
 // Package sinkwritev2 is the golden fixture of the alias-aware sinkwrite
-// v2 analyzer. It reproduces the exact laundering escape the v1 docs
-// admitted to missing — s := ap.e.apply[ri]; s.CTuples++ — plus the
-// dataflow-extended worker scopes (a literal bound to a local and handed to
-// the pool, a literal invoked from a worker body, a closure capture). The
-// companion test TestSinkWriteV1MissesLaundering runs the lexical v1
-// analyzer over this same fixture and asserts it reports none of these:
-// the fixture pins the closed gap in both directions.
+// analyzer. It reproduces the laundering escape a purely lexical check
+// misses — s := ap.e.apply[ri]; s.CTuples++ — plus the dataflow-extended
+// worker scopes (a literal bound to a local and handed to the pool, a
+// literal invoked from a worker body, a closure capture). Its want comments
+// pin both directions: every laundered write is reported, and the
+// sanctioned shapes are not.
 package sinkwritev2
 
 type ApplyStats struct{ CTuples int }
