@@ -138,7 +138,7 @@ func (r *Report) String() string {
 //
 // Certification never scans |D|·|Dm| when an index exists: equality-clause
 // MDs enumerate candidates from the matcher's equality buckets, and
-// similarity-clause MDs from its generalized suffix tree — an exact,
+// similarity-clause MDs from its generalized suffix array — an exact,
 // untruncated enumeration (unlike the repair path's TopL blocking) whose
 // order-preserving candidate merge streams violations in the same (T, S)
 // order the nested scan would produce, so the Report is byte-identical.
@@ -422,7 +422,7 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 // visitMDViolations streams the violating (t, s) pairs of m in (T, S) order,
 // counting every examined pair into visited. Candidates come from the
 // matcher's exact certification enumeration (equality buckets or the
-// untruncated suffix-tree merge, both ascending) instead of the O(|D|·|Dm|)
+// untruncated suffix-array merge, both ascending) instead of the O(|D|·|Dm|)
 // nested scan of md.VisitViolations. The enumeration is exact: a pair
 // outside the candidate set fails a premise clause, and candidates arrive
 // ascending per tuple, so the same violations appear in the same order as

@@ -13,7 +13,7 @@
 // immutable for the rest of the process (Section 5.1); eRepair only touches
 // mutable cells (Section 6.1). MD matching goes through blocking indexes —
 // per-attribute hash indexes on equality clauses and a generalized suffix
-// tree for edit-distance clauses (Section 5.2) — so it is not O(|D|·|Dm|).
+// array for edit-distance clauses (Section 5.2) — so it is not O(|D|·|Dm|).
 package clean
 
 import (
@@ -45,7 +45,7 @@ type Options struct {
 	// Eta written by cRepair become immutable.
 	Eta float64
 	// TopL bounds the number of blocking candidates returned per
-	// suffix-tree lookup during MD matching (the constant l of Section 5.2).
+	// suffix-array lookup during MD matching (the constant l of Section 5.2).
 	TopL int
 	// MaxRounds bounds the cRepair fixpoint iteration; 0 means no bound.
 	// Termination is guaranteed regardless, because every applied fix or
@@ -388,7 +388,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		if r.Kind == rule.MatchMD && master != nil {
 			if st != nil && st.protos != nil && st.protos[i] != nil {
 				// A fork shares the immutable equality buckets and suffix
-				// tree with zeroed statistics, so a sub-run's matcher work
+				// array with zeroed statistics, so a sub-run's matcher work
 				// counters come out identical to a fresh build's.
 				e.matchers[i] = st.protos[i].fork()
 			} else {

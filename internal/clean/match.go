@@ -12,7 +12,7 @@ import (
 //
 //   - a hash index keyed on the projection of the master attributes of the
 //     equality clauses, when the MD has any;
-//   - otherwise, a generalized suffix tree over the active domain of the
+//   - otherwise, a generalized suffix array over the active domain of the
 //     master attribute of the first edit-distance clause, queried with the
 //     LCS bound LCSubstring >= max(|a|,|b|)/(K+1).
 //
@@ -31,7 +31,7 @@ type matcher struct {
 	simMaster int
 	simK      int
 	tree      *suffixtree.Tree
-	treeIDs   [][]int // suffix-tree string id -> master tuple indexes
+	treeIDs   [][]int // suffix-array string id -> master tuple indexes
 
 	// allIDs is the identity list the index-less fallback scans, built once
 	// and shared read-only with every fork.
@@ -42,26 +42,30 @@ type matcher struct {
 	// equality-index key (probed as string(keyBuf), which allocates
 	// nothing), seen/seenGen dedupe candidates produced by several
 	// blocking keys (first occurrence wins, preserving the verification
-	// order) so no master tuple is verified twice for one probe, and
-	// certLists backs the per-string id lists certCandidates merges.
+	// order) so no master tuple is verified twice for one probe, topBuf
+	// and sidBuf receive the suffix-array hits of block and certCandidates,
+	// and certLists backs the per-string id lists certCandidates merges.
 	// Scratch is private per matcher; pool workers probe through forks.
 	idsBuf    []int
 	keyBuf    []byte
 	seen      []uint64
 	seenGen   uint64
+	topBuf    []suffixtree.Match
+	sidBuf    []int32
 	certLists [][]int
 
 	stats MatchStats
 }
 
 // fork returns a matcher sharing x's immutable blocking indexes — the
-// equality buckets, the suffix tree and its id lists, the fallback identity
+// equality buckets, the suffix array and its id lists, the fallback identity
 // list — with private lookup scratch and statistics, so pool workers can
 // probe concurrently. Fork statistics are merged back into x.stats by
 // order-independent sums after each parallel phase.
 func (x *matcher) fork() *matcher {
 	f := *x
 	f.idsBuf, f.keyBuf, f.seen, f.seenGen, f.certLists = nil, nil, nil, 0, nil
+	f.topBuf, f.sidBuf = nil, nil
 	f.stats = MatchStats{MasterSize: x.stats.MasterSize}
 	return &f
 }
@@ -104,8 +108,8 @@ func newMatcher(m *md.MD, master *relation.Relation) *matcher {
 	case len(x.eqDataAttrs) > 0:
 		x.eqIndex = buildEqIndex(master, x.eqMasterAttrs)
 	case x.simData >= 0:
-		x.tree = suffixtree.New()
 		byValue := make(map[string]int)
+		var names []string
 		for j, s := range master.Tuples {
 			v := s.Values[x.simMaster]
 			if relation.IsNull(v) {
@@ -113,12 +117,16 @@ func newMatcher(m *md.MD, master *relation.Relation) *matcher {
 			}
 			id, ok := byValue[v]
 			if !ok {
-				id = x.tree.Add(v)
+				id = len(names)
 				byValue[v] = id
+				names = append(names, v)
 				x.treeIDs = append(x.treeIDs, nil)
 			}
 			x.treeIDs[id] = append(x.treeIDs[id], j)
 		}
+		// Index every name here, before any fork shares the array, so
+		// pool workers only ever read it.
+		x.tree = suffixtree.New(names...)
 	default:
 		// No usable index: every lookup scans Dm. The identity list is
 		// built here, not lazily in block, so forks can share it.
@@ -156,7 +164,7 @@ func (x *matcher) probe(t *relation.Tuple, topL int) []int {
 // block returns the raw candidate ids for t from the blocking indexes, and
 // whether it had to fall back to a full scan of the master relation. The
 // returned slice is only valid until the next block call: the equality path
-// aliases the index bucket, the suffix-tree path reuses the matcher's
+// aliases the index bucket, the suffix-array path reuses the matcher's
 // candidate buffer, and the fallback returns a shared identity list built
 // once.
 func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) {
@@ -178,7 +186,8 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 		// most K pieces, so edit(u, v) <= K implies u contains one piece
 		// unchanged — a common substring of length >= floor(|v|/(K+1)).
 		minLen := len(v) / (x.simK + 1)
-		for _, mt := range x.tree.TopL(v, topL, minLen) {
+		x.topBuf = x.tree.AppendTopL(x.topBuf[:0], v, topL, minLen)
+		for _, mt := range x.topBuf {
 			for _, j := range x.treeIDs[mt.ID] {
 				if x.seen[j] != x.seenGen {
 					x.seen[j] = x.seenGen
@@ -197,7 +206,7 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 // superset of the master tuples on which x's MD premise can hold for t:
 // every (t, s) pair with s outside the returned set fails at least one
 // premise clause. ok is false when no index yields an exact superset for
-// this tuple — the MD has no equality clause and either no suffix tree was
+// this tuple — the MD has no equality clause and either no suffix array was
 // built (no edit-distance clause) or t's value is too short for the LCS
 // pigeonhole bound to hold (len(v) <= K, where v can be edited into anything
 // without leaving a piece intact) — and the caller must fall back to
@@ -227,13 +236,14 @@ func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 		}
 		// Every master value within edit distance K of v contains one of
 		// v's K+1 pieces unchanged, i.e. shares a substring of length >=
-		// minLen — so the tree enumeration is an exact superset. Each
+		// minLen — so the array enumeration is an exact superset. Each
 		// matched string id maps to the ascending list of master tuples
 		// holding that value; the lists are pairwise disjoint (one value
 		// per tuple), and the order-preserving merge below restores the
 		// single ascending order a nested scan would visit.
 		lists := x.certLists[:0]
-		for _, sid := range x.tree.StringsWithCommonSubstring(v, minLen) {
+		x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
+		for _, sid := range x.sidBuf {
 			if l := x.treeIDs[sid]; len(l) > 0 {
 				lists = append(lists, l)
 			}

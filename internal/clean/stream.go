@@ -39,7 +39,7 @@ import (
 //     counters verbatim — because rule certification is a pure function of
 //     those columns and the immutable master. Report.Patched counts the
 //     rules served this way.
-//   - The MD blocking indexes (equality buckets, suffix tree) are built
+//   - The MD blocking indexes (equality buckets, suffix array) are built
 //     once over master by the initial run and forked per later sub-run
 //     instead of rebuilt; forks share the immutable index structures and
 //     carry fresh statistics, so counters still come out identical to a

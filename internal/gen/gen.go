@@ -13,7 +13,7 @@
 // city, an equality-premise MD matching provider numbers against the master
 // to repair name, phone and zip, and a similarity-only MD (edit distance on
 // name, no equality clause) repairing phone — the workload that drives the
-// suffix-tree blocking and the blocked certification path. Master names are
+// suffix-array blocking and the blocked certification path. Master names are
 // long random strings, pairwise far apart in edit distance, so the
 // similarity premise matches a name only against its own (possibly typo'd)
 // master record, never a neighbor's.
@@ -237,7 +237,7 @@ func Generate(cfg Config) *Instance {
 			{Data: "zip", Master: "zip"},
 		})
 	// The similarity-only MD has no equality clause, so it matches and
-	// certifies through the generalized suffix tree: a typo'd name (two
+	// certifies through the generalized suffix array: a typo'd name (two
 	// appended characters, edit distance 2) still reaches its own master
 	// record, while distinct random names stay unmatched.
 	sim := md.New("md_name_sim", dschema, mschema,

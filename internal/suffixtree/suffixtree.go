@@ -1,155 +1,100 @@
-// Package suffixtree implements the generalized suffix tree used for
+// Package suffixtree implements the generalized suffix array used for
 // longest-common-substring (LCS) blocking in Section 5.2 of the paper.
 //
-// The tree indexes the distinct strings of a master-data attribute's active
-// domain. Each node corresponds to a common substring and maintains the set
-// of indexed strings containing it, exactly as described in the paper. A
-// lookup for a query string v extracts the subtree related to v (at most
-// |v|^2 node visits) and returns the top-l indexed strings ranked by the
-// length of their longest common substring with v, reducing the MD-matching
-// search space from |Dm| to a constant l.
+// The paper blocks similarity MDs with a generalized suffix tree over the
+// distinct strings of a master-data attribute's active domain. This package
+// answers the same queries from a flat suffix array: every suffix of every
+// indexed string, sorted, each one a view into its string, so nothing is
+// copied and no separator byte is needed (values may hold any byte). A
+// lookup for a query string v binary-searches each of v's minLen-byte
+// pieces, walks the contiguous run of suffixes starting with that piece and
+// extends each hit byte by byte to its exact common length. The top-l
+// indexed strings ranked by LCS with v stand in for the whole master
+// relation, reducing the MD-matching search space from |Dm| to a constant l.
+// The package keeps its historical name.
 package suffixtree
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+	"strings"
+)
 
-// Tree is a generalized suffix tree over a set of strings.
+// Tree is a generalized suffix array over a set of strings. Queries only
+// read an indexed Tree, so any number may run concurrently. Add only
+// appends; the first query after it sorts the array again, so Add and that
+// query must not race with other queries.
 type Tree struct {
-	strings []string
-	root    *node
+	strs []string
+	sufs []string // every suffix of every indexed string, ascending
+	ids  []int32  // ids[k] owns sufs[k]; equal suffixes ascend by id
+	n    int      // strings covered by sufs; below len(strs) after an Add
 }
 
-type node struct {
-	children map[byte]*edge
-	// ids lists, in increasing order, the indexed strings whose suffixes
-	// pass through this node, i.e. the strings containing the substring
-	// this node spells.
-	ids []int32
-}
-
-type edge struct {
-	label string
-	to    *node
-}
-
-// New returns an empty tree.
-func New() *Tree {
-	return &Tree{root: &node{children: make(map[byte]*edge)}}
+// New returns a tree indexing strs, with ids in argument order. The array
+// is sorted before New returns, so the tree is ready for concurrent
+// queries.
+func New(strs ...string) *Tree {
+	t := &Tree{strs: slices.Clone(strs)}
+	t.index()
+	return t
 }
 
 // Len returns the number of indexed strings.
-func (t *Tree) Len() int { return len(t.strings) }
+func (t *Tree) Len() int { return len(t.strs) }
 
 // String returns the indexed string with the given id.
-func (t *Tree) String(id int) string { return t.strings[id] }
+func (t *Tree) String(id int) string { return t.strs[id] }
 
 // Add indexes s and returns its id. Duplicate strings receive distinct ids;
 // callers indexing an active domain should deduplicate first.
 func (t *Tree) Add(s string) int {
-	id := int32(len(t.strings))
-	t.strings = append(t.strings, s)
-	for j := 0; j < len(s); j++ {
-		t.insertSuffix(s[j:], id)
-	}
-	return int(id)
+	t.strs = append(t.strs, s)
+	return len(t.strs) - 1
 }
 
-func (n *node) addID(id int32) {
-	if k := len(n.ids); k > 0 && n.ids[k-1] == id {
-		return
+// index sorts every suffix of every string, breaking ties by id.
+func (t *Tree) index() {
+	type suffix struct {
+		s  string
+		id int32
 	}
-	n.ids = append(n.ids, id)
+	total := 0
+	for _, s := range t.strs {
+		total += len(s)
+	}
+	all := make([]suffix, 0, total)
+	for id, s := range t.strs {
+		for j := range len(s) {
+			all = append(all, suffix{s[j:], int32(id)})
+		}
+	}
+	slices.SortFunc(all, func(a, b suffix) int {
+		if c := strings.Compare(a.s, b.s); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	t.sufs, t.ids = make([]string, total), make([]int32, total)
+	for k, x := range all {
+		t.sufs[k], t.ids[k] = x.s, x.id
+	}
+	t.n = len(t.strs)
 }
 
-func (t *Tree) insertSuffix(suf string, id int32) {
-	cur := t.root
-	i := 0
-	for i < len(suf) {
-		e, ok := cur.children[suf[i]]
-		if !ok {
-			leaf := &node{children: make(map[byte]*edge), ids: []int32{id}}
-			cur.children[suf[i]] = &edge{label: suf[i:], to: leaf}
-			return
-		}
-		j := 0
-		for j < len(e.label) && i+j < len(suf) && e.label[j] == suf[i+j] {
-			j++
-		}
-		if j == len(e.label) {
-			cur = e.to
-			cur.addID(id)
-			i += j
-			continue
-		}
-		// Split the edge at offset j. The new middle node inherits the
-		// id set of the old subtree; since ids are inserted in
-		// increasing order, appending id keeps the set sorted.
-		mid := &node{
-			children: map[byte]*edge{e.label[j]: {label: e.label[j:], to: e.to}},
-			ids:      append([]int32(nil), e.to.ids...),
-		}
-		e.label = e.label[:j]
-		e.to = mid
-		mid.addID(id)
-		if i+j == len(suf) {
-			return
-		}
-		leaf := &node{children: make(map[byte]*edge), ids: []int32{id}}
-		mid.children[suf[i+j]] = &edge{label: suf[i+j:], to: leaf}
-		return
+// span returns the run [lo, hi) of suffixes that start with p, indexing
+// first if an Add is pending.
+func (t *Tree) span(p string) (lo, hi int) {
+	if t.n < len(t.strs) {
+		t.index()
 	}
-}
-
-// locate walks sub from the root and returns the deepest reached edge target
-// whose path spells a prefix extending sub, or nil when sub is not a
-// substring of any indexed string.
-func (t *Tree) locate(sub string) *node {
-	cur := t.root
-	i := 0
-	for i < len(sub) {
-		e, ok := cur.children[sub[i]]
-		if !ok {
-			return nil
-		}
-		j := 0
-		for j < len(e.label) && i+j < len(sub) {
-			if e.label[j] != sub[i+j] {
-				return nil
-			}
-			j++
-		}
-		i += j
-		cur = e.to
+	lo = sort.SearchStrings(t.sufs, p)
+	hi = lo
+	for hi < len(t.sufs) && strings.HasPrefix(t.sufs[hi], p) {
+		hi++
 	}
-	return cur
-}
-
-// Contains reports whether sub is a substring of some indexed string.
-func (t *Tree) Contains(sub string) bool {
-	if sub == "" {
-		return t.Len() > 0
-	}
-	return t.locate(sub) != nil
-}
-
-// StringsContaining returns the ids of all indexed strings that contain sub,
-// in increasing order.
-func (t *Tree) StringsContaining(sub string) []int {
-	if sub == "" {
-		out := make([]int, t.Len())
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	n := t.locate(sub)
-	if n == nil {
-		return nil
-	}
-	out := make([]int, len(n.ids))
-	for i, id := range n.ids {
-		out[i] = int(id)
-	}
-	return out
+	return lo, hi
 }
 
 // StringsWithCommonSubstring returns the ids of every indexed string sharing
@@ -158,30 +103,29 @@ func (t *Tree) StringsContaining(sub string) []int {
 // blocking bound max(1, |v|/(K+1)), the result is the *exact* superset of the
 // indexed strings within edit distance K of v — every string closer than K
 // shares an unedited piece of v at least that long — which is what lets the
-// Checker certify an edit-clause MD from the tree instead of scanning the
+// Checker certify an edit-clause MD from the index instead of scanning the
 // whole master relation. A minLen < 1 would make the bound vacuous (strings
 // sharing no substring with v can still be within distance K); callers must
 // handle that case themselves, so it panics here.
 func (t *Tree) StringsWithCommonSubstring(v string, minLen int) []int32 {
+	return t.AppendCommon(nil, v, minLen)
+}
+
+// AppendCommon appends the result of StringsWithCommonSubstring(v, minLen)
+// to dst and returns the extended slice, so callers can reuse one buffer
+// across queries.
+func (t *Tree) AppendCommon(dst []int32, v string, minLen int) []int32 {
 	if minLen < 1 {
 		panic("suffixtree: StringsWithCommonSubstring needs minLen >= 1")
 	}
-	if len(v) < minLen {
-		return nil
-	}
-	best := make(map[int32]int)
+	start := len(dst)
 	for i := 0; i+minLen <= len(v); i++ {
-		t.walkFrom(v[i:], minLen, best)
+		lo, hi := t.span(v[i : i+minLen])
+		dst = append(dst, t.ids[lo:hi]...)
 	}
-	if len(best) == 0 {
-		return nil
-	}
-	out := make([]int32, 0, len(best))
-	for id := range best {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	hits := dst[start:]
+	slices.Sort(hits)
+	return dst[:start+len(slices.Compact(hits))]
 }
 
 // Match is a blocking candidate: an indexed string and the length of its
@@ -198,60 +142,48 @@ type Match struct {
 // length at least max(|u|,|v|)/(K+1), so candidates below that bound can be
 // skipped. A minLen < 1 is treated as 1.
 func (t *Tree) TopL(v string, l, minLen int) []Match {
-	if l <= 0 || len(v) == 0 {
-		return nil
-	}
-	if minLen < 1 {
-		minLen = 1
-	}
-	best := make(map[int32]int)
-	for i := 0; i < len(v); i++ {
-		t.walkFrom(v[i:], minLen, best)
-	}
-	if len(best) == 0 {
-		return nil
-	}
-	out := make([]Match, 0, len(best))
-	for id, lcs := range best {
-		out = append(out, Match{ID: int(id), LCS: lcs})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].LCS != out[j].LCS {
-			return out[i].LCS > out[j].LCS
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) > l {
-		out = out[:l]
-	}
-	return out
+	return t.AppendTopL(nil, v, l, minLen)
 }
 
-// walkFrom matches suf greedily from the root and records, for every string
-// under each visited locus at depth >= minLen, the matched depth.
-func (t *Tree) walkFrom(suf string, minLen int, best map[int32]int) {
-	cur := t.root
-	depth := 0
-	for depth < len(suf) {
-		e, ok := cur.children[suf[depth]]
-		if !ok {
-			return
-		}
-		j := 0
-		for j < len(e.label) && depth+j < len(suf) && e.label[j] == suf[depth+j] {
-			j++
-		}
-		depth += j
-		if depth >= minLen {
-			for _, id := range e.to.ids {
-				if depth > best[id] {
-					best[id] = depth
-				}
-			}
-		}
-		if j < len(e.label) {
-			return // stopped mid-edge
-		}
-		cur = e.to
+// AppendTopL appends the result of TopL(v, l, minLen) to dst and returns
+// the extended slice, so callers can reuse one buffer across queries.
+func (t *Tree) AppendTopL(dst []Match, v string, l, minLen int) []Match {
+	if l <= 0 {
+		return dst
 	}
+	minLen = max(minLen, 1)
+	start := len(dst)
+	for i := 0; i+minLen <= len(v); i++ {
+		lo, hi := t.span(v[i : i+minLen])
+		for k := lo; k < hi; k++ {
+			lcs := minLen + commonPrefix(v[i+minLen:], t.sufs[k][minLen:])
+			dst = append(dst, Match{ID: int(t.ids[k]), LCS: lcs})
+		}
+	}
+	// Keep each id's longest hit, then rank.
+	hits := dst[start:]
+	slices.SortFunc(hits, func(a, b Match) int {
+		if a.ID != b.ID {
+			return cmp.Compare(a.ID, b.ID)
+		}
+		return cmp.Compare(b.LCS, a.LCS)
+	})
+	hits = slices.CompactFunc(hits, func(a, b Match) bool { return a.ID == b.ID })
+	slices.SortFunc(hits, func(a, b Match) int {
+		if a.LCS != b.LCS {
+			return cmp.Compare(b.LCS, a.LCS)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return dst[:start+min(l, len(hits))]
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	k := 0
+	for k < n && a[k] == b[k] {
+		k++
+	}
+	return k
 }

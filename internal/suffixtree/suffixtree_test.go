@@ -2,6 +2,7 @@ package suffixtree
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -9,32 +10,50 @@ import (
 	"repro/internal/similarity"
 )
 
+// containing returns the ids of the indexed strings that contain the
+// non-empty sub: a common substring as long as sub can only be sub itself.
+func containing(tr *Tree, sub string) []int {
+	var out []int
+	for _, id := range tr.StringsWithCommonSubstring(sub, len(sub)) {
+		out = append(out, int(id))
+	}
+	return out
+}
+
+// contains reports whether the non-empty sub is a substring of some indexed
+// string.
+func contains(tr *Tree, sub string) bool { return len(containing(tr, sub)) > 0 }
+
 func TestContains(t *testing.T) {
 	tr := New()
 	tr.Add("banana")
 	tr.Add("bandana")
-	for _, sub := range []string{"banana", "anana", "nan", "a", "bandana", "ndan", ""} {
-		if !tr.Contains(sub) {
-			t.Errorf("Contains(%q) = false", sub)
+	for _, sub := range []string{"banana", "anana", "nan", "a", "bandana", "ndan"} {
+		if !contains(tr, sub) {
+			t.Errorf("contains(%q) = false", sub)
+		}
+		if got := tr.TopL(sub, 1, len(sub)); len(got) != 1 || got[0].LCS != len(sub) {
+			t.Errorf("TopL(%q, 1, %d) = %v, want one full-length match", sub, len(sub), got)
 		}
 	}
 	for _, sub := range []string{"bananas", "xyz", "bb", "aaa"} {
-		if tr.Contains(sub) {
-			t.Errorf("Contains(%q) = true", sub)
+		if contains(tr, sub) {
+			t.Errorf("contains(%q) = true", sub)
+		}
+		if got := tr.TopL(sub, 1, len(sub)); got != nil {
+			t.Errorf("TopL(%q, 1, %d) = %v, want nil", sub, len(sub), got)
 		}
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New()
-	if tr.Contains("") {
-		t.Error("empty tree contains empty string")
-	}
-	if got := tr.StringsContaining("x"); got != nil {
-		t.Errorf("StringsContaining = %v", got)
-	}
-	if got := tr.TopL("abc", 3, 1); got != nil {
-		t.Errorf("TopL = %v", got)
+	for _, tr := range []*Tree{New(), New("")} {
+		if got := tr.StringsWithCommonSubstring("x", 1); got != nil {
+			t.Errorf("StringsWithCommonSubstring = %v", got)
+		}
+		if got := tr.TopL("abc", 3, 1); got != nil {
+			t.Errorf("TopL = %v", got)
+		}
 	}
 }
 
@@ -52,12 +71,11 @@ func TestStringsContaining(t *testing.T) {
 		{"nan", []int{0}},
 		{"cab", []int{2}},
 		{"zzz", nil},
-		{"", []int{0, 1, 2}},
 	}
 	for _, c := range cases {
-		got := tr.StringsContaining(c.sub)
+		got := containing(tr, c.sub)
 		if !equalInts(got, c.want) {
-			t.Errorf("StringsContaining(%q) = %v, want %v", c.sub, got, c.want)
+			t.Errorf("containing(%q) = %v, want %v", c.sub, got, c.want)
 		}
 	}
 }
@@ -178,12 +196,50 @@ func TestRepeatedCharacters(t *testing.T) {
 	tr := New()
 	tr.Add("aaaa")
 	tr.Add("aa")
-	if !tr.Contains("aaa") || tr.Contains("aaaaa") {
+	if !contains(tr, "aaa") || contains(tr, "aaaaa") {
 		t.Error("repeated-char containment wrong")
 	}
-	ids := tr.StringsContaining("aa")
+	ids := containing(tr, "aa")
 	if !equalInts(ids, []int{0, 1}) {
-		t.Errorf("StringsContaining(aa) = %v", ids)
+		t.Errorf("containing(aa) = %v", ids)
+	}
+	// Every suffix of "aaaa" starts a hit for the query; each id must still
+	// appear once, with its longest run.
+	want := []Match{{ID: 0, LCS: 4}, {ID: 1, LCS: 2}}
+	if got := tr.TopL("aaaaa", 8, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("TopL(aaaaa) = %v, want %v", got, want)
+	}
+}
+
+// TestAddAfterQuery: Add only appends, and the next query indexes the new
+// string along with the old ones.
+func TestAddAfterQuery(t *testing.T) {
+	tr := New("banana")
+	if got := tr.StringsWithCommonSubstring("band", 4); got != nil {
+		t.Fatalf("before Add: %v", got)
+	}
+	if id := tr.Add("bandana"); id != 1 {
+		t.Fatalf("Add id = %d, want 1", id)
+	}
+	if got := tr.StringsWithCommonSubstring("band", 4); !reflect.DeepEqual(got, []int32{1}) {
+		t.Errorf("after Add: %v, want [1]", got)
+	}
+	if got := tr.TopL("nana", 8, 2); !reflect.DeepEqual(got, []Match{{ID: 0, LCS: 4}, {ID: 1, LCS: 3}}) {
+		t.Errorf("TopL after Add = %v", got)
+	}
+}
+
+// TestAppendKeepsPrefix: the append forms leave dst's existing elements
+// alone and rank or sort only what they add.
+func TestAppendKeepsPrefix(t *testing.T) {
+	tr := New("banana", "bandana", "cabana")
+	top := tr.AppendTopL([]Match{{ID: 9, LCS: 0}}, "ana", 2, 1)
+	if want := []Match{{ID: 9, LCS: 0}, {ID: 0, LCS: 3}, {ID: 1, LCS: 3}}; !reflect.DeepEqual(top, want) {
+		t.Errorf("AppendTopL = %v, want %v", top, want)
+	}
+	ids := tr.AppendCommon([]int32{7}, "cab", 3)
+	if want := []int32{7, 2}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("AppendCommon = %v, want %v", ids, want)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestTreeUnicodeAndEmpty pins the byte-level behavior of the generalized
-// suffix tree on multi-byte and empty-string inputs: indexing, substring
+// suffix array on multi-byte and empty-string inputs: indexing, substring
 // containment and TopL's LCS ranking all operate on bytes, so greek letters
 // sharing the UTF-8 lead byte 0xCE produce non-zero common substrings.
 func TestTreeUnicodeAndEmpty(t *testing.T) {
@@ -25,7 +25,6 @@ func TestTreeUnicodeAndEmpty(t *testing.T) {
 		sub  string
 		want bool
 	}{
-		{"", true}, // tree is non-empty
 		{"β", true},
 		{"γδ", true},
 		{"αβγ", true},
@@ -35,8 +34,8 @@ func TestTreeUnicodeAndEmpty(t *testing.T) {
 		{"\xce", true}, // a bare UTF-8 lead byte is a substring of every greek word
 	}
 	for _, tc := range containsTests {
-		if got := tr.Contains(tc.sub); got != tc.want {
-			t.Errorf("Contains(%q) = %v, want %v", tc.sub, got, tc.want)
+		if got := contains(tr, tc.sub); got != tc.want {
+			t.Errorf("contains(%q) = %v, want %v", tc.sub, got, tc.want)
 		}
 	}
 
@@ -47,12 +46,12 @@ func TestTreeUnicodeAndEmpty(t *testing.T) {
 		{"γ", []int{ids["αβγ"], ids["βγδ"]}},
 		{"δ", []int{ids["βγδ"]}},
 		{"b", []int{ids["abc"]}},
-		{"", []int{0, 1, 2, 3}}, // every id, including the empty string's
+		{"\xce", []int{ids["αβγ"], ids["βγδ"]}},
 		{"zz", nil},
 	}
 	for _, tc := range stringsTests {
-		if got := tr.StringsContaining(tc.sub); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("StringsContaining(%q) = %v, want %v", tc.sub, got, tc.want)
+		if got := containing(tr, tc.sub); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("containing(%q) = %v, want %v", tc.sub, got, tc.want)
 		}
 	}
 
@@ -76,6 +75,10 @@ func TestTreeUnicodeAndEmpty(t *testing.T) {
 		{"ascii query misses greek", "bc", 8, 1, []Match{
 			{ID: ids["abc"], LCS: 2},
 		}},
+		{"bare lead byte", "\xce", 8, 1, []Match{
+			{ID: ids["αβγ"], LCS: 1},
+			{ID: ids["βγδ"], LCS: 1},
+		}},
 		{"empty query", "", 8, 1, nil},
 		{"zero l", "αβ", 0, 1, nil},
 	}
@@ -90,6 +93,11 @@ func TestTreeUnicodeAndEmpty(t *testing.T) {
 		for _, m := range tr.TopL(q, 8, 1) {
 			if m.ID == ids[""] {
 				t.Errorf("TopL(%q) returned the empty indexed string", q)
+			}
+		}
+		for _, id := range tr.StringsWithCommonSubstring(q, 1) {
+			if int(id) == ids[""] {
+				t.Errorf("StringsWithCommonSubstring(%q) returned the empty indexed string", q)
 			}
 		}
 	}
