@@ -7,6 +7,7 @@
 //	uniclean -data data.csv [-conf conf.csv] [-master master.csv] -rules rules.txt [-out repaired.csv] [-certify] [-workers N]
 //	uniclean ... -updates updates.csv   # replay a streaming update file after the initial clean
 //	uniclean -bench [-bench.tuples N] [-bench.dirty R] [-bench.seed S] [-bench.updates N] [-workers N] [-bench.baseline bench/baseline.json]
+//	uniclean ... -cpuprofile cpu.pprof -memprofile mem.pprof   # profile any of the above
 //
 // The repaired relation is written as CSV to -out ("-" for stdout); the
 // cleaning report — fix counts, matcher statistics, conflicts and the
@@ -45,6 +46,10 @@
 // A status-3 run writes no output: the engine guarantees its input was
 // never mutated and no partial round escaped.
 //
+// -cpuprofile and -memprofile write pprof profiles of the whole invocation
+// (read them with go tool pprof): CPU samples from flag parsing to exit, and
+// the heap, with every allocation since start, taken at exit.
+//
 // -timeout is a hard budget: the run aborts with status 3. The soft budgets
 // -deadline and -maxfixes degrade instead: the engine stops proposing fixes,
 // certifies what it reached, and reports the remaining violations with a
@@ -61,6 +66,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,7 +112,7 @@ func main() {
 	os.Exit(exitCode(err))
 }
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("uniclean", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dataPath := fs.String("data", "", "data relation CSV (required)")
@@ -135,9 +142,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	benchOut := fs.String("bench.out", "", "bench: JSON report path (default BENCH_<sha>.json)")
 	benchBaseline := fs.String("bench.baseline", "", "bench: baseline JSON to gate regressions against; a directory picks baseline-multicore.json or baseline.json by effective CPU count")
 	benchSha := fs.String("bench.sha", "", "bench: label for the default report name (default $GITHUB_SHA or 'local')")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken at exit, to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -249,6 +267,46 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%d rules unresolved: %w", len(res.Unresolved), errDirty)
 	}
 	return nil
+}
+
+// startProfiles starts the CPU profile when cpuPath is set and returns the
+// function that stops it and, when memPath is set, writes the heap
+// profile; either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			errs = append(errs, writeHeapProfile(memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the heap profile reports the state as of the last GC
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }
 
 // replayUpdates streams the CSV update file through the engine: records

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,6 +56,42 @@ Robert,Brady,501 Elm Row,Edi,131,EH7 4AH,3887644
 	}
 	if !strings.Contains(report, "match md1.1:") || strings.Contains(report, "full scans) over |Dm|=0") {
 		t.Errorf("report missing matcher statistics:\n%s", report)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile each write a non-empty
+// pprof file covering the run. The CPU profiler is process-global, so when
+// the test binary itself profiles CPU (go test -cpuprofile) only the heap
+// half is checked.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	mem := filepath.Join(dir, "mem.pprof")
+	args := []string{
+		"-data", filepath.Join(exampleDir, "data.csv"),
+		"-conf", filepath.Join(exampleDir, "conf.csv"),
+		"-master", filepath.Join(exampleDir, "master.csv"),
+		"-rules", filepath.Join(exampleDir, "rules.txt"),
+		"-out", filepath.Join(dir, "repaired.csv"),
+		"-memprofile", mem,
+	}
+	paths := []string{mem}
+	if f := flag.Lookup("test.cpuprofile"); f == nil || f.Value.String() == "" {
+		cpu := filepath.Join(dir, "cpu.pprof")
+		args = append(args, "-cpuprofile", cpu)
+		paths = append(paths, cpu)
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
+	}
+	for _, path := range paths {
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("profile not written: %v", err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
 	}
 }
 

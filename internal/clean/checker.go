@@ -296,13 +296,31 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty []bool, cached []ruleReport) (*Report, []ruleReport, error) {
 	tasks := c.certTasks(d, dirty)
 	subs := make([]ruleReport, len(tasks))
+	for _, x := range c.matchers {
+		if x != nil {
+			x.bound(d.Len())
+		}
+	}
+	// Before a parallel fan-out, prefetch memoizes each re-checked MD
+	// rule's distinct values across the pool, so the read-only forks below
+	// only hit.
+	if c.workers > 1 && !c.noBlock {
+		for ri, x := range c.matchers {
+			if x == nil || (dirty != nil && !dirty[ri]) {
+				continue
+			}
+			if err := x.prefetch(ctx, c.workers, d, nil, true, 0); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
 	run := func(ti int) {
 		t := tasks[ti]
 		c.fj.At(fault.SiteCertify, t.ri, t.lo)
 		// Certification is read-only, so tasks need no propose/commit
 		// machinery — just disjoint result slots. Matchers are forked per
-		// task (shared immutable indexes, private scratch), exactly as the
-		// parallel appliers fork them.
+		// task (shared immutable indexes and memo, private scratch), exactly
+		// as the parallel appliers fork them.
 		x := c.matchers[t.ri]
 		if x != nil && c.workers > 1 {
 			x = x.fork()

@@ -65,27 +65,25 @@ type Options struct {
 	// produce fix-for-fix identical Results; Rescan exists as the
 	// correctness reference and the benchmark baseline.
 	Rescan bool
-	// Workers bounds the applier worker pool: each rule's worklist is
-	// sharded across Workers goroutines that propose fixes concurrently,
-	// and the proposals are committed through a single deterministic merge
-	// (see parallel.go), so any Workers value produces fix-for-fix
-	// identical Results — same Fixes order, Asserts, Conflicts, Rounds,
-	// work counters and certified Report. 0 means GOMAXPROCS; 1 disables
-	// the pool. The Rescan reference engine is always sequential and
-	// ignores Workers.
+	// Workers bounds the worker pool, which runs the engine's pure work
+	// concurrently: building the engine's indexes, an MD pass's lookup
+	// prefetch, eRepair's seeding and certification. Rule passes themselves run inline unless SeqCutoff
+	// forces them through the pool, whose proposals are committed through
+	// a single deterministic merge (see parallel.go). Any Workers value
+	// produces fix-for-fix identical Results — same Fixes order, Asserts,
+	// Conflicts, Rounds, work counters and certified Report. 0 means
+	// GOMAXPROCS; 1 disables the pool. The Rescan reference engine is
+	// always sequential and ignores Workers.
 	Workers int
-	// SeqCutoff is the work threshold below which a rule's worklist runs
-	// inline on the merge goroutine instead of fanning out to the pool:
-	// small delta rounds dominate after the seeding round, and spawning
-	// workers plus a proposal merge for a handful of tuples costs more
-	// than the visits themselves, which is how Workers > 1 used to lose
-	// to Workers = 1 on the wall clock. Work is estimated in tuple visits
-	// (tuples for per-tuple rules, total members for group rules). 0 means
-	// DefaultSeqCutoff; negative forces every nonempty worklist through
-	// the pool, which tests use to exercise the parallel path on tiny
-	// property-test instances. The fast path cannot change any output —
-	// inline and pooled execution are fix-for-fix identical by the
-	// propose/commit merge argument.
+	// SeqCutoff is the work threshold below which a fan-out runs inline on
+	// the engine goroutine instead: spawning workers for a handful of
+	// tuples costs more than the work itself. Work is estimated in tuple
+	// visits (tuples for per-tuple passes, total members for groups). 0
+	// means DefaultSeqCutoff. Negative forces every nonempty fan-out and
+	// every rule pass through the pool, which tests use to exercise the
+	// propose/commit path on tiny property-test instances. Neither choice
+	// can change any output — inline and pooled execution are fix-for-fix
+	// identical by the propose/commit merge argument.
 	SeqCutoff int
 	// Deadline is the soft wall-clock budget of the run. Zero means none.
 	// Unlike a context deadline — which aborts with ErrDeadline — exceeding
@@ -111,10 +109,10 @@ type Options struct {
 	Fault *fault.Injector
 }
 
-// DefaultSeqCutoff is the inline-execution work threshold used when
-// Options.SeqCutoff is zero. At ~128 tuple visits the applier work is on the
-// order of the fan-out overhead (goroutine wakeups, the proposal slice, the
-// counter merge), so smaller worklists are faster inline on every machine.
+// DefaultSeqCutoff is the fan-out work threshold used when
+// Options.SeqCutoff is zero. At ~128 tuple visits the work is on the order
+// of the fan-out overhead (goroutine wakeups, result slots, the merge), so
+// smaller passes are faster inline on every machine.
 const DefaultSeqCutoff = 128
 
 // seqCutoff resolves Options.SeqCutoff to the effective inline threshold:
@@ -126,8 +124,8 @@ func (o Options) seqCutoff() int {
 	return o.SeqCutoff
 }
 
-// inline reports whether a worklist with the given estimated tuple-visit
-// work should bypass the pool and run on the merge goroutine.
+// inline reports whether a fan-out with the given estimated tuple-visit
+// work should bypass the pool and run on the engine goroutine.
 func (e *Engine) inline(work int) bool {
 	if e.pool == nil || work == 0 {
 		return true
@@ -136,15 +134,25 @@ func (e *Engine) inline(work int) bool {
 	if cut < 0 {
 		return false // forced pool: the determinism suites' escape hatch
 	}
-	// A single-P process cannot overlap propose work: the pool would pay
-	// op recording, rewind and replay with zero parallelism to show for
-	// it, so every worklist runs inline regardless of size — this is what
-	// makes Workers > 1 wall-neutral on a single-core machine instead of
-	// ~25% slower on the seeding rounds.
+	// A single-P process cannot overlap any work: fanning out would pay
+	// the overhead with zero parallelism to show for it, so everything
+	// runs inline regardless of size.
 	if runtime.GOMAXPROCS(0) == 1 {
 		return true
 	}
 	return work < cut
+}
+
+// poolPass reports whether a rule pass of the given work goes through the
+// propose/commit pool, which happens only when SeqCutoff < 0 forces it.
+// The commit replays every proposed write serially through the engine's
+// write path, so the pool can only win where deciding an item costs far
+// more than writing it. Once an MD pass's lookups are memoized (and their
+// misses prefetched across the pool) no rule's appliers do: on a 2-vCPU
+// machine every cRepair pass ran slower pooled than inline, and whole runs
+// took a third longer (docs/benchmarks.md).
+func (e *Engine) poolPass(work int) bool {
+	return e.opts.seqCutoff() < 0 && !e.inline(work)
 }
 
 // workerCount resolves Options.Workers to the effective pool size.
@@ -367,11 +375,10 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 // newEngine wires an engine from already-ordered rules. st is nil for a
 // batch engine; a streaming sub-run gets its stream's committed state, and
 // once the stream holds prebuilt master blocking indexes (parallel to
-// ordered) they are forked instead of rebuilt, so each update's sub-run
-// reuses the indexes the initial run built.
+// ordered) they are reused instead of rebuilt, so each update's sub-run
+// shares the indexes and lookup memo the initial run built.
 func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, st *stream, opts Options) *Engine {
 	e := &Engine{
-		data:   data.Clone(),
 		master: master,
 		rules:  ordered,
 		opts:   opts,
@@ -384,27 +391,61 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	}
 	e.matchers = make([]*matcher, len(e.rules))
 	e.apply = make([]*ApplyStats, len(e.rules))
+	var fresh []int // MD rules whose matcher is built here
 	for i, r := range e.rules {
 		if r.Kind == rule.MatchMD && master != nil {
 			if st != nil && st.protos != nil && st.protos[i] != nil {
-				// A fork shares the immutable equality buckets and suffix
-				// array with zeroed statistics, so a sub-run's matcher work
-				// counters come out identical to a fresh build's.
-				e.matchers[i] = st.protos[i].fork()
+				// The copy shares the immutable equality buckets, suffix
+				// array and lookup memo with zeroed statistics, so a
+				// sub-run's matcher work counters come out identical to a
+				// fresh build's, and its lookups land in the memo every
+				// later update reuses.
+				e.matchers[i] = st.protos[i].reuse()
 			} else {
-				e.matchers[i] = newMatcher(r.MD, master)
+				fresh = append(fresh, i)
 			}
-			e.res.Match[r.Name()] = &e.matchers[i].stats
 		}
 		e.apply[i] = &ApplyStats{}
 		e.res.Apply[r.Name()] = e.apply[i]
 	}
-	if !opts.Rescan {
-		// The reference engine re-derives everything by scanning, so it
-		// gets no scheduler at all: building and maintaining indexes it
-		// never reads would bill the rescan baseline for delta-engine
-		// bookkeeping and flatter the measured speedup.
-		e.sched = newScheduler(e.rules, e.data)
+	// The data clone with the scheduler's indexes over it, and each fresh
+	// matcher's blocking indexes (the suffix array above all), are
+	// independent pure builds: with a pool they run as concurrent tasks,
+	// the clone and scheduler first because they take longest. A panic in
+	// one propagates, as it would from the sequential build.
+	built := make([]*matcher, len(fresh))
+	var clone *relation.Relation
+	var sched *scheduler
+	build := func(k int) {
+		if k > 0 {
+			built[k-1] = newMatcher(e.rules[fresh[k-1]].MD, master)
+			return
+		}
+		clone = data.Clone()
+		if !opts.Rescan {
+			// The reference engine re-derives everything by scanning, so
+			// it gets no scheduler at all: building and maintaining
+			// indexes it never reads would bill the rescan baseline for
+			// delta-engine bookkeeping and flatter the measured speedup.
+			sched = newScheduler(e.rules, clone)
+		}
+	}
+	workers := opts.workerCount()
+	if runtime.GOMAXPROCS(0) == 1 {
+		workers = 1
+	}
+	if err := fanOut(context.Background(), "new", workers, len(fresh)+1, build); err != nil {
+		panic(err)
+	}
+	e.data, e.sched = clone, sched
+	for k, i := range fresh {
+		e.matchers[i] = built[k]
+	}
+	for i, x := range e.matchers {
+		if x != nil {
+			x.bound(data.Len())
+			e.res.Match[e.rules[i].Name()] = &x.stats
+		}
 	}
 	e.ap = &applier{e: e, matchers: e.matchers}
 	if n := opts.workerCount(); n > 1 {

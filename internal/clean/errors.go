@@ -49,7 +49,9 @@ func ctxErr(err error) error {
 // fault source.
 type WorkerError struct {
 	// Phase is the pipeline phase that panicked: "cRepair", "eRepair",
-	// "hRepair", "certify", or "run" for panics outside any fan-out.
+	// "hRepair", "certify", "prefetch" (a matcher's memo prefetch), "new"
+	// (engine construction, re-panicked to the caller), or "run" for
+	// panics outside any fan-out.
 	Phase string
 	// Rule is the name of the rule being applied, "" when not attributable.
 	Rule string

@@ -44,6 +44,14 @@ import (
 // keeps Rounds and the fix interleaving byte-identical to the sequential
 // engine. The parallelism is within a rule, where the sequential visit
 // order provably cannot matter.
+//
+// The engine routes rule passes through this layer only when
+// Options.SeqCutoff < 0 forces it (see poolPass): commit replays every
+// write serially, so the pool only pays where deciding an item costs far
+// more than writing it, and with MD lookups memoized no rule does. By
+// default the pool's workers run the engine's pure work instead — index
+// construction, memo prefetch, eRepair seeding, certification — through
+// fanOut.
 
 // opKind enumerates the effects a propose pass records.
 type opKind uint8
@@ -519,12 +527,28 @@ func fanOut(ctx context.Context, phase string, workers, tasks int, fn func(task 
 	return nil
 }
 
-// applyTuples runs one per-tuple rule over the given tuple ids (ascending),
-// inline when the pool is off or the worklist is under the sequential
-// cutoff (small delta rounds pay fan-out overhead, not win from it),
-// sharded through the pool otherwise.
+// applyTuples runs one per-tuple rule over the given tuple ids (ascending).
+// An MD rule's pass first has its lookups prefetched across the pool when
+// the pool is on and the pass is over the fan-out cutoff: the distinct
+// values the memo lacks are looked up in parallel, and each tuple then
+// costs one memo hit. The pass itself runs inline unless SeqCutoff < 0
+// forces the pool (see poolPass). An inline stream update skips the
+// prefetch: it reruns the clean over a base one tuple away from the
+// committed run's, whose lookups the inherited memo already holds, so the
+// scan would find next to nothing to spread, and the inline pass stores
+// what it misses. A pooled pass always prefetches: its forks store nothing.
 func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(*applier, int) int) int {
-	if e.inline(len(ids)) {
+	pooled := e.poolPass(len(ids))
+	update := e.stream != nil && e.stream.protos != nil
+	if x := e.matchers[ri]; x != nil && (pooled || !update) && !e.inline(len(ids)) {
+		if err := x.prefetch(e.ctx, len(e.pool.workers), e.data, ids, false, e.opts.TopL); err != nil && e.fail == nil {
+			e.fail = err
+		}
+		if e.interrupted() {
+			return 0
+		}
+	}
+	if !pooled {
 		progress := 0
 		for ii, i := range ids {
 			// Same (rule, worklist-index) fault coordinates as the pool
@@ -541,17 +565,17 @@ func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(*applier, int) in
 }
 
 // applyGroups runs one variable-CFD rule over the given group snapshots
-// (ordered by first member), inline or through the pool; the work estimate
-// for the sequential cutoff is the total member count, since group applier
-// cost scales with members visited, not group count. Group appliers run
-// without the scheduler's in-flight-tuple suppression, exactly like the
-// sequential loops.
+// (ordered by first member), inline or, when forced, through the pool; the
+// work estimate is the total member count, since group applier cost scales
+// with members visited, not group count. Group appliers run without the
+// scheduler's in-flight-tuple suppression, exactly like the sequential
+// loops.
 func (e *Engine) applyGroups(phase, ri int, groups [][]int, fn func(*applier, []int) int) int {
 	work := 0
 	for _, g := range groups {
 		work += len(g)
 	}
-	if e.inline(work) {
+	if !e.poolPass(work) {
 		progress := 0
 		for gi, g := range groups {
 			e.fj.At(fault.SiteApply, ri, gi)

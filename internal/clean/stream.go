@@ -40,10 +40,11 @@ import (
 //     those columns and the immutable master. Report.Patched counts the
 //     rules served this way.
 //   - The MD blocking indexes (equality buckets, suffix array) are built
-//     once over master by the initial run and forked per later sub-run
-//     instead of rebuilt; forks share the immutable index structures and
-//     carry fresh statistics, so counters still come out identical to a
-//     cold build.
+//     once over master by the initial run and reused by every later sub-run
+//     instead of rebuilt; the copies share the immutable index structures
+//     and carry fresh statistics, so counters still come out identical to
+//     a cold build. They also share the matchers' lookup memo, so an
+//     update looks up only the values the stream has never seen.
 //
 // Deletes are tombstones: every cell of the tuple becomes Null with zero
 // confidence and no fix mark, and the id is recorded in deleted. A null
@@ -73,8 +74,9 @@ type stream struct {
 	base    *relation.Relation
 	deleted map[int]bool // tombstoned tuple ids
 	// protos holds the master blocking indexes built by the initial run,
-	// which every later sub-run forks instead of rebuilding; nil until
-	// the initial run commits.
+	// which every later sub-run reuses instead of rebuilding, and the
+	// lookup memo those sub-runs keep filling; nil until the initial run
+	// commits.
 	protos []*matcher
 	// cert is the committed run's per-rule certification of certData, its
 	// cleaned relation: the next sub-run re-checks only the rules whose
@@ -100,7 +102,7 @@ func NewStream(data, master *relation.Relation, rules []rule.Rule, opts Options)
 // the stream state and the current Result: the initial clean runs on a
 // sub-engine through the same rebase path as every update, with no
 // previous certification and freshly built matchers, which become the
-// fork prototypes. The phase methods (CRepair, ERepair, HRepair, Finish)
+// prototypes. The phase methods (CRepair, ERepair, HRepair, Finish)
 // belong to batch engines and are not for use on the shell.
 func NewStreamContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Engine, error) {
 	e := &Engine{
@@ -216,10 +218,10 @@ func (st *stream) with(id int, values []string, conf []float64) *relation.Relati
 
 // rebase runs a fresh sub-engine over base and, on success, commits base,
 // the run's certification and its Result to the stream. The sub-engine
-// inherits the shell's options and ordered rules, forks the prototype
-// blocking indexes instead of rebuilding them, and hands its certifier the
-// committed run's per-rule reports so untouched rules are patched rather
-// than re-checked. On the initial run there are no prototypes yet: the
+// inherits the shell's options and ordered rules, reuses the prototype
+// blocking indexes and lookup memo instead of rebuilding them, and hands
+// its certifier the committed run's per-rule reports so untouched rules
+// are patched rather than re-checked. On the initial run there are no prototypes yet: the
 // sub-engine builds its matchers, and they become the prototypes.
 func (e *Engine) rebase(ctx context.Context, base *relation.Relation) (*Result, error) {
 	st := e.stream

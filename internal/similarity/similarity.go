@@ -38,9 +38,15 @@ func Levenshtein(a, b string) int {
 	return prev[len(b)]
 }
 
+// bandOnStack is the largest pair of band rows Within keeps in a stack
+// array: two rows of width 2k+1 fit for k <= 8, which covers the thresholds
+// MDs use, so the hot verification path allocates nothing.
+const bandOnStack = 34
+
 // Within reports whether the edit distance between a and b is at most k,
-// using a banded dynamic program that runs in O(k*min(|a|,|b|)) time. It is
-// the workhorse of MD similarity checking.
+// using a banded dynamic program that runs in O(k*min(|a|,|b|)) time and
+// stops at the first row whose every cell exceeds k. It is the workhorse of
+// MD similarity checking.
 func Within(a, b string, k int) bool {
 	if k < 0 {
 		return false
@@ -57,8 +63,14 @@ func Within(a, b string, k int) bool {
 	// Band of width 2k+1 around the diagonal.
 	const inf = 1 << 30
 	width := 2*k + 1
-	prev := make([]int, width)
-	cur := make([]int, width)
+	var stack [bandOnStack]int
+	var band []int
+	if 2*width <= len(stack) {
+		band = stack[:2*width]
+	} else {
+		band = make([]int, 2*width)
+	}
+	prev, cur := band[:width], band[width:]
 	// prev[d] holds the cost at column j = i + (d - k) for the current row i.
 	for d := 0; d < width; d++ {
 		j := d - k
@@ -69,31 +81,36 @@ func Within(a, b string, k int) bool {
 		}
 	}
 	for i := 1; i <= len(a); i++ {
+		rowMin := inf
 		for d := 0; d < width; d++ {
 			j := i + d - k
-			if j < 0 || j > len(b) {
-				cur[d] = inf
-				continue
-			}
-			if j == 0 {
-				cur[d] = i
-				continue
-			}
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
 			best := inf
-			if prev[d] != inf { // diagonal: (i-1, j-1)
-				best = prev[d] + cost
-			}
-			if d > 0 && cur[d-1] != inf && cur[d-1]+1 < best { // left: (i, j-1)
-				best = cur[d-1] + 1
-			}
-			if d < width-1 && prev[d+1] != inf && prev[d+1]+1 < best { // up: (i-1, j)
-				best = prev[d+1] + 1
+			switch {
+			case j < 0 || j > len(b):
+			case j == 0:
+				best = i
+			default:
+				cost := 1
+				if a[i-1] == b[j-1] {
+					cost = 0
+				}
+				if prev[d] != inf { // diagonal: (i-1, j-1)
+					best = prev[d] + cost
+				}
+				if d > 0 && cur[d-1] != inf && cur[d-1]+1 < best { // left: (i, j-1)
+					best = cur[d-1] + 1
+				}
+				if d < width-1 && prev[d+1] != inf && prev[d+1]+1 < best { // up: (i-1, j)
+					best = prev[d+1] + 1
+				}
 			}
 			cur[d] = best
+			rowMin = min(rowMin, best)
+		}
+		// Every alignment path crosses every row, and costs never decrease
+		// along a path: once a whole row exceeds k, so does the last cell.
+		if rowMin > k {
+			return false
 		}
 		prev, cur = cur, prev
 	}

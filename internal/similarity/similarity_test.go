@@ -72,15 +72,72 @@ func TestWithinAgreesWithLevenshtein(t *testing.T) {
 		}
 		return b.String()
 	}
+	check := func(a, b string, k int) {
+		t.Helper()
+		if got, d := Within(a, b, k), Levenshtein(a, b); got != (d <= k) {
+			t.Fatalf("Within(%q,%q,%d) = %v, Levenshtein = %d", a, b, k, got, d)
+		}
+	}
 	for i := 0; i < 500; i++ {
 		a := randStr(rng.Intn(12))
 		b := randStr(rng.Intn(12))
-		d := Levenshtein(a, b)
 		for k := 0; k <= 6; k++ {
-			if got := Within(a, b, k); got != (d <= k) {
-				t.Fatalf("Within(%q,%q,%d) = %v, Levenshtein = %d", a, b, k, got, d)
-			}
+			check(a, b, k)
 		}
+	}
+	// Bands too wide for the stack rows (k >= 17 needs 2(2k+1) > 34 cells).
+	for i := 0; i < 200; i++ {
+		a := randStr(rng.Intn(45))
+		b := randStr(rng.Intn(45))
+		for _, k := range []int{8, 9, 17, 18, 25} {
+			check(a, b, k)
+		}
+	}
+	for _, c := range []struct {
+		a, b string
+		k    int
+	}{
+		// Early divergence: a row's minimum passes k long before the end.
+		{"xxxxxxabcdef", "yyyyyyabcdef", 2},
+		{"xxxxxxabcdef", "yyyyyyabcdef", 6},
+		{"abcdefghij", "zzzdefghij", 2},
+		// k = 0 is plain equality.
+		{"abc", "abc", 0},
+		{"abc", "abd", 0},
+		{"", "", 0},
+		{"", "a", 0},
+		// A length gap equal to k: only pure insertions stay within it.
+		{"abc", "abcde", 2},
+		{"abc", "xxabc", 2},
+		{"abc", "axbxc", 2},
+		{"abc", "xbcde", 2},
+		{"", "abcde", 5},
+		// k >= 17, heap-allocated rows.
+		{strings.Repeat("ab", 20), strings.Repeat("ba", 20), 17},
+		{strings.Repeat("a", 30), strings.Repeat("b", 30), 29},
+		{strings.Repeat("a", 30), strings.Repeat("b", 30), 30},
+		{strings.Repeat("abc", 10), strings.Repeat("abc", 10) + strings.Repeat("d", 17), 17},
+	} {
+		check(c.a, c.b, c.k)
+	}
+}
+
+var withinSink bool
+
+// BenchmarkWithin measures one MD verification at the generator's edit
+// threshold (k = 2) on name-length strings, half of them within reach. It
+// must report 0 allocs/op: the band rows live on the stack for k <= 8.
+func BenchmarkWithin(b *testing.B) {
+	pairs := [][2]string{
+		{"Robert Brady", "Robert Bradly"},
+		{"Robert Brady", "Roberta Brody"},
+		{"Mary Smith", "Marie Smith"},
+		{"Mary Smith", "Quentin Blake"},
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		p := pairs[i%len(pairs)]
+		withinSink = Within(p[0], p[1], 2)
 	}
 }
 
