@@ -19,12 +19,7 @@ import (
 // clean.ApplyStats); the nanosecond timings are recorded for the perf
 // trajectory but are machine-dependent, so the regression gate compares
 // visits, not wall-clock. The parallel run must agree with the sequential
-// incremental run down to the visit counters (a hard failure otherwise);
-// only the per-worker split of those visits is scheduling-dependent, so
-// WorkerVisits is reported and never gated, while MaxWorkerShare condenses
-// the split into the one balance number worth watching — 1.0 is a perfect
-// split, Workers means one worker did everything — and is soft-gated
-// against the multicore baseline only.
+// incremental run down to the visit counters (a hard failure otherwise).
 type benchReport struct {
 	Config            gen.Config
 	RescanNs          int64
@@ -38,8 +33,6 @@ type benchReport struct {
 	ParallelNs        int64
 	ParallelSpeedup   float64 // IncrementalNs / ParallelNs, same process and machine
 	ParallelVisits    int     // must equal IncrementalVisits
-	WorkerVisits      []int64 // per-worker propose visits; nondeterministic split
-	MaxWorkerShare    float64 // max/mean over WorkerVisits; 0 when no worker proposed
 	Fixes             int
 	Asserts           int
 	Conflicts         int
@@ -86,13 +79,6 @@ const parallelWallFloor = 0.90
 // engine mode; the fastest sample is the reported duration.
 const benchRounds = 3
 
-// maxWorkerShareLimit is the soft balance gate: on a multicore baseline,
-// MaxWorkerShare beyond it — the busiest worker proposing more than twice
-// the mean — signals the stealing layer has stopped spreading work, but
-// only warns, because the split is scheduling noise on quiet and loaded
-// runners alike.
-const maxWorkerShareLimit = 2.0
-
 // ratio returns num/den, or 0 when den is zero: a zero-duration timing on a
 // coarse clock, or an empty visit counter, must not put +Inf or NaN into the
 // report — json.Marshal rejects non-finite floats with an
@@ -110,15 +96,6 @@ func (r *benchReport) deriveRatios() {
 	r.Speedup = ratio(float64(r.RescanNs), float64(r.IncrementalNs))
 	r.VisitRatio = ratio(float64(r.RescanVisits), float64(r.IncrementalVisits))
 	r.ParallelSpeedup = ratio(float64(r.IncrementalNs), float64(r.ParallelNs))
-	var sum, max int64
-	for _, v := range r.WorkerVisits {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	mean := ratio(float64(sum), float64(len(r.WorkerVisits)))
-	r.MaxWorkerShare = ratio(float64(max), mean)
 }
 
 // runBench generates the configured synthetic instance, runs the full
@@ -203,7 +180,6 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 		Workers:           workers,
 		ParallelNs:        parallelNs,
 		ParallelVisits:    par.TotalVisits(),
-		WorkerVisits:      par.WorkerVisits,
 		Fixes:             len(inc.Fixes),
 		Asserts:           inc.Asserts,
 		Conflicts:         len(inc.Conflicts),
@@ -230,8 +206,8 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 		float64(rescanNs)/1e6, rep.RescanVisits)
 	fmt.Fprintf(stderr, "bench: incremental   %8.1fms  %9d visits\n",
 		float64(incrementalNs)/1e6, rep.IncrementalVisits)
-	fmt.Fprintf(stderr, "bench: parallel(%2d)  %8.1fms  %9d visits %v (max/mean %.2f)\n",
-		workers, float64(parallelNs)/1e6, rep.ParallelVisits, rep.WorkerVisits, rep.MaxWorkerShare)
+	fmt.Fprintf(stderr, "bench: parallel(%2d)  %8.1fms  %9d visits\n",
+		workers, float64(parallelNs)/1e6, rep.ParallelVisits)
 	fmt.Fprintf(stderr, "bench: certify       %9d pairs verified (naive scan: %d per MD rule)\n",
 		rep.CertifyVisits, cfg.Tuples*cfg.MasterSize)
 	fmt.Fprintf(stderr, "bench: speedup %.2fx, visit ratio %.2fx, parallel speedup %.2fx, report written to %s\n",
@@ -444,13 +420,6 @@ func checkBaseline(rep, base benchReport, stderr io.Writer) error {
 			return fmt.Errorf("bench: parallel speedup collapsed: %.2fx < baseline %.2fx / %.1f",
 				rep.ParallelSpeedup, base.ParallelSpeedup, pairedSpeedupSlack)
 		}
-	}
-	// Worker balance is scheduling-dependent, so it only warns — and only
-	// when the baseline itself recorded a balanced multicore split, i.e.
-	// there is a meaningful expectation to drift from.
-	if base.MaxWorkerShare > 0 && rep.MaxWorkerShare > maxWorkerShareLimit {
-		fmt.Fprintf(stderr, "bench: WARNING: worker balance degraded: max/mean %.2f > %.1f (baseline %.2f); propose visits %v\n",
-			rep.MaxWorkerShare, maxWorkerShareLimit, base.MaxWorkerShare, rep.WorkerVisits)
 	}
 	// The success line reports only the gates that actually ran: a baseline
 	// without certify counts or a coarse clock skips a gate, and the log

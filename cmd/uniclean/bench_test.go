@@ -97,30 +97,6 @@ func TestCheckBaselineSkipsWallGateOnCoarseClock(t *testing.T) {
 	}
 }
 
-// TestMaxWorkerShareDerivation pins the balance metric: max over mean of the
-// per-worker propose visits, 1.0 for a perfect split, the worker count when
-// one worker did everything, and 0 whenever nothing was attributed (pool off
-// or every worklist inline), so an idle pool can never trip the soft gate.
-func TestMaxWorkerShareDerivation(t *testing.T) {
-	cases := []struct {
-		visits []int64
-		want   float64
-	}{
-		{nil, 0},
-		{[]int64{0, 0, 0, 0}, 0},
-		{[]int64{10, 10, 10, 10}, 1},
-		{[]int64{0, 0, 0, 200}, 4},
-		{[]int64{30, 10}, 1.5},
-	}
-	for _, c := range cases {
-		rep := benchReport{WorkerVisits: c.visits}
-		rep.deriveRatios()
-		if rep.MaxWorkerShare != c.want {
-			t.Errorf("MaxWorkerShare(%v) = %v, want %v", c.visits, rep.MaxWorkerShare, c.want)
-		}
-	}
-}
-
 // TestCheckBaselineParallelGates covers the parallel paired-run gates: the
 // absolute floor (parallel must not lose to sequential beyond clock
 // tolerance, on any machine), the relative gate (a baseline that recorded a

@@ -14,8 +14,8 @@
 // resolution status of every rule — goes to stderr. With -certify, the
 // Checker's full violation report is printed when the output is still
 // dirty. Certification honors -workers too: its per-rule passes fan out
-// across the same pool as the repair appliers, and the report is identical
-// for any worker count.
+// across the engine's workers, and the report is identical for any worker
+// count.
 //
 // With -updates, the initial clean is followed by a streaming replay
 // (docs/streaming.md): each CSV record is either "upsert,<id>,v1,...,vN"
@@ -27,10 +27,10 @@
 //
 // With -bench, the tool instead generates a synthetic dirty instance
 // (internal/gen), runs the pipeline with the full-rescan reference
-// scheduler, the sequential delta-driven one, and the parallel applier
-// pool (-workers, default GOMAXPROCS), writes a BENCH_<sha>.json report
-// with timings, deterministic visit counters and the per-worker visit
-// split, and — when -bench.baseline is given — fails if the visit
+// scheduler, the sequential delta-driven one, and the parallel engine
+// (-workers, default GOMAXPROCS), writes a BENCH_<sha>.json report with
+// timings and deterministic visit counters, and — when -bench.baseline is
+// given — fails if the visit
 // counters regressed more than 20% against the committed baseline. The
 // three runs must agree fix-for-fix, and the parallel run must reproduce
 // the sequential visit counters exactly; either mismatch is a hard error.
@@ -127,7 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	certify := fs.Bool("certify", false, "print the checker's violation report when the output is still dirty")
 	verbose := fs.Bool("v", false, "list every fix in the report")
 	rescan := fs.Bool("rescan", false, "use the full-rescan reference scheduler instead of the delta-driven one")
-	workers := fs.Int("workers", 0, "parallel applier and certification workers (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
+	workers := fs.Int("workers", 0, "workers for index builds, lookup prefetch, eRepair seeding and certification (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the run aborts with exit status 3 and writes no output (0 = none)")
 	deadline := fs.Duration("deadline", 0, "soft wall-clock budget; on expiry the engine stops proposing fixes and reports a degraded but truthful result (0 = none)")
 	maxFixes := fs.Int("maxfixes", 0, "soft fix budget; reaching it degrades the run like -deadline (0 = none)")
@@ -402,10 +402,6 @@ func report(w io.Writer, master *relation.Relation, rules []rule.Rule, res *clea
 		marks[relation.FixNone], marks[relation.FixDeterministic],
 		marks[relation.FixReliable], marks[relation.FixPossible])
 	fmt.Fprintf(w, "scheduler: %d applier tuple visits\n", res.TotalVisits())
-	if len(res.WorkerVisits) > 0 {
-		fmt.Fprintf(w, "parallel: %d workers, propose visits %v\n",
-			len(res.WorkerVisits), res.WorkerVisits)
-	}
 	names := make([]string, 0, len(res.Match))
 	for name := range res.Match {
 		names = append(names, name)

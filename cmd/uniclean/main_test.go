@@ -330,7 +330,7 @@ func TestRunBenchMode(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_test.json")
 	var stdout, stderr bytes.Buffer
-	// One worker: a 500-tuple run is too small for the pool to beat the
+	// One worker: a 500-tuple run is too small for the fan-outs to beat the
 	// sequential engine on a loaded 2-core machine, so the self-gate's
 	// parallel-speedup floor would trip on scheduling noise. The floor
 	// itself is covered by TestCheckBaselineParallelGates.

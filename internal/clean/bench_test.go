@@ -91,11 +91,11 @@ func BenchmarkRunRescan(b *testing.B) {
 	benchmarkRun(b, true, 1)
 }
 
-// BenchmarkRunParallel measures the delta-driven engine with the applier
-// pool at GOMAXPROCS workers on the same workload. On a single-core runner
-// it degenerates to the sequential path (the pool is only built for an
-// effective worker count above 1), so compare it against
-// BenchmarkRunIncremental on the same machine.
+// BenchmarkRunParallel measures the delta-driven engine with its fan-outs
+// at GOMAXPROCS workers on the same workload. On a single-core runner it
+// degenerates to the sequential path (every fan-out runs inline at
+// GOMAXPROCS=1), so compare it against BenchmarkRunIncremental on the same
+// machine.
 func BenchmarkRunParallel(b *testing.B) {
 	benchmarkRun(b, false, 0)
 }

@@ -143,7 +143,7 @@ func (r *Report) String() string {
 // order-preserving candidate merge streams violations in the same (T, S)
 // order the nested scan would produce, so the Report is byte-identical.
 // Per-rule passes are independent and read-only; with workers > 1 they fan
-// out across a bounded pool with forked matchers, and the rule-ordered
+// out across fanOut's workers with forked matchers, and the rule-ordered
 // report merge keeps the Report deterministic for any worker count.
 type Checker struct {
 	rules  []rule.Rule
@@ -171,7 +171,7 @@ type Checker struct {
 // blocking indexes over master. master may be nil, in which case MD rules
 // are vacuously satisfied (there is nothing to match against), mirroring
 // the engine's behavior. The checker is sequential; the engine's Finish
-// runs certification through the worker pool instead.
+// fans certification out across its workers instead.
 func NewChecker(rules []rule.Rule, master *relation.Relation) *Checker {
 	matchers := make([]*matcher, len(rules))
 	if master != nil {
@@ -205,7 +205,7 @@ func newChecker(rules []rule.Rule, master *relation.Relation, matchers []*matche
 
 // ruleReport is one certification task's outcome — a whole rule, or one
 // sub-range of an MD rule's scan — produced independently, possibly on a
-// pool worker, and merged into the Report in (rule, range) order. Each task
+// fanOut worker, and merged into the Report in (rule, range) order. Each task
 // stores at most maxStoredPerRule violations; the merge re-applies the cap
 // per rule after concatenation, which reproduces the sequential prefix
 // exactly (every task keeps its earliest violations, and the global first
@@ -227,7 +227,7 @@ const certShardMin = 256
 // certify cost, is sub-sharded into tuple ranges so one huge similarity MD
 // no longer serializes the round behind a single worker. fanOut hands tasks
 // out in index order, so the expensive MD shards start spread across the
-// pool rather than queued behind one another.
+// workers rather than queued behind one another.
 type certTask struct {
 	ri     int
 	lo, hi int
@@ -302,14 +302,14 @@ func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty 
 		}
 	}
 	// Before a parallel fan-out, prefetch memoizes each re-checked MD
-	// rule's distinct values across the pool, so the read-only forks below
+	// rule's distinct values across the workers, so the read-only forks below
 	// only hit.
 	if c.workers > 1 && !c.noBlock {
 		for ri, x := range c.matchers {
 			if x == nil || (dirty != nil && !dirty[ri]) {
 				continue
 			}
-			if err := x.prefetch(ctx, c.workers, d, nil, true, 0); err != nil {
+			if err := x.prefetch(ctx, c.fj, c.workers, d, nil, true, 0); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -317,17 +317,16 @@ func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty 
 	run := func(ti int) {
 		t := tasks[ti]
 		c.fj.At(fault.SiteCertify, t.ri, t.lo)
-		// Certification is read-only, so tasks need no propose/commit
-		// machinery — just disjoint result slots. Matchers are forked per
-		// task (shared immutable indexes and memo, private scratch), exactly
-		// as the parallel appliers fork them.
+		// Certification is read-only, so tasks need nothing but disjoint
+		// result slots. Matchers are forked per task (shared immutable
+		// indexes and memo, private scratch).
 		x := c.matchers[t.ri]
 		if x != nil && c.workers > 1 {
 			x = x.fork()
 		}
 		subs[ti] = c.checkRule(d, t.ri, t.lo, t.hi, x)
 	}
-	if err := fanOut(ctx, "certify", c.workers, len(tasks), run); err != nil {
+	if err := fanOut(ctx, c.fj, "certify", c.workers, len(tasks), run); err != nil {
 		return nil, nil, err
 	}
 

@@ -65,25 +65,23 @@ type Options struct {
 	// produce fix-for-fix identical Results; Rescan exists as the
 	// correctness reference and the benchmark baseline.
 	Rescan bool
-	// Workers bounds the worker pool, which runs the engine's pure work
-	// concurrently: building the engine's indexes, an MD pass's lookup
-	// prefetch, eRepair's seeding and certification. Rule passes themselves run inline unless SeqCutoff
-	// forces them through the pool, whose proposals are committed through
-	// a single deterministic merge (see parallel.go). Any Workers value
-	// produces fix-for-fix identical Results — same Fixes order, Asserts,
-	// Conflicts, Rounds, work counters and certified Report. 0 means
-	// GOMAXPROCS; 1 disables the pool. The Rescan reference engine is
-	// always sequential and ignores Workers.
+	// Workers bounds the engine's fan-outs, which run its pure work
+	// concurrently: building the indexes, an MD pass's lookup prefetch,
+	// eRepair's seeding and certification. Rule passes themselves always
+	// run inline on the engine goroutine (see parallel.go). Any Workers
+	// value produces fix-for-fix identical Results — same Fixes order,
+	// Asserts, Conflicts, Rounds, work counters and certified Report. 0
+	// means GOMAXPROCS; 1 runs everything on the engine goroutine. The
+	// Rescan reference engine is always sequential and ignores Workers.
 	Workers int
 	// SeqCutoff is the work threshold below which a fan-out runs inline on
 	// the engine goroutine instead: spawning workers for a handful of
 	// tuples costs more than the work itself. Work is estimated in tuple
-	// visits (tuples for per-tuple passes, total members for groups). 0
-	// means DefaultSeqCutoff. Negative forces every nonempty fan-out and
-	// every rule pass through the pool, which tests use to exercise the
-	// propose/commit path on tiny property-test instances. Neither choice
-	// can change any output — inline and pooled execution are fix-for-fix
-	// identical by the propose/commit merge argument.
+	// visits (tuples for an MD pass's prefetch, total members for eRepair's
+	// seeding). 0 means DefaultSeqCutoff. Negative forces every nonempty
+	// fan-out onto the workers, which tests use to exercise them on tiny
+	// property-test instances. Neither choice can change any output: a
+	// fan-out's tasks fill their own slots, merged in task order.
 	SeqCutoff int
 	// Deadline is the soft wall-clock budget of the run. Zero means none.
 	// Unlike a context deadline — which aborts with ErrDeadline — exceeding
@@ -102,7 +100,7 @@ type Options struct {
 	// and options degrade at the same point every run.
 	MaxFixes int
 	// Fault arms the deterministic fault injector (internal/fault) on the
-	// engine's hook points — applier visits, matcher probes, pool
+	// engine's hook points — applier visits, matcher probes, fan-out
 	// scheduling, certification tasks. Nil (the default) leaves the hooks
 	// inert at the cost of one predictable nil-check branch. Only the
 	// robustness property suite sets it.
@@ -125,14 +123,14 @@ func (o Options) seqCutoff() int {
 }
 
 // inline reports whether a fan-out with the given estimated tuple-visit
-// work should bypass the pool and run on the engine goroutine.
+// work should bypass the workers and run on the engine goroutine.
 func (e *Engine) inline(work int) bool {
-	if e.pool == nil || work == 0 {
+	if e.workers <= 1 || work == 0 {
 		return true
 	}
 	cut := e.opts.seqCutoff()
 	if cut < 0 {
-		return false // forced pool: the determinism suites' escape hatch
+		return false // forced fan-out: the determinism suites' escape hatch
 	}
 	// A single-P process cannot overlap any work: fanning out would pay
 	// the overhead with zero parallelism to show for it, so everything
@@ -143,19 +141,7 @@ func (e *Engine) inline(work int) bool {
 	return work < cut
 }
 
-// poolPass reports whether a rule pass of the given work goes through the
-// propose/commit pool, which happens only when SeqCutoff < 0 forces it.
-// The commit replays every proposed write serially through the engine's
-// write path, so the pool can only win where deciding an item costs far
-// more than writing it. Once an MD pass's lookups are memoized (and their
-// misses prefetched across the pool) no rule's appliers do: on a 2-vCPU
-// machine every cRepair pass ran slower pooled than inline, and whole runs
-// took a third longer (docs/benchmarks.md).
-func (e *Engine) poolPass(work int) bool {
-	return e.opts.seqCutoff() < 0 && !e.inline(work)
-}
-
-// workerCount resolves Options.Workers to the effective pool size.
+// workerCount resolves Options.Workers to the effective fan-out width.
 func (o Options) workerCount() int {
 	if o.Rescan {
 		return 1
@@ -243,11 +229,8 @@ type Result struct {
 	// Report is the Checker's certification of Data against the rule set:
 	// the structured violations behind Resolved/Unresolved.
 	Report *Report
-	// WorkerVisits records, per pool worker, the applier tuple visits that
-	// worker proposed. Nil when the pool was off (Workers <= 1). The sum is
-	// at most TotalVisits — trivial worklists run inline on the merge
-	// goroutine — and the split across workers depends on runtime
-	// scheduling, so it is reported (uniclean -bench) but never gated.
+	// WorkerVisits is always nil: rule passes run inline, so no visit is
+	// attributed to a worker. It stays for callers that still read it.
 	WorkerVisits []int64
 	// Degraded reports that a soft budget (Options.Deadline or
 	// Options.MaxFixes) stopped the run before the pipeline's fixpoint:
@@ -312,9 +295,8 @@ type Engine struct {
 	cSeeded bool          // cRepair's first round (visit everything) has run
 	hSeeded bool          // hRepair's first round has run
 
-	ap     *applier // the canonical direct-commit applier (see parallel.go)
-	pool   *pool    // worker pool; nil when the effective worker count is 1
-	allIDs []int    // cached identity worklist for full-visit rounds
+	workers int   // fan-out width, Options.workerCount()
+	allIDs  []int // cached identity worklist for full-visit rounds
 
 	// eRepair's entropy tree, persistent across outer passes in delta mode:
 	// later ERepair calls re-key only the groups extracted last call (eredo)
@@ -325,16 +307,16 @@ type Engine struct {
 	eSeeded bool               // eRepair's full seeding has run
 
 	// ctx carries the run's cooperative cancellation: the round loops, the
-	// eRepair resolution loop, the pool's claim loops and the certify tasks
+	// eRepair resolution loop, the fan-out loops and the certify tasks
 	// all poll it, so a cancel or deadline surfaces as a typed error within
 	// one round. Always non-nil (Background for the legacy Run/New API).
 	ctx context.Context
 	// fail is the first failure observed — ErrCanceled, ErrDeadline, or a
 	// contained *WorkerError. Once set it poisons the engine: every phase
-	// becomes a no-op and the run returns it. The transaction argument is
-	// what makes the poisoned state safe: a failure detected inside a
-	// parallel fan-out rewinds every pending proposal before fail is set, so
-	// the clone holds exactly the committed rounds, never a prefix of one.
+	// becomes a no-op and the run returns it. The poisoned state is safe
+	// because it is thrown away: the engine writes only its private clone,
+	// and a failed run returns no Result, so a half-applied round is never
+	// observable.
 	fail error
 	// degraded names the soft budget that stopped proposal ("deadline",
 	// "max-fixes"), or "" while the run is within budget. Unlike fail, a
@@ -366,7 +348,7 @@ func New(data, master *relation.Relation, rules []rule.Rule, opts Options) *Engi
 }
 
 // NewContext is New with a context attached: the engine polls ctx at round
-// granularity (round loops, the eRepair resolution loop, pool claim loops,
+// granularity (round loops, the eRepair resolution loop, fan-out loops,
 // certify tasks) and fails with ErrCanceled/ErrDeadline once it is done.
 func NewContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) *Engine {
 	return newEngine(ctx, data, master, rule.Order(rules), nil, opts)
@@ -379,15 +361,16 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 // shares the indexes and lookup memo the initial run built.
 func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, st *stream, opts Options) *Engine {
 	e := &Engine{
-		master: master,
-		rules:  ordered,
-		opts:   opts,
-		res:    &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
-		seen:   make(map[string]bool),
-		ctx:    ctx,
-		start:  time.Now(),
-		fj:     opts.Fault,
-		stream: st,
+		master:  master,
+		rules:   ordered,
+		opts:    opts,
+		workers: opts.workerCount(),
+		res:     &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
+		seen:    make(map[string]bool),
+		ctx:     ctx,
+		start:   time.Now(),
+		fj:      opts.Fault,
+		stream:  st,
 	}
 	e.matchers = make([]*matcher, len(e.rules))
 	e.apply = make([]*ApplyStats, len(e.rules))
@@ -410,7 +393,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	}
 	// The data clone with the scheduler's indexes over it, and each fresh
 	// matcher's blocking indexes (the suffix array above all), are
-	// independent pure builds: with a pool they run as concurrent tasks,
+	// independent pure builds: with workers they run as concurrent tasks,
 	// the clone and scheduler first because they take longest. A panic in
 	// one propagates, as it would from the sequential build.
 	built := make([]*matcher, len(fresh))
@@ -430,11 +413,13 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			sched = newScheduler(e.rules, clone)
 		}
 	}
-	workers := opts.workerCount()
+	workers := e.workers
 	if runtime.GOMAXPROCS(0) == 1 {
 		workers = 1
 	}
-	if err := fanOut(context.Background(), "new", workers, len(fresh)+1, build); err != nil {
+	// No fault injector: a panic here is re-raised to the caller, outside
+	// runAll's containment.
+	if err := fanOut(context.Background(), nil, "new", workers, len(fresh)+1, build); err != nil {
 		panic(err)
 	}
 	e.data, e.sched = clone, sched
@@ -446,10 +431,6 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			x.bound(data.Len())
 			e.res.Match[e.rules[i].Name()] = &x.stats
 		}
-	}
-	e.ap = &applier{e: e, matchers: e.matchers}
-	if n := opts.workerCount(); n > 1 {
-		e.pool = newPool(e, n)
 	}
 	return e
 }
@@ -504,7 +485,7 @@ func Run(data, master *relation.Relation, rules []rule.Rule, opts Options) *Resu
 }
 
 // RunContext is Run under a context: a cancel or deadline stops the run at
-// the next cancellation point (round boundaries, pool claim loops, the
+// the next cancellation point (round boundaries, fan-out loops, the
 // eRepair resolution loop, certify tasks) and returns ErrCanceled or
 // ErrDeadline. Panics anywhere in the pipeline are contained and returned as
 // a *WorkerError. On any error the caller's input relation is untouched —
@@ -520,11 +501,12 @@ func RunContext(ctx context.Context, data, master *relation.Relation, rules []ru
 // fresh sub-engine per update.
 func (e *Engine) runAll() (res *Result, err error) {
 	defer func() {
-		// Containment of last resort: a panic on the merge goroutine — the
-		// sequential phase code, an inline applier, the checker driver —
-		// surfaces as a structured error instead of tearing down the
-		// process. Pool workers have their own recover (see runParallel and
-		// fanOut) so a worker panic never reaches the runtime's crash path.
+		// Containment of last resort: a panic on the engine goroutine — the
+		// phase code, a rule pass (re-raised with its coordinates by
+		// contain), the checker driver — surfaces as a structured error
+		// instead of tearing down the process. fanOut's workers have their
+		// own recover, so a worker panic never reaches the runtime's crash
+		// path.
 		if r := recover(); r != nil {
 			if we, ok := r.(*WorkerError); ok {
 				res, err = nil, we
@@ -603,15 +585,12 @@ func (e *Engine) finish() (*Result, error) {
 		return nil, e.fail
 	}
 	e.res.Data = e.data
-	if e.pool != nil {
-		e.res.WorkerVisits = append([]int64(nil), e.pool.visits...)
-	}
 	// The checker reuses the engine's own blocking matchers (indexes are
-	// built once per run) and fans its per-rule passes across the same
-	// worker budget the appliers had; the rule-ordered report merge keeps
+	// built once per run) and fans its per-rule passes across the engine's
+	// workers; the rule-ordered report merge keeps
 	// the Report deterministic for any worker count, so -certify output is
 	// identical whatever -workers says.
-	ck := newChecker(e.rules, e.master, e.matchers, e.opts.workerCount())
+	ck := newChecker(e.rules, e.master, e.matchers, e.workers)
 	ck.fj = e.fj
 	// On the streaming update path, rules none of whose read attributes
 	// changed since the committed certified relation are served from that
@@ -665,16 +644,6 @@ func (e *Engine) spend(i, a int) bool {
 	}
 	e.hleft[k] = left - 1
 	return true
-}
-
-// budgetLeft reads cell (i, a)'s remaining budget without consuming it —
-// the propose-side read, safe to run concurrently because all budget
-// writes are deferred to the commit step.
-func (e *Engine) budgetLeft(i, a int) int {
-	if left, ok := e.hleft[[2]int{i, a}]; ok {
-		return left
-	}
-	return e.hbudget()
 }
 
 // conflictf records a conflict once: an unresolvable conflict would

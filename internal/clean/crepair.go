@@ -19,15 +19,14 @@ import (
 // worklists); each later round hands a rule only the tuples and groups whose
 // read attributes were written since the rule last saw them, which is the
 // only place new firings can come from. With Options.Rescan, every round is
-// a full visit, as in the reference engine. With Options.Workers > 1, each
-// rule's visit is sharded across the worker pool and committed through the
-// deterministic merge (see parallel.go); rules still run one after another,
-// so the result is identical either way.
+// a full visit, as in the reference engine. Each rule's visit runs inline
+// (see parallel.go), rules one after another in rule.Order, so
+// Options.Workers never shows in the result.
 func (e *Engine) CRepair() {
 	for {
 		// Cancellation points sit at round granularity: a round already in
-		// flight finishes (or is rewound whole by the parallel layer), so a
-		// cancel can never expose a half-committed round.
+		// flight finishes, and a failed run discards its clone, so a cancel
+		// can never expose a half-committed round.
 		if e.interrupted() || e.exhausted() {
 			return
 		}
@@ -64,27 +63,27 @@ func (e *Engine) applyRuleFull(ri int, r rule.Rule) int {
 		if e.sched != nil {
 			e.sched.clearTuples(phaseC, ri)
 		}
-		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(ap *applier, i int) int {
-			return ap.constantCFDTuple(ri, r.CFD, i)
+		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(i int) int {
+			return e.constantCFDTuple(ri, r.CFD, i)
 		})
 	case rule.VariableCFD:
 		if e.sched != nil {
 			e.sched.clearGroups(phaseC, ri)
-			return e.applyGroups(phaseC, ri, e.sched.allGroups(ri), func(ap *applier, members []int) int {
-				return ap.variableCFDGroup(ri, r.CFD, members)
+			return e.applyGroups(phaseC, ri, e.sched.allGroups(ri), func(members []int) int {
+				return e.variableCFDGroup(ri, r.CFD, members)
 			})
 		}
 		progress := 0
 		for _, g := range cfd.Groups(e.data, r.CFD) {
-			progress += e.ap.variableCFDGroup(ri, r.CFD, g.Members)
+			progress += e.variableCFDGroup(ri, r.CFD, g.Members)
 		}
 		return progress
 	case rule.MatchMD:
 		if e.sched != nil {
 			e.sched.clearTuples(phaseC, ri)
 		}
-		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(ap *applier, i int) int {
-			return ap.matchMDTuple(ri, r.MD, i)
+		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(i int) int {
+			return e.matchMDTuple(ri, r.MD, i)
 		})
 	}
 	return 0
@@ -96,16 +95,16 @@ func (e *Engine) applyRuleFull(ri int, r rule.Rule) int {
 func (e *Engine) applyRuleDelta(ri int, r rule.Rule) int {
 	switch r.Kind {
 	case rule.ConstantCFD:
-		return e.applyTuples(phaseC, ri, e.sched.takeTuples(phaseC, ri), func(ap *applier, i int) int {
-			return ap.constantCFDTuple(ri, r.CFD, i)
+		return e.applyTuples(phaseC, ri, e.sched.takeTuples(phaseC, ri), func(i int) int {
+			return e.constantCFDTuple(ri, r.CFD, i)
 		})
 	case rule.VariableCFD:
-		return e.applyGroups(phaseC, ri, e.sched.takeGroups(phaseC, ri), func(ap *applier, members []int) int {
-			return ap.variableCFDGroup(ri, r.CFD, members)
+		return e.applyGroups(phaseC, ri, e.sched.takeGroups(phaseC, ri), func(members []int) int {
+			return e.variableCFDGroup(ri, r.CFD, members)
 		})
 	case rule.MatchMD:
-		return e.applyTuples(phaseC, ri, e.sched.takeTuples(phaseC, ri), func(ap *applier, i int) int {
-			return ap.matchMDTuple(ri, r.MD, i)
+		return e.applyTuples(phaseC, ri, e.sched.takeTuples(phaseC, ri), func(i int) int {
+			return e.matchMDTuple(ri, r.MD, i)
 		})
 	}
 	return 0
@@ -114,9 +113,8 @@ func (e *Engine) applyRuleDelta(ri int, r rule.Rule) int {
 // constantCFDTuple writes the pattern constant tp[A] to tuple i if it
 // matches tp[X] and its premise cells are trusted (min confidence >= η), per
 // Section 3.1 rule (2).
-func (ap *applier) constantCFDTuple(ri int, c *cfd.CFD, i int) int {
-	ap.stat(ri).CTuples++
-	e := ap.e
+func (e *Engine) constantCFDTuple(ri int, c *cfd.CFD, i int) int {
+	e.apply[ri].CTuples++
 	t := e.data.Tuples[i]
 	if !c.MatchLHS(t) {
 		return 0
@@ -127,13 +125,13 @@ func (ap *applier) constantCFDTuple(ri int, c *cfd.CFD, i int) int {
 	}
 	switch {
 	case t.Values[c.RHS] == c.RHSPattern:
-		return ap.assert(i, c.RHS, conf)
+		return e.assert(i, c.RHS, conf)
 	case t.Marks[c.RHS] == relation.FixDeterministic:
-		ap.conflictf("%s: t%d[%s] is frozen at %q, cannot write %q",
+		e.conflictf("%s: t%d[%s] is frozen at %q, cannot write %q",
 			c.Name, i, e.data.Schema.Attrs[c.RHS], t.Values[c.RHS], c.RHSPattern)
 		return 0
 	default:
-		return ap.fix(i, c.RHS, c.RHSPattern, conf, c.Name)
+		return e.fix(i, c.RHS, c.RHSPattern, conf, c.Name)
 	}
 }
 
@@ -141,10 +139,9 @@ func (ap *applier) constantCFDTuple(ri int, c *cfd.CFD, i int) int {
 // LHS-equal group, per Section 3.1 rule (3): if the trusted cells of the
 // group agree on a value, every member whose premise is trusted is updated
 // to it. Groups whose trusted cells disagree are left for eRepair.
-func (ap *applier) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
-	ap.stat(ri).CGroups++
-	ap.stat(ri).CTuples += len(members)
-	e := ap.e
+func (e *Engine) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
+	e.apply[ri].CGroups++
+	e.apply[ri].CTuples += len(members)
 	// Pick the highest-confidence non-null RHS value as the source.
 	bestConf, bestVal := -1.0, ""
 	for _, i := range members {
@@ -162,7 +159,7 @@ func (ap *applier) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 		t := e.data.Tuples[i]
 		v := t.Values[c.RHS]
 		if !relation.IsNull(v) && v != bestVal && t.Conf[c.RHS] >= e.opts.Eta {
-			ap.conflictf("%s: group %q has trusted values %q and %q",
+			e.conflictf("%s: group %q has trusted values %q and %q",
 				c.Name, e.data.Tuples[members[0]].Key(c.LHS), bestVal, v)
 			return 0
 		}
@@ -179,9 +176,9 @@ func (ap *applier) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 			conf = bestConf
 		}
 		if t.Values[c.RHS] == bestVal {
-			progress += ap.assert(i, c.RHS, conf)
+			progress += e.assert(i, c.RHS, conf)
 		} else if t.Marks[c.RHS] != relation.FixDeterministic {
-			progress += ap.fix(i, c.RHS, bestVal, conf, c.Name)
+			progress += e.fix(i, c.RHS, bestVal, conf, c.Name)
 		}
 	}
 	return progress
@@ -192,13 +189,12 @@ func (ap *applier) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 // indexes; the fix confidence is the fuzzy minimum over the
 // equality-premise cells of the data tuple (similarity-tested cells
 // contribute no confidence, and master data is clean by assumption).
-func (ap *applier) matchMDTuple(ri int, m *md.MD, i int) int {
-	x := ap.matchers[ri]
+func (e *Engine) matchMDTuple(ri int, m *md.MD, i int) int {
+	x := e.matchers[ri]
 	if x == nil {
 		return 0 // no master data: the MD is vacuous
 	}
-	ap.stat(ri).CTuples++
-	e := ap.e
+	e.apply[ri].CTuples++
 	e.fj.At(fault.SiteProbe, ri, i)
 	t := e.data.Tuples[i]
 	conf := minConfAt(t, x.eqDataAttrs)
@@ -215,12 +211,12 @@ func (ap *applier) matchMDTuple(ri int, m *md.MD, i int) int {
 			}
 			switch {
 			case t.Values[p.DataAttr] == v:
-				progress += ap.assert(i, p.DataAttr, conf)
+				progress += e.assert(i, p.DataAttr, conf)
 			case t.Marks[p.DataAttr] == relation.FixDeterministic:
-				ap.conflictf("%s: t%d[%s] is frozen at %q, master tuple %d says %q",
+				e.conflictf("%s: t%d[%s] is frozen at %q, master tuple %d says %q",
 					m.Name, i, e.data.Schema.Attrs[p.DataAttr], t.Values[p.DataAttr], j, v)
 			default:
-				progress += ap.fix(i, p.DataAttr, v, conf, m.Name)
+				progress += e.fix(i, p.DataAttr, v, conf, m.Name)
 			}
 		}
 	}

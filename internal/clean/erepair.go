@@ -153,8 +153,8 @@ func (e *Engine) ERepair() {
 		// seed is about to cover. The entropy pass over the groups is
 		// embarrassingly parallel — each task reads only its own member
 		// snapshot and the live relation, which nothing writes during the
-		// fan-out — so above the sequential cutoff it runs through the
-		// pool, with per-task result slots merged afterwards. The merge is
+		// fan-out — so above the sequential cutoff it runs through
+		// fanOut, with per-task result slots merged afterwards. The merge is
 		// order-independent (the AVL keys by (entropy, id), ETuples is a
 		// sum), so the map iteration and the fan-out schedule never show.
 		e.sched.resetE()
@@ -189,7 +189,7 @@ func (e *Engine) ERepair() {
 				rekey(t.vi, t.key, t.kid, t.members)
 			}
 		} else {
-			if err := fanOut(e.ctx, "eRepair", len(e.pool.workers), len(tasks), func(ti int) {
+			if err := fanOut(e.ctx, e.fj, "eRepair", e.workers, len(tasks), func(ti int) {
 				t := &tasks[ti]
 				e.fj.At(fault.SiteSeed, ti, 0)
 				t.entropy, t.distinct = groupEntropy(e.data, varCFDs[t.vi].RHS, t.members)

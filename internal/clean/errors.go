@@ -10,8 +10,8 @@ import (
 // ErrCanceled is returned by RunContext and CheckContext when the context is
 // canceled before the run completes. The engine guarantees the input
 // relation is untouched (it only ever mutates its private clone) and that no
-// partially committed round is observable: a cancellation detected while a
-// rule's proposals are in flight rewinds them all before returning.
+// partially committed round is observable: a failed run discards its clone
+// and returns no Result.
 var ErrCanceled = errors.New("clean: run canceled")
 
 // ErrDeadline is the deadline-expired sibling of ErrCanceled, returned when
@@ -39,14 +39,13 @@ func ctxErr(err error) error {
 	return ErrCanceled
 }
 
-// WorkerError is a panic contained by the engine — in a pool worker, a
-// fan-out task, or the sequential phase code — converted into a structured
-// error instead of tearing down the process. The run's pending proposals are
-// rewound before it is returned, so the engine's clone holds no partial
-// round and the caller's input relation is untouched. When several workers
-// panic in one fan-out, the failure with the lowest worklist index among
-// those recorded is propagated, which is deterministic for a deterministic
-// fault source.
+// WorkerError is a panic contained by the engine — in a fan-out task, a
+// rule pass, or the sequential phase code — converted into a structured
+// error instead of tearing down the process. The failed run's clone is
+// discarded, so no partial round is observable and the caller's input
+// relation is untouched. When several tasks panic in one fan-out, the
+// failure with the lowest task index among those recorded is propagated,
+// which is deterministic for a deterministic fault source.
 type WorkerError struct {
 	// Phase is the pipeline phase that panicked: "cRepair", "eRepair",
 	// "hRepair", "certify", "prefetch" (a matcher's memo prefetch), "new"
@@ -55,7 +54,8 @@ type WorkerError struct {
 	Phase string
 	// Rule is the name of the rule being applied, "" when not attributable.
 	Rule string
-	// Shard is the pool worker index, -1 for inline (sequential) execution.
+	// Shard is the fan-out worker index, -1 for inline execution on the
+	// engine goroutine (every rule pass).
 	Shard int
 	// Item is the worklist index of the work item being processed, -1 when
 	// the panic fired between items (scheduling, seeding bookkeeping).

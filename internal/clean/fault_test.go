@@ -204,6 +204,36 @@ func TestWorkerErrorCoordinates(t *testing.T) {
 	}
 }
 
+// TestInlineWorkerErrorCoordinates is TestWorkerErrorCoordinates under
+// default options, where rule passes run inline: the panic comes back with
+// the same coordinates as a fan-out task's, not as an anonymous "run"
+// failure, at any worker count. Inline, the first item of the first rule
+// pass panics, so the item is pinned to 0 and the shard to -1.
+func TestInlineWorkerErrorCoordinates(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		in := genInstance(13)
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.Fault = fault.New(13, fault.Rule{Site: fault.SiteApply, Kind: fault.Panic, Rate: 1})
+		_, err := RunContext(context.Background(), in.relation(nil), nil, in.rules, opts)
+		var we *WorkerError
+		if !errors.As(err, &we) {
+			t.Fatalf("%d workers: err = %v, want *WorkerError", workers, err)
+		}
+		if we.Phase != "cRepair" || we.Rule == "" || we.Item != 0 || we.Shard != -1 {
+			t.Fatalf("%d workers: WorkerError coordinates = phase %q rule %q item %d shard %d, want cRepair/<rule>/0/-1",
+				workers, we.Phase, we.Rule, we.Item, we.Shard)
+		}
+		var inj *fault.Injected
+		if !errors.As(err, &inj) {
+			t.Fatalf("%d workers: WorkerError does not unwrap to the injected fault: %v", workers, err)
+		}
+		if len(we.Stack) == 0 {
+			t.Fatalf("%d workers: WorkerError carries no stack trace", workers)
+		}
+	}
+}
+
 // TestMaxFixesDegrades pins graceful degradation: a MaxFixes budget stops
 // the engine at a round boundary with a completed Result whose Report is
 // flagged Degraded and still truthful — an independent Checker pass over the
@@ -283,32 +313,48 @@ func TestCheckContextCanceled(t *testing.T) {
 
 // TestFaultSweepFires sanity-checks the sweep itself: over the corpus, each
 // armed kind actually fires somewhere, so a green property run cannot mean
-// "the hooks never triggered".
+// "the hooks never triggered". The pooled passes check the scheduling site
+// too, both in the sweep's forced-fan-out mode and with the default cutoff.
 func TestFaultSweepFires(t *testing.T) {
-	fired := map[string]bool{}
-	for seed := int64(0); seed < 40; seed++ {
-		in := genInstance(seed)
-		for _, cfg := range faultConfigs() {
-			if cfg.pools {
-				continue
-			}
-			inj := fault.New(seed, cfg.rules...)
-			ctx, cancel := context.WithCancel(context.Background())
-			inj.OnCancel(cancel)
-			opts := DefaultOptions()
-			opts.Fault = inj
-			_, _ = RunContext(ctx, in.relation(nil), nil, in.rules, opts)
-			cancel()
-			for _, r := range cfg.rules {
-				if inj.Fired(r.Kind) > 0 {
-					fired[fmt.Sprintf("%s/%s", r.Site, r.Kind)] = true
+	pool := DefaultOptions()
+	pool.Workers = 4
+	passes := []faultMode{{"seq", DefaultOptions()}, {"pool-default", pool}}
+	for _, m := range faultModes() {
+		if m.opts.Workers > 1 {
+			passes = append(passes, m)
+		}
+	}
+	for _, pass := range passes {
+		pooled := pass.opts.Workers > 1
+		fired := map[string]bool{}
+		for seed := int64(0); seed < 40; seed++ {
+			in := genInstance(seed)
+			for _, cfg := range faultConfigs() {
+				if cfg.pools && !pooled {
+					continue
+				}
+				inj := fault.New(seed, cfg.rules...)
+				ctx, cancel := context.WithCancel(context.Background())
+				inj.OnCancel(cancel)
+				opts := pass.opts
+				opts.Fault = inj
+				_, _ = RunContext(ctx, in.relation(nil), nil, in.rules, opts)
+				cancel()
+				for _, r := range cfg.rules {
+					if inj.Fired(r.Kind) > 0 {
+						fired[fmt.Sprintf("%s/%s", r.Site, r.Kind)] = true
+					}
 				}
 			}
 		}
-	}
-	for _, want := range []string{"apply/panic", "seed/panic", "certify/panic", "apply/cancel", "apply/delay"} {
-		if !fired[want] {
-			t.Errorf("fault %s never fired across the corpus; the sweep is not exercising it", want)
+		want := []string{"apply/panic", "seed/panic", "certify/panic", "apply/cancel", "apply/delay"}
+		if pooled {
+			want = append(want, "sched/panic", "sched/cancel", "sched/delay")
+		}
+		for _, w := range want {
+			if !fired[w] {
+				t.Errorf("%s: fault %s never fired across the corpus; the sweep is not exercising it", pass.name, w)
+			}
 		}
 	}
 }

@@ -40,9 +40,7 @@ const DefaultHBudget = 3
 // group (seeding its own worklists, independent of cRepair's); later rounds
 // — and later outer passes of Run — visit only the tuples and groups
 // written since hRepair last saw them. Options.Rescan restores the full
-// re-scan of every round; Options.Workers > 1 shards each rule's visit
-// across the pool, with the per-cell budget read during propose and spent
-// during the deterministic commit.
+// re-scan of every round. Each rule's visit runs inline, like cRepair's.
 func (e *Engine) HRepair() {
 	for {
 		// Same round-granularity cancellation points as CRepair.
@@ -68,8 +66,8 @@ func (e *Engine) HRepair() {
 				} else {
 					ids = e.sched.takeTuples(phaseH, ri)
 				}
-				writes += e.applyTuples(phaseH, ri, ids, func(ap *applier, i int) int {
-					return ap.hConstantTuple(ri, r.CFD, i)
+				writes += e.applyTuples(phaseH, ri, ids, func(i int) int {
+					return e.hConstantTuple(ri, r.CFD, i)
 				})
 			case rule.VariableCFD:
 				switch {
@@ -77,25 +75,25 @@ func (e *Engine) HRepair() {
 					// Seeding round: groups come from the persistent index,
 					// violating ones filtered the way ViolatingGroups would.
 					e.sched.clearGroups(phaseH, ri)
-					writes += e.applyGroups(phaseH, ri, e.sched.allGroups(ri), func(ap *applier, members []int) int {
-						if !conflictedMembers(ap.e.data, r.CFD.RHS, members) {
+					writes += e.applyGroups(phaseH, ri, e.sched.allGroups(ri), func(members []int) int {
+						if !conflictedMembers(e.data, r.CFD.RHS, members) {
 							return 0
 						}
-						return ap.hVariableGroup(ri, r.CFD, members)
+						return e.hVariableGroup(ri, r.CFD, members)
 					})
 				case full:
 					for _, g := range cfd.ViolatingGroups(e.data, r.CFD) {
-						writes += e.ap.hVariableGroup(ri, r.CFD, g.Members)
+						writes += e.hVariableGroup(ri, r.CFD, g.Members)
 					}
 				default:
-					writes += e.applyGroups(phaseH, ri, e.sched.takeGroups(phaseH, ri), func(ap *applier, members []int) int {
-						if !conflictedMembers(ap.e.data, r.CFD.RHS, members) {
+					writes += e.applyGroups(phaseH, ri, e.sched.takeGroups(phaseH, ri), func(members []int) int {
+						if !conflictedMembers(e.data, r.CFD.RHS, members) {
 							// Examined but conflict-free: counted here, since
 							// only hVariableGroup counts the groups it runs on.
-							ap.stat(ri).HTuples += len(members)
+							e.apply[ri].HTuples += len(members)
 							return 0
 						}
-						return ap.hVariableGroup(ri, r.CFD, members)
+						return e.hVariableGroup(ri, r.CFD, members)
 					})
 				}
 			}
@@ -122,23 +120,22 @@ func conflictedMembers(d *relation.Relation, a int, members []int) bool {
 // hConstantTuple repairs tuple i against a constant CFD if it violates it:
 // the pattern constant is forced, so the only heuristic decision is whether
 // to write it or to retract the tuple from the rule's scope.
-func (ap *applier) hConstantTuple(ri int, c *cfd.CFD, i int) int {
-	ap.stat(ri).HTuples++
-	t := ap.e.data.Tuples[i]
+func (e *Engine) hConstantTuple(ri int, c *cfd.CFD, i int) int {
+	e.apply[ri].HTuples++
+	t := e.data.Tuples[i]
 	if !c.MatchLHS(t) || t.Values[c.RHS] == c.RHSPattern {
 		return 0
 	}
-	if t.Marks[c.RHS] != relation.FixDeterministic && ap.spend(i, c.RHS) {
-		return ap.hfix(i, c.RHS, c.RHSPattern, minConfAt(t, c.LHS), c.Name)
+	if t.Marks[c.RHS] != relation.FixDeterministic && e.spend(i, c.RHS) {
+		return e.hfix(i, c.RHS, c.RHSPattern, minConfAt(t, c.LHS), c.Name)
 	}
-	return ap.retract(i, c)
+	return e.retract(i, c)
 }
 
 // hVariableGroup repairs one disagreeing LHS-equal group of a variable CFD
 // by equalizing it on a heuristically chosen target value.
-func (ap *applier) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
-	ap.stat(ri).HTuples += len(members)
-	e := ap.e
+func (e *Engine) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
+	e.apply[ri].HTuples += len(members)
 	writes := 0
 	a := c.RHS
 	frozen := make(map[string]int) // frozen value -> frozen member count
@@ -163,7 +160,7 @@ func (ap *applier) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 		for _, i := range members {
 			t := e.data.Tuples[i]
 			if t.Marks[a] == relation.FixDeterministic && t.Values[a] != keep {
-				writes += ap.retract(i, c)
+				writes += e.retract(i, c)
 			}
 		}
 		return writes
@@ -186,7 +183,7 @@ func (ap *applier) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 		}
 		conf = float64(n) / float64(len(members))
 	} else {
-		target, conf = ap.hTarget(c, members)
+		target, conf = e.hTarget(c, members)
 		if target == "" {
 			return 0 // every cell is null: nothing to propagate
 		}
@@ -196,10 +193,10 @@ func (ap *applier) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 		if t.Values[a] == target {
 			continue
 		}
-		if t.Marks[a] != relation.FixDeterministic && ap.spend(i, a) {
-			writes += ap.hfix(i, a, target, conf, c.Name)
+		if t.Marks[a] != relation.FixDeterministic && e.spend(i, a) {
+			writes += e.hfix(i, a, target, conf, c.Name)
 		} else {
-			writes += ap.retract(i, c)
+			writes += e.retract(i, c)
 		}
 	}
 	return writes
@@ -212,8 +209,7 @@ func (ap *applier) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 // strict total order, so the map iteration order underneath can never show
 // (pinned by TestHTargetTieBreakDeterminism). The returned confidence is
 // the plurality fraction of the group, as in eRepair.
-func (ap *applier) hTarget(c *cfd.CFD, members []int) (string, float64) {
-	e := ap.e
+func (e *Engine) hTarget(c *cfd.CFD, members []int) (string, float64) {
 	a := c.RHS
 	count := make(map[string]int)
 	confSum := make(map[string]float64)
@@ -227,7 +223,7 @@ func (ap *applier) hTarget(c *cfd.CFD, members []int) (string, float64) {
 	var master map[string]bool // lazily built on the first tie
 	inMaster := func(v string) bool {
 		if master == nil {
-			master = ap.masterSuggestions(a, members)
+			master = e.masterSuggestions(a, members)
 		}
 		return master[v]
 	}
@@ -259,11 +255,10 @@ func (ap *applier) hTarget(c *cfd.CFD, members []int) (string, float64) {
 // members. These are the values a match rule would write if its premise
 // ever came to hold, so among otherwise equally supported repair values
 // they are the better guess.
-func (ap *applier) masterSuggestions(a int, members []int) map[string]bool {
-	e := ap.e
+func (e *Engine) masterSuggestions(a int, members []int) map[string]bool {
 	out := make(map[string]bool)
 	for ri, r := range e.rules {
-		if r.Kind != rule.MatchMD || ap.matchers[ri] == nil {
+		if r.Kind != rule.MatchMD || e.matchers[ri] == nil {
 			continue
 		}
 		for _, p := range r.MD.RHS {
@@ -271,7 +266,7 @@ func (ap *applier) masterSuggestions(a int, members []int) map[string]bool {
 				continue
 			}
 			for _, i := range members {
-				for _, j := range ap.matchers[ri].probe(e.data.Tuples[i], e.opts.TopL) {
+				for _, j := range e.matchers[ri].probe(e.data.Tuples[i], e.opts.TopL) {
 					if v := e.master.Tuples[j].Values[p.MasterAttr]; !relation.IsNull(v) {
 						out[v] = true
 					}
@@ -291,14 +286,14 @@ func (ap *applier) masterSuggestions(a int, members []int) map[string]bool {
 // not source evidence. Among eligible cells the least confident is chosen.
 // Returns 0 when no cell is eligible; the violation then stands and the
 // Checker will report it.
-func (ap *applier) retract(i int, c *cfd.CFD) int {
-	t := ap.e.data.Tuples[i]
+func (e *Engine) retract(i int, c *cfd.CFD) int {
+	t := e.data.Tuples[i]
 	pick := -1
 	for _, b := range c.LHS {
 		if t.Marks[b] == relation.FixDeterministic {
 			continue
 		}
-		if t.Marks[b] == relation.FixNone && t.Conf[b] >= ap.e.opts.Eta {
+		if t.Marks[b] == relation.FixNone && t.Conf[b] >= e.opts.Eta {
 			continue
 		}
 		if relation.IsNull(t.Values[b]) {
@@ -311,7 +306,7 @@ func (ap *applier) retract(i int, c *cfd.CFD) int {
 	if pick < 0 {
 		return 0
 	}
-	return ap.hfix(i, pick, relation.Null, 0, c.Name+" (retract)")
+	return e.hfix(i, pick, relation.Null, 0, c.Name+" (retract)")
 }
 
 // hfix writes value v to cell (i, a) as a possible fix with confidence

@@ -3,6 +3,7 @@ package clean
 import (
 	"context"
 
+	"repro/internal/fault"
 	"repro/internal/md"
 	"repro/internal/relation"
 	"repro/internal/suffixtree"
@@ -63,7 +64,7 @@ type matcher struct {
 	// order) so no master tuple is verified twice for one probe, topBuf
 	// and sidBuf receive the suffix-array hits of block and certCandidates,
 	// and certLists backs the per-string id lists certCandidates merges.
-	// Scratch is private per matcher; pool workers probe through forks.
+	// Scratch is private per matcher; fanOut workers probe through forks.
 	idsBuf    []int
 	keyBuf    []byte
 	seen      []uint64
@@ -124,11 +125,10 @@ func (m *memo) putCert(key string, ids []int) {
 	m.cert[key] = ids
 }
 
-// fork returns a matcher for concurrent use — one pool worker, one certify
-// task, one prefetch chunk — sharing x's immutable blocking indexes and its
-// memo, with private lookup scratch and statistics. Forks never write the
-// memo, so they read it without locks. Fork statistics are merged back into
-// x.stats by order-independent sums after each parallel phase.
+// fork returns a matcher for concurrent use — one certify task, one
+// prefetch chunk — sharing x's immutable blocking indexes and its memo,
+// with private lookup scratch and statistics. Forks never write the memo,
+// so they read it without locks.
 func (x *matcher) fork() *matcher {
 	f := x.reuse()
 	f.isFork = true
@@ -162,13 +162,13 @@ func (x *matcher) bound(n int) {
 // when ids is nil) would miss, computing the misses in parallel: the first
 // tuple of each distinct key the memo lacks is looked up by one of up to
 // workers forks, each taking one contiguous chunk, and the results are
-// stored in the order their keys first appear. The pass then only hits,
-// whether it runs inline or on forks, which would otherwise recompute
-// every miss without storing it. cert selects certCandidates' entries,
+// stored in the order their keys first appear. The pass then only hits;
+// certification's forks would otherwise recompute every miss without
+// storing it. cert selects certCandidates' entries,
 // else lookup's under topL. Like any memo write it changes no output. It
 // runs at a sequential point, so it may use x's own scratch; on an error,
-// fanOut's, nothing is stored.
-func (x *matcher) prefetch(ctx context.Context, workers int, d *relation.Relation, ids []int, cert bool, topL int) error {
+// fanOut's, nothing is stored. fj arms fanOut's scheduling hook.
+func (x *matcher) prefetch(ctx context.Context, fj *fault.Injector, workers int, d *relation.Relation, ids []int, cert bool, topL int) error {
 	if x.memo == nil || (cert && x.tree == nil) {
 		return nil
 	}
@@ -214,7 +214,7 @@ func (x *matcher) prefetch(ctx context.Context, workers int, d *relation.Relatio
 		lookups = make([]lookup, len(todo))
 	}
 	n := min(len(todo), workers)
-	err := fanOut(ctx, "prefetch", workers, n, func(c int) {
+	err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) {
 		f := x.fork()
 		for k := c * len(todo) / n; k < (c+1)*len(todo)/n; k++ {
 			if cert {
@@ -309,7 +309,7 @@ func newMatcher(m *md.MD, master *relation.Relation) *matcher {
 			x.treeIDs[id] = append(x.treeIDs[id], j)
 		}
 		// Index every name here, before any fork shares the array, so
-		// pool workers only ever read it.
+		// fanOut workers only ever read it.
 		x.tree = suffixtree.New(names...)
 		return x
 	}

@@ -148,10 +148,10 @@ func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 			t.Fatalf("%s: a fork wrote %d entries into the shared memo", c.name, n)
 		}
 		ctx := context.Background()
-		if err := z.prefetch(ctx, 2, c.data, nil, false, topL); err != nil {
+		if err := z.prefetch(ctx, nil, 2, c.data, nil, false, topL); err != nil {
 			t.Fatalf("%s: prefetch: %v", c.name, err)
 		}
-		if err := z.prefetch(ctx, 2, c.data, nil, true, 0); err != nil {
+		if err := z.prefetch(ctx, nil, 2, c.data, nil, true, 0); err != nil {
 			t.Fatalf("%s: cert prefetch: %v", c.name, err)
 		}
 		for i, tp := range c.data.Tuples {
@@ -206,7 +206,7 @@ func TestMemoBound(t *testing.T) {
 	z.memo.limit = len(distinct) + 1
 	z.memo.putLookup("stale-1", lookup{})
 	z.memo.putLookup("stale-2", lookup{})
-	if err := z.prefetch(context.Background(), 2, c.data, nil, false, DefaultOptions().TopL); err != nil {
+	if err := z.prefetch(context.Background(), nil, 2, c.data, nil, false, DefaultOptions().TopL); err != nil {
 		t.Fatalf("prefetch: %v", err)
 	}
 	if n := len(z.memo.lookups); n != len(distinct) {
@@ -226,8 +226,8 @@ func simRule(t *testing.T, rules []rule.Rule) int {
 	return -1
 }
 
-// TestMemoConcurrentMisses has two pool workers miss the same value in one
-// parallel phase: every tuple carries one name, and the shared memo is
+// TestMemoConcurrentMisses has two fan-out workers miss the same value in
+// one parallel phase: every tuple carries one name, and the shared memo is
 // empty, so both workers' forks miss it while reading the memo. Run under
 // -race, it checks the lock-free design: the answers and the summed
 // statistics must be exact, and no fork may have written the memo. A
@@ -243,7 +243,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 		tp.Values[a] = name
 	}
 	opts := DefaultOptions()
-	opts.Workers, opts.SeqCutoff = 2, -1
+	opts.Workers = 2
 	e := New(data, inst.Master, inst.Rules, opts)
 	ri := simRule(t, e.rules)
 	x := e.matchers[ri]
@@ -251,30 +251,39 @@ func TestMemoConcurrentMisses(t *testing.T) {
 
 	phase := func(label string) {
 		t.Helper()
-		got := make([][]int, data.Len())
-		runParallel(e.pool, e, phaseC, ri, e.allTupleIDs(),
-			func(i int) (int, bool) { return i, true },
-			func(ap *applier, i int) int {
-				got[i] = ap.matchers[ri].candidates(e.data.Tuples[i], opts.TopL)
-				return 0
-			})
+		n := data.Len()
+		got := make([][]int, n)
+		forks := []*matcher{x.fork(), x.fork()}
+		err := fanOut(context.Background(), nil, "test", len(forks), len(forks), func(w int) {
+			for i := w * n / len(forks); i < (w+1)*n/len(forks); i++ {
+				got[i] = forks[w].candidates(e.data.Tuples[i], opts.TopL)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: fanOut: %v", label, err)
+		}
 		for i := range got {
 			if !slices.Equal(got[i], want.ids) {
 				t.Fatalf("%s: t%d: candidates = %v, want %v", label, i, got[i], want.ids)
 			}
 		}
-		n := data.Len()
-		wantStats := MatchStats{Lookups: n, Candidates: n * want.block, Verified: n * len(want.ids), MasterSize: inst.Master.Len()}
-		if x.stats != wantStats {
-			t.Fatalf("%s: merged stats = %+v, want %+v", label, x.stats, wantStats)
+		sum := MatchStats{MasterSize: inst.Master.Len()}
+		for _, f := range forks {
+			sum.Lookups += f.stats.Lookups
+			sum.Candidates += f.stats.Candidates
+			sum.Verified += f.stats.Verified
+			sum.FullScans += f.stats.FullScans
 		}
-		x.stats = MatchStats{MasterSize: inst.Master.Len()}
+		wantStats := MatchStats{Lookups: n, Candidates: n * want.block, Verified: n * len(want.ids), MasterSize: inst.Master.Len()}
+		if sum != wantStats {
+			t.Fatalf("%s: summed stats = %+v, want %+v", label, sum, wantStats)
+		}
 	}
 	phase("missing phase")
 	if n := len(x.memo.lookups); n != 0 {
-		t.Fatalf("pool forks wrote %d lookups into the shared memo", n)
+		t.Fatalf("forks wrote %d lookups into the shared memo", n)
 	}
-	if err := x.prefetch(context.Background(), 2, e.data, e.allTupleIDs(), false, opts.TopL); err != nil {
+	if err := x.prefetch(context.Background(), nil, 2, e.data, e.allTupleIDs(), false, opts.TopL); err != nil {
 		t.Fatalf("prefetch: %v", err)
 	}
 	if n := len(x.memo.lookups); n != 1 {

@@ -85,31 +85,6 @@ func TestParallelRescanStaysSequential(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerVisitsReported pins the -bench reporting contract of
-// the per-worker counters: with the pool on, WorkerVisits has one slot per
-// worker and the slots sum to at most the total visits (trivial worklists
-// run inline on the merge goroutine and are attributed to no worker).
-func TestParallelWorkerVisitsReported(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 3
-	opts.SeqCutoff = -1 // figure1 is tiny: bypass the inline fast path
-	data, master, rules := figure1(t)
-	res := Run(data, master, rules, opts)
-	if len(res.WorkerVisits) != 3 {
-		t.Fatalf("WorkerVisits = %v, want one slot per worker", res.WorkerVisits)
-	}
-	var sum int64
-	for _, v := range res.WorkerVisits {
-		sum += v
-	}
-	if sum <= 0 {
-		t.Errorf("no visits attributed to any worker: %v", res.WorkerVisits)
-	}
-	if total := int64(res.TotalVisits()); sum > total {
-		t.Errorf("worker visits %d exceed total visits %d", sum, total)
-	}
-}
-
 // TestHTargetTieBreakDeterminism is the map-iteration-order audit pin for
 // hTarget: its candidate loop ranges over a map, and only the strict total
 // order of its comparison chain (confidence sum, count, master support,
@@ -201,85 +176,6 @@ func TestParallelOuterFixpoint(t *testing.T) {
 	}
 }
 
-// TestShardQueueStealSemantics pins the work-stealing queue invariants the
-// determinism argument leans on: claim and steal partition the index range
-// (every index handed out exactly once), a thief's deposit leaves the
-// remainder stealable, and the total never grows — which is what makes the
-// all-queues-empty exit of stealInto sound.
-func TestShardQueueStealSemantics(t *testing.T) {
-	var q shardQueue
-	q.put(0, 100)
-	seen := make([]bool, 100)
-	take := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if seen[i] {
-				t.Fatalf("index %d handed out twice", i)
-			}
-			seen[i] = true
-		}
-	}
-	lo, hi, ok := q.claim(8)
-	if !ok || lo != 0 || hi != 8 {
-		t.Fatalf("claim(8) = [%d, %d) %v, want [0, 8) true", lo, hi, ok)
-	}
-	take(lo, hi)
-	lo, hi, ok = q.steal()
-	if !ok || lo != 54 || hi != 100 {
-		t.Fatalf("steal() = [%d, %d) %v, want the back half [54, 100) true", lo, hi, ok)
-	}
-	var thief, second shardQueue
-	thief.put(lo, hi)
-	lo2, hi2, ok := thief.steal()
-	if !ok {
-		t.Fatal("deposited range is not stealable")
-	}
-	second.put(lo2, hi2)
-	for _, queue := range []*shardQueue{&q, &thief, &second} {
-		for {
-			lo, hi, ok := queue.claim(3)
-			if !ok {
-				break
-			}
-			take(lo, hi)
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d never handed out", i)
-		}
-	}
-	if _, _, ok := q.steal(); ok {
-		t.Fatal("empty queue still steals")
-	}
-}
-
-// TestSequentialFastPath pins satellite behavior of the inline cutoff: on a
-// workload whose every worklist is under DefaultSeqCutoff, a Workers: 4 run
-// builds the pool but routes everything inline — no visits are attributed
-// to any worker — and the result is still fix-for-fix identical to the
-// sequential run, because inline and pooled execution share the applier
-// code and the fast path only skips the fan-out.
-func TestSequentialFastPath(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Workers = 4
-	for seed := int64(0); seed < 10; seed++ {
-		in := genInstance(seed)
-		seq := Run(in.relation(nil), nil, in.rules, DefaultOptions())
-		par := Run(in.relation(nil), nil, in.rules, opts)
-		if d := diffParallel(par, seq); d != "" {
-			t.Fatalf("seed %d: fast path changed the result: %s", seed, d)
-		}
-		if len(par.WorkerVisits) != 4 {
-			t.Fatalf("seed %d: pool not built: WorkerVisits %v", seed, par.WorkerVisits)
-		}
-		for w, v := range par.WorkerVisits {
-			if v != 0 {
-				t.Fatalf("seed %d: worklists under the cutoff reached worker %d (%d visits)", seed, w, v)
-			}
-		}
-	}
-}
-
 // TestParallelStealHeavySweep is the adversarial determinism sweep for the
 // work-stealing queues: gen's HotZipRate knob packs more than a third of
 // the tuples into one zip, so the variable CFDs carry one giant LHS-equal
@@ -323,8 +219,8 @@ func TestParallelStealHeavySweep(t *testing.T) {
 // regime where fan-out overhead used to dominate. The pinned comparison is
 // Workers4 against Workers1: with the sequential fast path every worklist
 // runs inline, so the two must be within noise of each other, while
-// Workers4Forced (cutoff disabled) shows what the pool costs when it is
-// forced onto work this small.
+// Workers4Forced (cutoff disabled) shows what the fan-outs cost when they
+// are forced onto work this small.
 func benchmarkTinyRounds(b *testing.B, workers, cutoff int) {
 	in := genInstance(3)
 	opts := DefaultOptions()

@@ -31,8 +31,8 @@ const (
 	SiteApply Site = "apply"
 	// SiteProbe fires per MD matcher probe: (rule index, tuple index).
 	SiteProbe Site = "probe"
-	// SiteSched fires in the pool's claim/steal scheduling loop:
-	// (rule index, batch start index).
+	// SiteSched fires once per task a fan-out worker goroutine claims:
+	// (0, task index).
 	SiteSched Site = "sched"
 	// SiteSeed fires per eRepair seeding task: (task index, 0).
 	SiteSeed Site = "seed"
@@ -46,8 +46,8 @@ type Kind uint8
 const (
 	// Panic makes the hook panic with an *Injected value.
 	Panic Kind = iota
-	// Delay makes the hook sleep briefly, perturbing pool scheduling and
-	// steal patterns without changing any decision.
+	// Delay makes the hook sleep briefly, perturbing fan-out scheduling
+	// without changing any decision.
 	Delay
 	// Cancel makes the hook invoke the cancel function registered with
 	// OnCancel (typically the run context's CancelFunc), at most once.

@@ -12,19 +12,19 @@ import (
 // are candidates:
 //
 //   - unbounded loops — `for {` and `for cond {` (no init, no post): the
-//     fixpoint loops of the repair phases and the pool claim loops;
+//     fixpoint loops of the repair phases and the fan-out claim loops;
 //   - rule worklist loops — `for ... := range rules` over a []Rule — when
-//     the body drives pool work (calls one of the pool entry points,
-//     directly or transitively): one rule application can visit every
-//     tuple, so a cancellation must be observable between rules.
+//     the body drives rule work (calls one of passCalls, directly or
+//     transitively): one rule pass can visit every tuple, inline or fanned
+//     out, so a cancellation must be observable between rules.
 //
 // A loop passes when its condition or body reaches a check: a call to
 // interrupted()/exhausted(), ctx.Err() on a context.Context, Load() on a
 // sync/atomic abort flag — or a call to a same-package function that
-// transitively contains one (fanOut and runParallel check per claimed item,
-// so a loop driving them observes cancellation through them). Rule-range
-// loops that only do bounded setup or merge bookkeeping (no pool work) are
-// out of scope. Test files are exempt: tests may busy-wait on purpose.
+// transitively contains one (fanOut checks per claimed task, so a loop
+// driving it observes cancellation through it). Rule-range loops that only
+// do bounded setup or merge bookkeeping (no rule work) are out of scope.
+// Test files are exempt: tests may busy-wait on purpose.
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",
 	Doc:       "pipeline loop that never reaches a cancellation check",
@@ -40,8 +40,16 @@ var ctxCheckNames = map[string]bool{
 	"exhausted":   true,
 }
 
+// passCalls are the entry points of rule work: the fan-out and the two
+// inline rule-pass loops, each of which can visit every tuple.
+var passCalls = map[string]bool{
+	"fanOut":      true,
+	"applyTuples": true,
+	"applyGroups": true,
+}
+
 // ctxFacts holds the package-level call-graph closure: which functions
-// contain a cancellation check and which drive pool work.
+// contain a cancellation check and which drive rule work.
 type ctxFacts struct {
 	p        *Pass
 	decls    map[*types.Func]*ast.FuncDecl
@@ -82,7 +90,7 @@ func runCtxFlow(p *Pass) {
 }
 
 // buildCtxFacts computes, to a fixpoint over the same-package call graph,
-// which functions contain a cancellation check and which drive pool work.
+// which functions contain a cancellation check and which drive rule work.
 func buildCtxFacts(p *Pass) *ctxFacts {
 	facts := &ctxFacts{
 		p:        p,
@@ -113,7 +121,7 @@ func buildCtxFacts(p *Pass) *ctxFacts {
 				if directCheck(p, call) {
 					facts.checking[fn] = true
 				}
-				if workerScopeCalls[calleeName(call)] {
+				if passCalls[calleeName(call)] {
 					facts.working[fn] = true
 				}
 				if callee := calleeFunc(p, call); callee != nil {
@@ -169,7 +177,7 @@ func (facts *ctxFacts) reachesCheck(n ast.Node) bool {
 	return found
 }
 
-// drivesWork reports whether the loop body calls a pool entry point,
+// drivesWork reports whether the loop body calls one of passCalls,
 // directly or through a same-package function.
 func (facts *ctxFacts) drivesWork(body *ast.BlockStmt) bool {
 	found := false
@@ -181,7 +189,7 @@ func (facts *ctxFacts) drivesWork(body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		if workerScopeCalls[calleeName(call)] {
+		if passCalls[calleeName(call)] {
 			found = true
 			return false
 		}

@@ -9,15 +9,15 @@
 //     tainted anywhere in the function is tainted everywhere in it; taint is
 //     a fixpoint, so local-to-local copies propagate.
 //   - workerBodies extends the lexical worker-scope discovery with two
-//     dataflow facts: a literal bound to a local and later handed to a pool
-//     entry point is worker-scoped, and a literal invoked from a
-//     worker-scoped body runs on the worker too.
+//     dataflow facts: a literal bound to a local and later handed to fanOut
+//     is worker-scoped, and a literal invoked from a worker-scoped body
+//     runs on the worker too.
 //
 // Taint deliberately stops at three sanctioned boundaries: call results
-// (the applier sink routes — ap.stat(ri) — return shared pointers on
-// purpose), owned tuple bindings (t := ap.e.data.Tuples[i] is how item
-// ownership is made visible), and non-reference values (a copied struct or
-// scalar cannot mutate the structure it was read from).
+// (accessors may return shared pointers on purpose), owned tuple bindings
+// (t := e.data.Tuples[i] is how item ownership is made visible), and
+// non-reference values (a copied struct or scalar cannot mutate the
+// structure it was read from).
 package lint
 
 import (
@@ -190,10 +190,10 @@ func sharedWriteBase(p *Pass, taint map[types.Object]string, e ast.Expr) (name s
 }
 
 // workerBodies collects the worker-scoped bodies lexically reachable from
-// root — `go` statement literals and literal arguments to the pool entry
-// points — plus the two dataflow extensions: local identifiers
-// bound to a literal and passed to a pool entry point, and literals invoked
-// (directly or transitively) from an already worker-scoped body.
+// root — `go` statement literals and literal arguments to fanOut — plus the
+// two dataflow extensions: local identifiers bound to a literal and passed
+// to fanOut, and literals invoked (directly or transitively) from an
+// already worker-scoped body.
 func workerBodies(p *Pass, root ast.Node, lits map[types.Object]*ast.FuncLit) []*ast.BlockStmt {
 	seen := make(map[*ast.BlockStmt]bool)
 	var order []*ast.BlockStmt

@@ -5,19 +5,18 @@ import (
 	"path/filepath"
 )
 
-// poolFile is the one file allowed to spawn goroutines: the bounded worker
-// pool with its propose/commit merge (runParallel) and the read-only
-// fan-out (fanOut) live there, and everything concurrent in the engine is
-// required to go through them.
+// poolFile is the one file allowed to spawn goroutines: the engine's one
+// concurrency primitive, fanOut, lives there, and everything concurrent in
+// the engine is required to go through it.
 const poolFile = "parallel.go"
 
 // PoolOnly flags `go` statements outside parallel.go. The engine's whole
-// determinism argument rests on concurrency being funneled through the
-// bounded pool: workers write only item-owned cells, record everything else
-// as ops, and a single deterministic merge replays them — an ad-hoc
-// goroutine bypasses the propose/commit sink and reintroduces scheduling
-// order into the output. New concurrency either goes through
-// runParallel/fanOut or justifies itself: //det:ok poolonly <reason>.
+// determinism argument rests on concurrency being funneled through fanOut:
+// its tasks write only their own task-indexed slots, and the caller merges
+// the slots in task order after the barrier — an ad-hoc goroutine has no
+// slot, no merge and no barrier, and reintroduces scheduling order into
+// the output. New concurrency either goes through fanOut or justifies
+// itself: //det:ok poolonly <reason>.
 var PoolOnly = &Analyzer{
 	Name: "poolonly",
 	Doc:  "goroutine spawned outside the bounded pool (parallel.go)",
@@ -29,7 +28,7 @@ var PoolOnly = &Analyzer{
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					p.Reportf(g.Go,
-						"go statement outside %s bypasses the bounded pool's propose/commit merge; use runParallel/fanOut or annotate //det:ok poolonly <reason>",
+						"go statement outside %s bypasses fanOut's task-slot merge; use fanOut or annotate //det:ok poolonly <reason>",
 						poolFile)
 				}
 				return true

@@ -7,11 +7,11 @@ import (
 
 // sharedTypes names the engine-shared structures of repro/internal/clean: a
 // worker writing through any of them races the other workers and — worse —
-// makes the output depend on goroutine scheduling. All worker effects must
-// instead be recorded through the applier sink (assert/fix/hfix/conflictf/
-// spend, ap.stat for counters) and committed by the deterministic merge.
-// The names are matched against types declared in the analyzed package, so
-// fixtures can declare their own.
+// makes the output depend on goroutine scheduling. A fanOut task must
+// instead write only its own task-indexed result slot, which the caller
+// merges in task order after the barrier. The names are matched against
+// types declared in the analyzed package, so fixtures can declare their
+// own.
 var sharedTypes = map[string]bool{
 	"Engine":     true,
 	"Result":     true,
@@ -21,32 +21,13 @@ var sharedTypes = map[string]bool{
 	"groupIndex": true,
 	"dirtySet":   true,
 	"symtab":     true,
-	"pool":       true,
 }
 
 // workerScopeCalls are the functions whose function-literal arguments run on
-// pool workers, making those literals worker-scoped alongside *applier
-// methods and `go` statement bodies.
+// fanOut's workers, making those literals worker-scoped alongside `go`
+// statement bodies.
 var workerScopeCalls = map[string]bool{
-	"runParallel": true,
-	"fanOut":      true,
-	"applyTuples": true,
-	"applyGroups": true,
-}
-
-func receiverName(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	// Generic receivers (IndexExpr) don't occur here; an Ident is the base.
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+	"fanOut": true,
 }
 
 func calleeName(call *ast.CallExpr) string {

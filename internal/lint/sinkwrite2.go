@@ -6,11 +6,11 @@ import (
 
 // SinkWrite (v2) flags writes to engine/matcher shared state — the Engine
 // and its Result/Report, the Checker, the scheduler with its group indexes,
-// dirty sets and symtabs, the pool — from worker-scoped code. Such a write
-// escapes the propose/commit sink: it races the other workers and injects
+// dirty sets and symtabs — from worker-scoped code. Such a write escapes
+// fanOut's task-slot merge: it races the other workers and injects
 // scheduling order into state the identity guarantee says is deterministic.
 // Writes to item-owned cells go through a local tuple binding
-// (t := ap.e.data.Tuples[i]) — writing through the engine chain directly is
+// (t := e.data.Tuples[i]) — writing through the engine chain directly is
 // flagged on purpose, since the binding is what makes item ownership
 // visible.
 //
@@ -20,18 +20,17 @@ import (
 // closure captures — and flags writes through those aliases too, closing
 // the documented laundering gap:
 //
-//	s := ap.e.apply[ri] // *ApplyStats: a non-shared intermediate type
-//	s.CTuples++         // v1 missed this; v2 reports it
+//	s := e.apply[ri] // *ApplyStats: a non-shared intermediate type
+//	s.CTuples++      // v1 missed this; v2 reports it
 //
-// Worker-scope discovery is also dataflow-extended: beyond *applier
-// methods, `go` statement bodies and literal arguments to the pool entry
-// points (runParallel/fanOut/applyTuples/applyGroups), a literal bound to a
-// local and then handed to a pool call, and a literal invoked from a
-// worker-scoped body, are worker-scoped as well.
+// Worker-scope discovery is also dataflow-extended: beyond `go` statement
+// bodies and literal arguments to fanOut, a literal bound to a local and
+// then handed to fanOut, and a literal invoked from a worker-scoped body,
+// are worker-scoped as well.
 //
 // The taint stops at the sanctioned boundaries (see dataflow.go): call
-// results — ap.stat(ri) and friends hand out shared pointers on purpose —
-// owned tuple bindings, and non-reference value copies.
+// results, which may hand out shared pointers on purpose, owned tuple
+// bindings, and non-reference value copies.
 var SinkWrite = &Analyzer{
 	Name:      "sinkwrite",
 	Doc:       "write to shared engine state from worker-scoped code (alias-aware)",
@@ -47,12 +46,7 @@ var SinkWrite = &Analyzer{
 					continue
 				}
 				sc := analyzeFunc(p, fd.Body)
-				var bodies []*ast.BlockStmt
-				if fd.Recv != nil && receiverName(fd) == "applier" {
-					bodies = append(bodies, fd.Body)
-				}
-				bodies = append(bodies, workerBodies(p, fd.Body, sc.lits)...)
-				for _, body := range pruneNested(bodies) {
+				for _, body := range pruneNested(workerBodies(p, fd.Body, sc.lits)) {
 					checkSinkWritesV2(p, sc, body)
 				}
 			}
@@ -71,12 +65,12 @@ func checkSinkWritesV2(p *Pass, sc *funcScope, body *ast.BlockStmt) {
 		}
 		if viaAlias {
 			p.Reportf(target.Pos(),
-				"write through a local alias of shared %s from worker-scoped code escapes the propose/commit sink; record the effect through the applier (assert/fix/hfix/conflictf/spend, ap.stat) or annotate //det:ok sinkwrite <reason>",
+				"write through a local alias of shared %s from worker-scoped code escapes fanOut's task-slot merge; write the task's own result slot and merge after the barrier, or annotate //det:ok sinkwrite <reason>",
 				name)
 			return
 		}
 		p.Reportf(target.Pos(),
-			"write through shared %s from worker-scoped code escapes the propose/commit sink; record the effect through the applier (assert/fix/hfix/conflictf/spend, ap.stat) or annotate //det:ok sinkwrite <reason>",
+			"write through shared %s from worker-scoped code escapes fanOut's task-slot merge; write the task's own result slot and merge after the barrier, or annotate //det:ok sinkwrite <reason>",
 			name)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -1,8 +1,8 @@
 // Package sinkwrite is the golden fixture of the sinkwrite analyzer. It
 // declares miniature doubles of the engine's shared structures (the
 // analyzer matches shared types by name within the analyzed package) and
-// exercises each worker scope: applier methods, `go` statement bodies, and
-// function literals handed to the pool entry points.
+// exercises each worker scope: `go` statement bodies and function literals
+// handed to fanOut.
 package sinkwrite
 
 type Result struct {
@@ -20,43 +20,40 @@ type tuple struct {
 	conf   []float64
 }
 
-type applier struct {
-	e       *Engine
-	buf     []string
-	scratch int
-}
-
-func runParallel(items []int, fn func(*applier, int)) {
-	for _, i := range items {
-		fn(nil, i)
-	}
-}
-
 func fanOut(workers, tasks int, fn func(int)) {
 	for task := 0; task < tasks; task++ {
 		fn(task)
 	}
 }
 
-// Worker-scoped method: writes through the engine chain escape the sink.
-func (ap *applier) bad(i int) {
-	ap.e.res.Asserts++                           // want "write through shared Result"
-	ap.e.res.Fixes = append(ap.e.res.Fixes, "x") // want "write through shared Result"
-	e := ap.e
-	e.res.Asserts += 2 // want "write through shared Result"
+// Worker-scoped task: writes through the engine chain escape the sink.
+func bad(e *Engine, tasks int) {
+	fanOut(2, tasks, func(task int) {
+		e.res.Asserts++                        // want "write through shared Result"
+		e.res.Fixes = append(e.res.Fixes, "x") // want "write through shared Result"
+		alias := e
+		alias.res.Asserts += 2 // want "write through shared Result"
+	})
 }
 
-// Applier-owned state and item-owned cells are the sanctioned writes.
-func (ap *applier) good(i int) {
-	ap.buf = append(ap.buf, "x")
-	ap.scratch++
-	t := ap.e.data[i]
-	t.values[0] = "owned"
-	t.conf[0] = 1
+// Task-local state and item-owned cells are the sanctioned writes.
+func good(e *Engine, tasks int) {
+	fanOut(2, tasks, func(task int) {
+		var buf []string
+		buf = append(buf, "x")
+		scratch := 0
+		scratch++
+		_, _ = buf, scratch
+		t := e.data[task]
+		t.values[0] = "owned"
+		t.conf[0] = 1
+	})
 }
 
-func (ap *applier) suppressed() {
-	ap.e.res.Asserts++ //det:ok sinkwrite direct-commit mode: the caller holds the pool barrier
+func suppressed(e *Engine, tasks int) {
+	fanOut(2, tasks, func(task int) {
+		e.res.Asserts++ //det:ok sinkwrite fixture: proves direct findings are suppressible
+	})
 }
 
 // Task-slot fan-out: the seeding/certification entry points hand fanOut a
@@ -79,9 +76,9 @@ func seedFanOut(e *Engine, n int) []seedTask {
 
 func launch(e *Engine, items []int) {
 	var shared Result
-	runParallel(items, func(ap *applier, i int) {
-		ap.e.res.Asserts++ // want "write through shared Result"
-		shared.Asserts++   // want "write through shared Result"
+	fanOut(2, len(items), func(task int) {
+		e.res.Asserts++  // want "write through shared Result"
+		shared.Asserts++ // want "write through shared Result"
 	})
 	fanOut(2, len(items), func(task int) {
 		e.res.Fixes = append(e.res.Fixes, "y") // want "write through shared Result"
