@@ -44,12 +44,10 @@ type benchReport struct {
 	// visits of every update's re-run — the deterministic work measure,
 	// hard-checked equal across worker counts and gated ±20% against the
 	// baseline in both directions (a collapse to zero means the replay
-	// stopped doing measured work). UpdatePatched counts rule
-	// certifications served from the incremental cache across the stream;
-	// UpdateNs and UpdatesPerSec are the recorded (never gated) wall side.
+	// stopped doing measured work). UpdateNs and UpdatesPerSec are the
+	// recorded (never gated) wall side.
 	UpdateCount   int
 	UpdateVisits  int
-	UpdatePatched int
 	UpdateNs      int64
 	UpdatesPerSec float64
 }
@@ -245,10 +243,9 @@ func runUpdateBench(inst *gen.Instance, updates, workers int, opts clean.Options
 	})
 
 	type replay struct {
-		res     *clean.Result
-		visits  int
-		patched int
-		ns      int64
+		res    *clean.Result
+		visits int
+		ns     int64
 	}
 	run := func(w int) (replay, error) {
 		o := opts
@@ -270,7 +267,6 @@ func runUpdateBench(inst *gen.Instance, updates, workers int, opts clean.Options
 				return replay{}, fmt.Errorf("bench: update %d: %w", i, err)
 			}
 			out.visits += res.TotalVisits()
-			out.patched += res.Report.Patched
 		}
 		out.ns = time.Since(t0).Nanoseconds()
 		out.res = e.Result()
@@ -292,18 +288,13 @@ func runUpdateBench(inst *gen.Instance, updates, workers int, opts clean.Options
 		return fmt.Errorf("bench: update replay visits disagree: parallel %d != sequential %d",
 			par.visits, seq.visits)
 	}
-	if par.patched != seq.patched {
-		return fmt.Errorf("bench: update replay patched counts disagree: parallel %d != sequential %d",
-			par.patched, seq.patched)
-	}
 
 	rep.UpdateCount = len(stream)
 	rep.UpdateVisits = seq.visits
-	rep.UpdatePatched = seq.patched
 	rep.UpdateNs = par.ns
 	rep.UpdatesPerSec = ratio(float64(len(stream)), float64(par.ns)/1e9)
-	fmt.Fprintf(stderr, "bench: updates(%2d)   %8.1fms  %9d visits, %d certifications patched, %.1f updates/sec\n",
-		workers, float64(par.ns)/1e6, rep.UpdateVisits, rep.UpdatePatched, rep.UpdatesPerSec)
+	fmt.Fprintf(stderr, "bench: updates(%2d)   %8.1fms  %9d visits, %.1f updates/sec\n",
+		workers, float64(par.ns)/1e6, rep.UpdateVisits, rep.UpdatesPerSec)
 	return nil
 }
 

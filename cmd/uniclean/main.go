@@ -147,6 +147,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Confidences live in [0,1]: the same range ReadConfCSV and the
+	// streaming engine's Upsert enforce. NaN fails both comparisons.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"eta", *eta}, {"defaultconf", *defaultConf}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			fs.Usage()
+			return fmt.Errorf("-%s %v outside [0,1]", f.name, f.v)
+		}
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err

@@ -307,6 +307,44 @@ func TestRunMissingFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeConfidence: -eta and -defaultconf outside [0,1]
+// (NaN included) are usage errors with exit status 1 and no output, in
+// batch and -updates mode alike — never a run on a nonsense threshold, nor
+// a replay whose every upsert is rejected.
+func TestRunRejectsOutOfRangeConfidence(t *testing.T) {
+	dir := t.TempDir()
+	updates := filepath.Join(dir, "updates.csv")
+	if err := os.WriteFile(updates, []byte("upsert,5,Mary,Smith,20 Baker St,Ldn,020,NW1 6XE,7654321\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range [][]string{
+		{"-eta", "NaN"},
+		{"-eta", "-1"},
+		{"-eta", "1.5"},
+		{"-defaultconf", "2"},
+		{"-defaultconf", "NaN"},
+		{"-defaultconf", "-0.1"},
+		{"-defaultconf", "2", "-updates", updates},
+	} {
+		outPath := filepath.Join(dir, "repaired.csv")
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), append([]string{
+			"-data", filepath.Join(exampleDir, "data.csv"),
+			"-master", filepath.Join(exampleDir, "master.csv"),
+			"-rules", filepath.Join(exampleDir, "rules.txt"),
+			"-certify",
+			"-out", outPath,
+		}, tc...), &stdout, &stderr)
+		if got := exitCode(err); got != 1 || err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("%v: exitCode %d, err %v; want exit 1 with an out-of-range usage error", tc, got, err)
+		}
+		if _, statErr := os.Stat(outPath); statErr == nil {
+			t.Errorf("%v: a rejected invocation wrote %s", tc, outPath)
+			os.Remove(outPath)
+		}
+	}
+}
+
 func TestRunStdoutOutput(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), []string{

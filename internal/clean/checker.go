@@ -62,12 +62,8 @@ type Report struct {
 	// not an estimate. DegradeReason names the exhausted budget.
 	Degraded      bool
 	DegradeReason string
-	// Patched counts rules this report served from a previous report's
-	// cached per-rule result instead of re-checking — nonzero only on the
-	// streaming update path (see docs/streaming.md), where a rule none of
-	// whose read attributes changed since the last certified run keeps its
-	// prior violations verbatim. Deliberately absent from String: a patched
-	// report must be byte-identical to a from-scratch one.
+	// Patched is always 0: every report re-checks every rule. It stays for
+	// callers that still read it.
 	Patched int
 
 	byRule    map[string]int // exact violations per checked rule name
@@ -234,15 +230,10 @@ type certTask struct {
 }
 
 // certTasks builds the certification task list in (rule, lo) order — the
-// merge order of Check. A non-nil dirty mask drops the tasks of clean rules
-// entirely: checkPatched serves those from the cached per-rule reports, so
-// no worker ever visits them.
-func (c *Checker) certTasks(d *relation.Relation, dirty []bool) []certTask {
+// merge order of CheckContext.
+func (c *Checker) certTasks(d *relation.Relation) []certTask {
 	tasks := make([]certTask, 0, len(c.rules))
 	for ri, r := range c.rules {
-		if dirty != nil && !dirty[ri] {
-			continue
-		}
 		if c.workers > 1 && r.Kind == rule.MatchMD && c.master != nil {
 			n := d.Len() / certShardMin
 			if lim := c.workers * 4; n > lim {
@@ -278,39 +269,22 @@ func (c *Checker) Check(d *relation.Relation) *Report {
 // contained and returned as a *WorkerError. Certification never mutates d,
 // so there is nothing to roll back.
 func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Report, error) {
-	rep, _, err := c.checkPatched(ctx, d, nil, nil)
-	return rep, err
-}
-
-// checkPatched is CheckContext with per-rule incremental patching: rules
-// whose dirty bit is unset are served verbatim from cached (the per-rule
-// reports of the previous certified pass, parallel to c.rules) instead of
-// being re-checked. A nil dirty mask means every rule is dirty — plain
-// CheckContext behavior. Because rule certification is a pure function of
-// the rule's read columns and the immutable master, a cached report for a
-// rule none of whose read attributes changed is byte-identical to what a
-// re-check would produce, violations, cap, truncation tally and visit
-// counters included. The returned perRule slice (parallel to c.rules)
-// holds every rule's merged report — re-checked or cached — for the next
-// patched pass to cache.
-func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty []bool, cached []ruleReport) (*Report, []ruleReport, error) {
-	tasks := c.certTasks(d, dirty)
+	tasks := c.certTasks(d)
 	subs := make([]ruleReport, len(tasks))
 	for _, x := range c.matchers {
 		if x != nil {
 			x.bound(d.Len())
 		}
 	}
-	// Before a parallel fan-out, prefetch memoizes each re-checked MD
-	// rule's distinct values across the workers, so the read-only forks below
-	// only hit.
+	// Before a parallel fan-out, prefetch memoizes each MD rule's distinct
+	// values across the workers, so the read-only forks below only hit.
 	if c.workers > 1 && !c.noBlock {
-		for ri, x := range c.matchers {
-			if x == nil || (dirty != nil && !dirty[ri]) {
+		for _, x := range c.matchers {
+			if x == nil {
 				continue
 			}
 			if err := x.prefetch(ctx, c.fj, c.workers, d, nil, true, 0); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -327,37 +301,27 @@ func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty 
 		subs[ti] = c.checkRule(d, t.ri, t.lo, t.hi, x)
 	}
 	if err := fanOut(ctx, c.fj, "certify", c.workers, len(tasks), run); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Ordered merge: rule order, ascending-lo concatenation within a rule
 	// (which reconstructs the sequential (T, S) violation stream), the
 	// per-rule cap re-applied over the concatenation, order-independent
 	// sums — byte-identical to the sequential pass for any worker count.
-	// Clean rules have no tasks; their merged report is the cached one,
-	// re-emitted into the same rule-order slot, so the Violations stream,
-	// counts and visit totals come out as if the rule had been re-checked.
 	rep := &Report{byRule: make(map[string]int, len(c.rules))}
-	perRule := make([]ruleReport, len(c.rules))
 	ti := 0
 	for ri := range c.rules {
 		var rr ruleReport
-		if dirty != nil && !dirty[ri] {
-			rr = cached[ri]
-			rep.Patched++
-		} else {
-			for ; ti < len(tasks) && tasks[ti].ri == ri; ti++ {
-				s := &subs[ti]
-				rr.count += s.count
-				rr.visits += s.visits
-				rr.violations = append(rr.violations, s.violations...)
-			}
-			if len(rr.violations) > maxStoredPerRule {
-				rr.violations = rr.violations[:maxStoredPerRule]
-			}
-			rr.truncated = rr.count - len(rr.violations)
+		for ; ti < len(tasks) && tasks[ti].ri == ri; ti++ {
+			s := &subs[ti]
+			rr.count += s.count
+			rr.visits += s.visits
+			rr.violations = append(rr.violations, s.violations...)
 		}
-		perRule[ri] = rr
+		if len(rr.violations) > maxStoredPerRule {
+			rr.violations = rr.violations[:maxStoredPerRule]
+		}
+		rr.truncated = rr.count - len(rr.violations)
 
 		name := c.rules[ri].Name()
 		rep.byRule[name] += rr.count // creates the entry even at zero: "checked"
@@ -370,7 +334,7 @@ func (c *Checker) checkPatched(ctx context.Context, d *relation.Relation, dirty 
 		rep.Truncated += rr.truncated
 		rep.CertVisits += rr.visits
 	}
-	return rep, perRule, nil
+	return rep, nil
 }
 
 // checkRule certifies d against rule ri over the data tuples in [lo, hi) —

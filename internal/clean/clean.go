@@ -47,10 +47,6 @@ type Options struct {
 	// TopL bounds the number of blocking candidates returned per
 	// suffix-array lookup during MD matching (the constant l of Section 5.2).
 	TopL int
-	// MaxRounds bounds the cRepair fixpoint iteration; 0 means no bound.
-	// Termination is guaranteed regardless, because every applied fix or
-	// assertion freezes a previously mutable cell.
-	MaxRounds int
 	// HBudget is the per-cell change budget of hRepair: how many times the
 	// heuristic phase may rewrite one cell before falling back to
 	// retraction, which prevents oscillation between interacting rules.
@@ -97,7 +93,10 @@ type Options struct {
 	// has recorded at least MaxFixes fixes it stops proposing at the next
 	// round boundary and degrades exactly like Deadline. Zero means
 	// unlimited. Unlike Deadline, MaxFixes is deterministic: the same input
-	// and options degrade at the same point every run.
+	// and options degrade at the same point every run. Deadline and
+	// MaxFixes are the only budgets: the fixpoint loops need no round
+	// bound, since every cRepair fix or assertion freezes a previously
+	// mutable cell and hRepair's per-cell budget is HBudget.
 	MaxFixes int
 	// Fault arms the deterministic fault injector (internal/fault) on the
 	// engine's hook points — applier visits, matcher probes, fan-out
@@ -333,9 +332,6 @@ type Engine struct {
 	// on batch engines: RunContext never sets it, so the one-shot pipeline
 	// pays nothing for the update API existing.
 	stream *stream
-	// certOut is finish's per-rule certification, which a streaming commit
-	// keeps as the next sub-run's patch source.
-	certOut []ruleReport
 }
 
 // New prepares an engine: it clones data, orders the rules per Section 6.2,
@@ -592,17 +588,10 @@ func (e *Engine) finish() (*Result, error) {
 	// identical whatever -workers says.
 	ck := newChecker(e.rules, e.master, e.matchers, e.workers)
 	ck.fj = e.fj
-	// On the streaming update path, rules none of whose read attributes
-	// changed since the committed certified relation are served from that
-	// run's per-rule reports instead of being re-checked. A batch engine
-	// has no stream: patch returns nil and this is a plain full
-	// certification.
-	dirty, cached := e.stream.patch(e.data, e.rules)
-	rep, perRule, err := ck.checkPatched(e.ctx, e.data, dirty, cached)
+	rep, err := ck.CheckContext(e.ctx, e.data)
 	if err != nil {
 		return nil, err
 	}
-	e.certOut = perRule
 	e.res.Report = rep
 	if e.degraded != "" {
 		e.res.Degraded, e.res.DegradeReason = true, e.degraded

@@ -44,7 +44,7 @@ func (e *Engine) CRepair() {
 			}
 		}
 		e.cSeeded = true
-		if progress == 0 || (e.opts.MaxRounds > 0 && e.res.Rounds >= e.opts.MaxRounds) {
+		if progress == 0 {
 			return
 		}
 	}

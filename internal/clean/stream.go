@@ -30,21 +30,13 @@ import (
 // MaxFixes-degraded update matches the from-scratch oracle because the
 // oracle degrades identically.
 //
-// The honest incrementality lives where it cannot bend the output:
-//
-//   - Certification is patched per rule (Checker.checkPatched). A rule
-//     none of whose read columns changed between the previous committed
-//     cleaned relation and the new one is served from the previous run's
-//     cached per-rule report — violations, cap, truncation and visit
-//     counters verbatim — because rule certification is a pure function of
-//     those columns and the immutable master. Report.Patched counts the
-//     rules served this way.
-//   - The MD blocking indexes (equality buckets, suffix array) are built
-//     once over master by the initial run and reused by every later sub-run
-//     instead of rebuilt; the copies share the immutable index structures
-//     and carry fresh statistics, so counters still come out identical to
-//     a cold build. They also share the matchers' lookup memo, so an
-//     update looks up only the values the stream has never seen.
+// The one reuse across updates lives where it cannot bend the output: the
+// MD blocking indexes (equality buckets, suffix array) are built once over
+// master by the initial run and reused by every later sub-run instead of
+// rebuilt; the copies share the immutable index structures and carry fresh
+// statistics, so counters still come out identical to a cold build. They
+// also share the matchers' lookup memo, so an update looks up only the
+// values the stream has never seen.
 //
 // Deletes are tombstones: every cell of the tuple becomes Null with zero
 // confidence and no fix mark, and the id is recorded in deleted. A null
@@ -56,16 +48,16 @@ import (
 //
 // Failure contract (docs/robustness.md extended to updates): a failed
 // update — invalid input, cancellation, injected fault, worker panic —
-// returns a typed error with the engine bit-unchanged: base, tombstones,
-// Result and the certification cache all stay exactly as the last accepted
-// update left them. This holds by construction: validation precedes the
-// candidate, the candidate shares tuples with base but never writes them,
-// and nothing of the stream is written before the sub-run has succeeded.
+// returns a typed error with the engine bit-unchanged: base, tombstones
+// and Result all stay exactly as the last accepted update left them. This
+// holds by construction: validation precedes the candidate, the candidate
+// shares tuples with base but never writes them, and nothing of the stream
+// is written before the sub-run has succeeded.
 
 // stream is the committed state of a streaming engine. The shell engine
 // returned by NewStream and every update's sub-run share it; sub-runs only
-// read it (index prototypes, certification cache), and only commit writes
-// it, after a sub-run has succeeded.
+// read it (the index prototypes), and only commit writes it, after a
+// sub-run has succeeded.
 type stream struct {
 	// base is the raw input plus every committed update: the instance a
 	// from-scratch run would be handed. Its tuples are never written — a
@@ -78,11 +70,6 @@ type stream struct {
 	// lookup memo those sub-runs keep filling; nil until the initial run
 	// commits.
 	protos []*matcher
-	// cert is the committed run's per-rule certification of certData, its
-	// cleaned relation: the next sub-run re-checks only the rules whose
-	// read columns differ from certData and serves the rest from cert.
-	cert     []ruleReport
-	certData *relation.Relation
 }
 
 // NewStream builds a streaming engine: it runs the full pipeline over data
@@ -100,10 +87,10 @@ func NewStream(data, master *relation.Relation, rules []rule.Rule, opts Options)
 //
 // The returned shell holds only the options, the ordered rules, master,
 // the stream state and the current Result: the initial clean runs on a
-// sub-engine through the same rebase path as every update, with no
-// previous certification and freshly built matchers, which become the
-// prototypes. The phase methods (CRepair, ERepair, HRepair, Finish)
-// belong to batch engines and are not for use on the shell.
+// sub-engine through the same rebase path as every update, with freshly
+// built matchers, which become the prototypes. The phase methods (CRepair,
+// ERepair, HRepair, Finish) belong to batch engines and are not for use on
+// the shell.
 func NewStreamContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Engine, error) {
 	e := &Engine{
 		master: master,
@@ -216,13 +203,12 @@ func (st *stream) with(id int, values []string, conf []float64) *relation.Relati
 	return &relation.Relation{Schema: st.base.Schema, Tuples: tuples}
 }
 
-// rebase runs a fresh sub-engine over base and, on success, commits base,
-// the run's certification and its Result to the stream. The sub-engine
-// inherits the shell's options and ordered rules, reuses the prototype
-// blocking indexes and lookup memo instead of rebuilding them, and hands
-// its certifier the committed run's per-rule reports so untouched rules
-// are patched rather than re-checked. On the initial run there are no prototypes yet: the
-// sub-engine builds its matchers, and they become the prototypes.
+// rebase runs a fresh sub-engine over base and, on success, commits base
+// and its Result to the stream. The sub-engine inherits the shell's options
+// and ordered rules and reuses the prototype blocking indexes and lookup
+// memo instead of rebuilding them. On the initial run there are no
+// prototypes yet: the sub-engine builds its matchers, and they become the
+// prototypes.
 func (e *Engine) rebase(ctx context.Context, base *relation.Relation) (*Result, error) {
 	st := e.stream
 	s := newEngine(ctx, base, e.master, e.rules, st, e.opts)
@@ -233,41 +219,7 @@ func (e *Engine) rebase(ctx context.Context, base *relation.Relation) (*Result, 
 	if st.protos == nil {
 		st.protos = s.matchers
 	}
-	st.base, st.cert, st.certData = base, s.certOut, res.Data
+	st.base = base
 	e.res = res
 	return res, nil
-}
-
-// patch computes the certification patch source of a run that repaired
-// d: the dirty mask — rule ri must be re-checked unless none of its read
-// columns differ between the committed certified relation and d — and the
-// committed per-rule reports clean rules are served from. Certification
-// reads cell values only — never confidences or marks — so the diff is on
-// Values. A nil mask means "re-check everything": batch engines (nil
-// stream), the initial streaming run (no committed certification) and any
-// cardinality change (positional diff would be meaningless) take it.
-func (st *stream) patch(d *relation.Relation, rules []rule.Rule) ([]bool, []ruleReport) {
-	if st == nil || st.cert == nil || st.certData.Len() != d.Len() {
-		return nil, nil
-	}
-	arity := d.Schema.Arity()
-	changed := make([]bool, arity)
-	for i, t := range st.certData.Tuples {
-		u := d.Tuples[i]
-		for a := 0; a < arity; a++ {
-			if !changed[a] && t.Values[a] != u.Values[a] {
-				changed[a] = true
-			}
-		}
-	}
-	dirty := make([]bool, len(rules))
-	for ri, r := range rules {
-		for a, in := range ruleReadSet(r, arity) {
-			if in && changed[a] {
-				dirty[ri] = true
-				break
-			}
-		}
-	}
-	return dirty, st.cert
 }

@@ -44,11 +44,6 @@ type UpdateConfig struct {
 	Seed int64
 }
 
-// DefaultUpdateConfig returns the benchmark update-stream shape.
-func DefaultUpdateConfig() UpdateConfig {
-	return UpdateConfig{Updates: 100, DeleteRate: 0.15, AppendRate: 0.25, HotGroupRate: 0.2, Seed: 1}
-}
-
 // GenerateUpdates derives a deterministic update stream for inst. Every
 // operation is valid at its position when replayed in order against
 // inst.Data: deletes target live (never already-tombstoned) ids, appends

@@ -1,6 +1,8 @@
 // Package md implements matching dependencies (MDs) across a data relation
-// and a master relation, as defined in Section 2.2 of the paper, including
-// negative MDs and their embedding into positive MDs (Proposition 2.6).
+// and a master relation, as defined in Section 2.2 of the paper. Only
+// positive MDs are represented: the rule grammar cannot express a negative
+// MD, so the paper's embedding of negative MDs (Proposition 2.6) has no
+// input here.
 package md
 
 import (
@@ -185,26 +187,19 @@ func VisitViolations(d, dm *relation.Relation, m *MD, fn func(Violation) bool) {
 	}
 }
 
-// VisitViolationsBlocked streams the violating (t, s) pairs of m like
-// VisitViolations, but restricts each data tuple's inner loop to the master
-// indexes produced by a blocking candidate enumerator. candidates(i, t) must
-// return master tuple indexes in ascending order, and the returned set must
-// be exact for certification — a superset of every s on which m's premise
-// can hold for t (pairs outside it must fail the premise) — so the streamed
-// violations are precisely those of the nested scan, in the same (T, S)
-// order. The returned slice is only borrowed: it may be reused by the next
-// candidates call.
-func VisitViolationsBlocked(d, dm *relation.Relation, m *MD,
-	candidates func(i int, t *relation.Tuple) []int, fn func(Violation) bool) {
-	VisitViolationsBlockedRange(d, dm, m, 0, len(d.Tuples), candidates, fn)
-}
-
-// VisitViolationsBlockedRange is VisitViolationsBlocked restricted to the
-// data tuples in [lo, hi): the sub-shard primitive that lets a caller split
-// one rule's certification scan across workers and re-concatenate the
-// per-range outputs in ascending-lo order, which reproduces the full (T, S)
-// stream exactly — the outer loop visits data tuples in index order, so
-// range outputs never interleave.
+// VisitViolationsBlockedRange streams the violating (t, s) pairs of m for
+// the data tuples in [lo, hi) like VisitViolations, but restricts each data
+// tuple's inner loop to the master indexes produced by a blocking candidate
+// enumerator. candidates(i, t) must return master tuple indexes in
+// ascending order, and the returned set must be exact for certification —
+// a superset of every s on which m's premise can hold for t (pairs outside
+// it must fail the premise) — so the streamed violations are precisely
+// those of the nested scan, in the same (T, S) order. The returned slice is
+// only borrowed: it may be reused by the next candidates call. Ranges let a
+// caller split one rule's certification scan across workers and
+// re-concatenate the per-range outputs in ascending-lo order, which
+// reproduces the full stream exactly: the outer loop visits data tuples in
+// index order, so range outputs never interleave.
 func VisitViolationsBlockedRange(d, dm *relation.Relation, m *MD, lo, hi int,
 	candidates func(i int, t *relation.Tuple) []int, fn func(Violation) bool) {
 	for i := lo; i < hi; i++ {

@@ -91,7 +91,9 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 }
 
 // ReadConfCSV reads per-cell confidences (same shape as the relation, with a
-// header row) into r.
+// header row) into r. A confidence outside [0,1], NaN included, is an error
+// naming its tuple and attribute: the same range the streaming engine's
+// Upsert enforces.
 func ReadConfCSV(r *Relation, rd io.Reader) error {
 	cr := csv.NewReader(rd)
 	if _, err := cr.Read(); err != nil {
@@ -109,6 +111,10 @@ func ReadConfCSV(r *Relation, rd io.Reader) error {
 			c, err := strconv.ParseFloat(s, 64)
 			if err != nil {
 				return fmt.Errorf("relation: bad confidence %q for tuple %d: %w", s, t.ID, err)
+			}
+			if !(c >= 0 && c <= 1) { // also rejects NaN
+				return fmt.Errorf("relation: confidence %q for tuple %d attribute %s outside [0,1]",
+					s, t.ID, r.Schema.Attrs[i])
 			}
 			t.Conf[i] = c
 		}

@@ -215,6 +215,32 @@ func TestConfCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadConfCSVRejectsOutOfRange: a confidence outside [0,1] — NaN and
+// the infinities included — is an error naming the tuple and attribute,
+// never a silently stored value.
+func TestReadConfCSVRejectsOutOfRange(t *testing.T) {
+	for _, bad := range []string{"NaN", "Inf", "-Inf", "-0.1", "1.5"} {
+		r := New(NewSchema("r", "A", "B"))
+		r.Append("x", "y")
+		r.Append("u", "v")
+		err := ReadConfCSV(r, strings.NewReader("A,B\n0.5,1\n0,"+bad+"\n"))
+		if err == nil {
+			t.Errorf("confidence %s: want error", bad)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "tuple 1") || !strings.Contains(msg, "attribute B") {
+			t.Errorf("confidence %s: error %q does not name tuple 1 attribute B", bad, msg)
+		}
+	}
+	for _, ok := range []string{"0", "1", "0.75"} {
+		r := New(NewSchema("r", "A"))
+		r.Append("x")
+		if err := ReadConfCSV(r, strings.NewReader("A\n"+ok+"\n")); err != nil {
+			t.Errorf("confidence %s: %v", ok, err)
+		}
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV("r", strings.NewReader("")); err == nil {
 		t.Error("empty input: want error")
