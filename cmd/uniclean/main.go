@@ -127,7 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	certify := fs.Bool("certify", false, "print the checker's violation report when the output is still dirty")
 	verbose := fs.Bool("v", false, "list every fix in the report")
 	rescan := fs.Bool("rescan", false, "use the full-rescan reference scheduler instead of the delta-driven one")
-	workers := fs.Int("workers", 0, "workers for index builds, lookup prefetch, eRepair seeding and certification (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
+	workers := fs.Int("workers", 0, "workers for index builds, lookup prefetch, eRepair entropy re-keying and certification (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the run aborts with exit status 3 and writes no output (0 = none)")
 	deadline := fs.Duration("deadline", 0, "soft wall-clock budget; on expiry the engine stops proposing fixes and reports a degraded but truthful result (0 = none)")
 	maxFixes := fs.Int("maxfixes", 0, "soft fix budget; reaching it degrades the run like -deadline (0 = none)")
@@ -156,6 +156,29 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if !(f.v >= 0 && f.v <= 1) {
 			fs.Usage()
 			return fmt.Errorf("-%s %v outside [0,1]", f.name, f.v)
+		}
+	}
+	// A suffix-array lookup with fewer than one candidate finds nothing,
+	// and no count or duration flag has a meaning below zero; 0 keeps its
+	// documented meaning everywhere else.
+	if *topL < 1 {
+		fs.Usage()
+		return fmt.Errorf("-topl %d below 1", *topL)
+	}
+	for _, f := range []struct {
+		name     string
+		v        any
+		negative bool
+	}{
+		{"hbudget", *hBudget, *hBudget < 0},
+		{"workers", *workers, *workers < 0},
+		{"maxfixes", *maxFixes, *maxFixes < 0},
+		{"deadline", *deadline, *deadline < 0},
+		{"timeout", *timeout, *timeout < 0},
+	} {
+		if f.negative {
+			fs.Usage()
+			return fmt.Errorf("-%s %v is negative", f.name, f.v)
 		}
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)

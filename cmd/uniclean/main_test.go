@@ -345,6 +345,43 @@ func TestRunRejectsOutOfRangeConfidence(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOutOfRangeCounts: -topl below 1 (every blocking lookup
+// would come back empty) and negative -hbudget, -workers, -maxfixes,
+// -deadline and -timeout are usage errors with exit status 1 and no output,
+// not runs that silently leave rules unresolved or ignore the budget.
+func TestRunRejectsOutOfRangeCounts(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-topl", "0"}, "-topl 0 below 1"},
+		{[]string{"-topl", "-1"}, "-topl -1 below 1"},
+		{[]string{"-hbudget", "-1"}, "-hbudget -1 is negative"},
+		{[]string{"-workers", "-2"}, "-workers -2 is negative"},
+		{[]string{"-maxfixes", "-1"}, "-maxfixes -1 is negative"},
+		{[]string{"-deadline", "-1s"}, "-deadline -1s is negative"},
+		{[]string{"-timeout", "-1ms"}, "-timeout -1ms is negative"},
+	} {
+		outPath := filepath.Join(dir, "repaired.csv")
+		var stdout, stderr bytes.Buffer
+		err := run(context.Background(), append([]string{
+			"-data", filepath.Join(exampleDir, "data.csv"),
+			"-master", filepath.Join(exampleDir, "master.csv"),
+			"-rules", filepath.Join(exampleDir, "rules.txt"),
+			"-defaultconf", "0.9",
+			"-out", outPath,
+		}, tc.args...), &stdout, &stderr)
+		if got := exitCode(err); got != 1 || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: exitCode %d, err %v; want exit 1 with %q", tc.args, got, err, tc.want)
+		}
+		if _, statErr := os.Stat(outPath); statErr == nil {
+			t.Errorf("%v: a rejected invocation wrote %s", tc.args, outPath)
+			os.Remove(outPath)
+		}
+	}
+}
+
 func TestRunStdoutOutput(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), []string{

@@ -400,25 +400,19 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 	return rr
 }
 
-// visitMDViolations streams the violating (t, s) pairs of m in (T, S) order,
-// counting every examined pair into visited. Candidates come from the
-// matcher's exact certification enumeration (equality buckets or the
-// untruncated suffix-array merge, both ascending) instead of the O(|D|·|Dm|)
-// nested scan of md.VisitViolations. The enumeration is exact: a pair
-// outside the candidate set fails a premise clause, and candidates arrive
-// ascending per tuple, so the same violations appear in the same order as
-// the scan. Tuples no index covers exactly — a value shorter than the LCS
-// bound allows, or an MD with no indexable clause at all — fall back to
-// scanning Dm for that tuple only.
-func (c *Checker) visitMDViolations(d *relation.Relation, m *md.MD, x *matcher, visited *int, fn func(md.Violation) bool) {
-	c.visitMDViolationsRange(d, m, x, 0, d.Len(), visited, fn)
-}
-
-// visitMDViolationsRange is visitMDViolations restricted to the data tuples
-// in [lo, hi) — the certify sub-shard entry point. Candidate enumeration is
-// per data tuple, so a range visits exactly the pairs the full pass visits
-// for those tuples, and ranges concatenated in ascending-lo order reproduce
-// the full stream.
+// visitMDViolationsRange streams the violating (t, s) pairs of m whose data
+// tuple lies in [lo, hi), in (T, S) order, counting every examined pair into
+// visited. Candidates come from the matcher's exact certification
+// enumeration (equality buckets or the untruncated suffix-array merge, both
+// ascending) instead of the O(|D|·|Dm|) nested scan of md.VisitViolations.
+// The enumeration is exact: a pair outside the candidate set fails a
+// premise clause, and candidates arrive ascending per tuple, so the same
+// violations appear in the same order as the scan. Tuples no index covers
+// exactly — a value shorter than the LCS bound allows, or an MD with no
+// indexable clause at all — fall back to scanning Dm for that tuple only.
+// Candidate enumeration is per data tuple, so a range visits exactly the
+// pairs a full pass visits for those tuples, and ranges concatenated in
+// ascending-lo order — the certify sub-shards — reproduce the full stream.
 func (c *Checker) visitMDViolationsRange(d *relation.Relation, m *md.MD, x *matcher, lo, hi int, visited *int, fn func(md.Violation) bool) {
 	md.VisitViolationsBlockedRange(d, c.master, m, lo, hi, func(i int, t *relation.Tuple) []int {
 		if x != nil && !c.noBlock {

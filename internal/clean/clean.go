@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/avl"
 	"repro/internal/fault"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -52,31 +51,32 @@ type Options struct {
 	// retraction, which prevents oscillation between interacting rules.
 	// 0 means DefaultHBudget.
 	HBudget int
-	// Rescan selects the full-rescan reference scheduler: every cRepair and
+	// Rescan selects the full-rescan reference worklist: every cRepair and
 	// hRepair round re-applies every rule to every tuple, and eRepair
 	// re-groups whole rules after each resolution, as in the original
 	// engine. The default (false) is the delta-driven scheduler, which after
-	// the seeding round hands each rule only the tuples and groups whose
-	// read attributes were written since the rule last saw them. Both
+	// each phase's first round hands each rule only the tuples and groups
+	// whose read attributes were written since the rule last saw them. Both
 	// produce fix-for-fix identical Results; Rescan exists as the
 	// correctness reference and the benchmark baseline.
 	Rescan bool
 	// Workers bounds the engine's fan-outs, which run its pure work
 	// concurrently: building the indexes, an MD pass's lookup prefetch,
-	// eRepair's seeding and certification. Rule passes themselves always
-	// run inline on the engine goroutine (see parallel.go). Any Workers
-	// value produces fix-for-fix identical Results — same Fixes order,
-	// Asserts, Conflicts, Rounds, work counters and certified Report. 0
-	// means GOMAXPROCS; 1 runs everything on the engine goroutine. The
-	// Rescan reference engine is always sequential and ignores Workers.
+	// eRepair's entropy re-keying and certification. Rule passes
+	// themselves always run inline on the engine goroutine (see
+	// parallel.go). Any Workers value produces fix-for-fix identical
+	// Results — same Fixes order, Asserts, Conflicts, Rounds, work counters
+	// and certified Report. 0 means GOMAXPROCS; 1 runs everything on the
+	// engine goroutine. The Rescan reference engine is always sequential
+	// and ignores Workers.
 	Workers int
 	// SeqCutoff is the work threshold below which a fan-out runs inline on
 	// the engine goroutine instead: spawning workers for a handful of
 	// tuples costs more than the work itself. Work is estimated in tuple
-	// visits (tuples for an MD pass's prefetch, total members for eRepair's
-	// seeding). 0 means DefaultSeqCutoff. Negative forces every nonempty
-	// fan-out onto the workers, which tests use to exercise them on tiny
-	// property-test instances. Neither choice can change any output: a
+	// visits (tuples for an MD pass's prefetch, total members for an
+	// eRepair re-key batch). 0 means DefaultSeqCutoff. Negative forces
+	// every nonempty fan-out onto the workers, which tests use to exercise
+	// them on tiny property-test instances. Neither choice can change any output: a
 	// fan-out's tasks fill their own slots, merged in task order.
 	SeqCutoff int
 	// Deadline is the soft wall-clock budget of the run. Zero means none.
@@ -289,21 +289,9 @@ type Engine struct {
 	seen     map[string]bool // conflicts already recorded
 	hleft    map[[2]int]int  // hRepair's per-cell budget, shared across passes
 
-	sched   *scheduler    // worklists, group indexes, reverse dependency map
+	work    worklist      // what each rule pass visits (schedule.go)
 	apply   []*ApplyStats // parallel to rules
-	cSeeded bool          // cRepair's first round (visit everything) has run
-	hSeeded bool          // hRepair's first round has run
-
-	workers int   // fan-out width, Options.workerCount()
-	allIDs  []int // cached identity worklist for full-visit rounds
-
-	// eRepair's entropy tree, persistent across outer passes in delta mode:
-	// later ERepair calls re-key only the groups extracted last call (eredo)
-	// plus the groups written since, instead of re-seeding from scratch.
-	etree   *avl.Tree
-	egroups map[string]*egroup // id -> group currently keyed in etree
-	eredo   []eref             // groups extracted by the previous call
-	eSeeded bool               // eRepair's full seeding has run
+	workers int           // fan-out width, Options.workerCount()
 
 	// ctx carries the run's cooperative cancellation: the round loops, the
 	// eRepair resolution loop, the fan-out loops and the certify tasks
@@ -335,8 +323,9 @@ type Engine struct {
 }
 
 // New prepares an engine: it clones data, orders the rules per Section 6.2,
-// builds the MD blocking indexes over master, and computes the scheduler
-// state (reverse dependency map, variable-CFD group indexes) over the clone.
+// builds the MD blocking indexes over master, and builds the worklist (for
+// the delta scheduler: reverse dependency map, variable-CFD group indexes)
+// over the clone.
 // master may be nil when the rule set contains no MDs. The engine is not
 // cancellable; use NewContext to attach a context.
 func New(data, master *relation.Relation, rules []rule.Rule, opts Options) *Engine {
@@ -387,26 +376,28 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		e.apply[i] = &ApplyStats{}
 		e.res.Apply[r.Name()] = e.apply[i]
 	}
-	// The data clone with the scheduler's indexes over it, and each fresh
+	// The data clone with the worklist over it, and each fresh
 	// matcher's blocking indexes (the suffix array above all), are
 	// independent pure builds: with workers they run as concurrent tasks,
-	// the clone and scheduler first because they take longest. A panic in
+	// the clone and worklist first because they take longest. A panic in
 	// one propagates, as it would from the sequential build.
 	built := make([]*matcher, len(fresh))
 	var clone *relation.Relation
-	var sched *scheduler
+	var work worklist
 	build := func(k int) {
 		if k > 0 {
 			built[k-1] = newMatcher(e.rules[fresh[k-1]].MD, master)
 			return
 		}
 		clone = data.Clone()
-		if !opts.Rescan {
-			// The reference engine re-derives everything by scanning, so
-			// it gets no scheduler at all: building and maintaining
-			// indexes it never reads would bill the rescan baseline for
-			// delta-engine bookkeeping and flatter the measured speedup.
-			sched = newScheduler(e.rules, clone)
+		if opts.Rescan {
+			// The reference re-derives everything by scanning, so it
+			// builds no index: maintaining indexes it never reads would
+			// bill the rescan baseline for delta-engine bookkeeping and
+			// flatter the measured speedup.
+			work = newRescan(e.rules, clone)
+		} else {
+			work = newScheduler(e.rules, clone)
 		}
 	}
 	workers := e.workers
@@ -418,7 +409,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	if err := fanOut(context.Background(), nil, "new", workers, len(fresh)+1, build); err != nil {
 		panic(err)
 	}
-	e.data, e.sched = clone, sched
+	e.data, e.work = clone, work
 	for k, i := range fresh {
 		e.matchers[i] = built[k]
 	}
@@ -431,29 +422,12 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	return e
 }
 
-// noteWrite tells the scheduler that cell (i, a) changed — value, confidence
+// noteWrite tells the worklist that cell (i, a) changed — value, confidence
 // or mark — so the rules reading a get re-enqueued. Every engine write path
 // (fix, assert, eRepair's resolveGroup, hRepair's hfix) funnels through it;
 // that is what keeps the group indexes and worklists exact.
 func (e *Engine) noteWrite(i, a int) {
-	if e.sched != nil {
-		e.sched.noteWrite(i, a, e.data.Tuples[i])
-	}
-}
-
-// setActive and clearActive bracket a per-tuple applier run for the
-// scheduler's self-write suppression; they are no-ops on the scheduler-less
-// reference engine.
-func (e *Engine) setActive(phase, ri, i int) {
-	if e.sched != nil {
-		e.sched.setActive(phase, ri, i)
-	}
-}
-
-func (e *Engine) clearActive() {
-	if e.sched != nil {
-		e.sched.clearActive()
-	}
+	e.work.noteWrite(i, a, e.data.Tuples[i])
 }
 
 // Run executes the full tri-level pipeline — cRepair (deterministic fixes),

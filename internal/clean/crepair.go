@@ -15,13 +15,15 @@ import (
 // fix or assertion freezes a previously mutable cell, the fixpoint is
 // reached after at most |D|·arity productive passes.
 //
-// Scheduling: the first round visits every tuple of every rule (seeding the
-// worklists); each later round hands a rule only the tuples and groups whose
-// read attributes were written since the rule last saw them, which is the
-// only place new firings can come from. With Options.Rescan, every round is
-// a full visit, as in the reference engine. Each rule's visit runs inline
-// (see parallel.go), rules one after another in rule.Order, so
-// Options.Workers never shows in the result.
+// Scheduling: each round hands every rule the tuples or groups its
+// worklist returns for the cRepair phase. The delta scheduler's worklists
+// start with everything dirty, so the first round visits every tuple of
+// every rule; each later round hands a rule only the tuples and groups
+// whose read attributes were written since the rule last saw them, which
+// is the only place new firings can come from. The rescan reference hands
+// out everything every round. Each rule's visit runs inline (see
+// parallel.go), rules one after another in rule.Order, so Options.Workers
+// never shows in the result.
 func (e *Engine) CRepair() {
 	for {
 		// Cancellation points sit at round granularity: a round already in
@@ -31,79 +33,35 @@ func (e *Engine) CRepair() {
 			return
 		}
 		e.res.Rounds++
-		seeded := e.cSeeded
 		progress := 0
 		for ri, r := range e.rules {
 			if e.interrupted() {
 				return
 			}
-			if e.opts.Rescan || !seeded {
-				progress += e.applyRuleFull(ri, r)
-			} else {
-				progress += e.applyRuleDelta(ri, r)
-			}
+			progress += e.applyRule(ri, r)
 		}
-		e.cSeeded = true
 		if progress == 0 {
 			return
 		}
 	}
 }
 
-// applyRuleFull applies one rule to the whole relation: every rescan-mode
-// round, and the delta engine's seeding round. The seeding round first
-// drops the rule's pending cRepair marks (the full visit covers them) and
-// reads variable-CFD groups out of the persistent index instead of
-// re-grouping the relation; the reference engine has no scheduler and
-// re-derives the grouping with cfd.Groups, which keeps it independent of
-// the index it is the oracle for.
-func (e *Engine) applyRuleFull(ri int, r rule.Rule) int {
+// applyRule applies one rule to the tuples or groups its worklist hands
+// out. Writes made while processing re-enqueue their targets, so
+// interacting rules still chase each other to the fixpoint.
+func (e *Engine) applyRule(ri int, r rule.Rule) int {
 	switch r.Kind {
 	case rule.ConstantCFD:
-		if e.sched != nil {
-			e.sched.clearTuples(phaseC, ri)
-		}
-		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(i int) int {
+		return e.applyTuples(phaseC, ri, e.work.tuples(phaseC, ri), func(i int) int {
 			return e.constantCFDTuple(ri, r.CFD, i)
 		})
 	case rule.VariableCFD:
-		if e.sched != nil {
-			e.sched.clearGroups(phaseC, ri)
-			return e.applyGroups(phaseC, ri, e.sched.allGroups(ri), func(members []int) int {
-				return e.variableCFDGroup(ri, r.CFD, members)
-			})
-		}
-		progress := 0
-		for _, g := range cfd.Groups(e.data, r.CFD) {
-			progress += e.variableCFDGroup(ri, r.CFD, g.Members)
-		}
-		return progress
-	case rule.MatchMD:
-		if e.sched != nil {
-			e.sched.clearTuples(phaseC, ri)
-		}
-		return e.applyTuples(phaseC, ri, e.allTupleIDs(), func(i int) int {
-			return e.matchMDTuple(ri, r.MD, i)
-		})
-	}
-	return 0
-}
-
-// applyRuleDelta applies one rule to exactly the tuples/groups enqueued for
-// it since its last visit. Writes made while processing re-enqueue their
-// targets, so interacting rules still chase each other to the fixpoint.
-func (e *Engine) applyRuleDelta(ri int, r rule.Rule) int {
-	switch r.Kind {
-	case rule.ConstantCFD:
-		return e.applyTuples(phaseC, ri, e.sched.takeTuples(phaseC, ri), func(i int) int {
-			return e.constantCFDTuple(ri, r.CFD, i)
-		})
-	case rule.VariableCFD:
-		return e.applyGroups(phaseC, ri, e.sched.takeGroups(phaseC, ri), func(members []int) int {
+		gs, _ := e.work.groups(phaseC, ri)
+		return e.applyGroups(phaseC, ri, gs, func(members []int) int {
 			return e.variableCFDGroup(ri, r.CFD, members)
 		})
 	case rule.MatchMD:
-		return e.applyTuples(phaseC, ri, e.sched.takeTuples(phaseC, ri), func(i int) int {
+		return e.applyTuples(phaseC, ri, e.work.tuples(phaseC, ri), func(i int) int {
 			return e.matchMDTuple(ri, r.MD, i)
 		})
 	}

@@ -58,7 +58,7 @@ type WorkerError struct {
 	// engine goroutine (every rule pass).
 	Shard int
 	// Item is the worklist index of the work item being processed, -1 when
-	// the panic fired between items (scheduling, seeding bookkeeping).
+	// the panic fired between items (scheduling, an eRepair re-key batch).
 	Item int
 	// Value is the recovered panic value.
 	Value any

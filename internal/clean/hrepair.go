@@ -36,11 +36,13 @@ const DefaultHBudget = 3
 // and whose LHS cells are all trusted (confidence >= Eta) or frozen is left
 // standing for the Checker to report.
 //
-// Scheduling mirrors CRepair: hRepair's first round visits every tuple and
-// group (seeding its own worklists, independent of cRepair's); later rounds
-// — and later outer passes of Run — visit only the tuples and groups
-// written since hRepair last saw them. Options.Rescan restores the full
-// re-scan of every round. Each rule's visit runs inline, like cRepair's.
+// Scheduling mirrors CRepair: each round hands every rule what its worklist
+// returns for the hRepair phase, which the delta scheduler tracks
+// independently of cRepair's. Its first round visits every tuple and group;
+// later rounds — and later outer passes of Run — visit only the tuples and
+// groups written since hRepair last saw them. The rescan reference hands
+// out everything every round. Each rule's visit runs inline, like
+// cRepair's.
 func (e *Engine) HRepair() {
 	for {
 		// Same round-granularity cancellation points as CRepair.
@@ -48,57 +50,34 @@ func (e *Engine) HRepair() {
 			return
 		}
 		e.res.HRounds++
-		seeded := e.hSeeded
 		writes := 0
 		for ri, r := range e.rules {
 			if e.interrupted() {
 				return
 			}
-			full := e.opts.Rescan || !seeded
 			switch r.Kind {
 			case rule.ConstantCFD:
-				var ids []int
-				if full {
-					if e.sched != nil {
-						e.sched.clearTuples(phaseH, ri)
-					}
-					ids = e.allTupleIDs()
-				} else {
-					ids = e.sched.takeTuples(phaseH, ri)
-				}
-				writes += e.applyTuples(phaseH, ri, ids, func(i int) int {
+				writes += e.applyTuples(phaseH, ri, e.work.tuples(phaseH, ri), func(i int) int {
 					return e.hConstantTuple(ri, r.CFD, i)
 				})
 			case rule.VariableCFD:
-				switch {
-				case full && e.sched != nil:
-					// Seeding round: groups come from the persistent index,
-					// violating ones filtered the way ViolatingGroups would.
-					e.sched.clearGroups(phaseH, ri)
-					writes += e.applyGroups(phaseH, ri, e.sched.allGroups(ri), func(members []int) int {
-						if !conflictedMembers(e.data, r.CFD.RHS, members) {
-							return 0
-						}
-						return e.hVariableGroup(ri, r.CFD, members)
-					})
-				case full:
-					for _, g := range cfd.ViolatingGroups(e.data, r.CFD) {
-						writes += e.hVariableGroup(ri, r.CFD, g.Members)
-					}
-				default:
-					writes += e.applyGroups(phaseH, ri, e.sched.takeGroups(phaseH, ri), func(members []int) int {
-						if !conflictedMembers(e.data, r.CFD.RHS, members) {
-							// Examined but conflict-free: counted here, since
-							// only hVariableGroup counts the groups it runs on.
+				gs, full := e.work.groups(phaseH, ri)
+				writes += e.applyGroups(phaseH, ri, gs, func(members []int) int {
+					if !conflictedMembers(e.data, r.CFD.RHS, members) {
+						// Examined but conflict-free. A full listing bills
+						// only the conflicted groups, as cfd.ViolatingGroups
+						// would list them; a delta listing bills every group
+						// it hands out, since only hVariableGroup counts the
+						// groups it runs on.
+						if !full {
 							e.apply[ri].HTuples += len(members)
-							return 0
 						}
-						return e.hVariableGroup(ri, r.CFD, members)
-					})
-				}
+						return 0
+					}
+					return e.hVariableGroup(ri, r.CFD, members)
+				})
 			}
 		}
-		e.hSeeded = true
 		if writes == 0 {
 			return
 		}

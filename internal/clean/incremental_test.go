@@ -70,12 +70,12 @@ func diffResults(inc, ref *Result) string {
 	return ""
 }
 
-// diffParallel compares a parallel-pool result against the sequential
-// incremental result. The bar is stricter than diffResults: the parallel
-// engine runs the same scheduler over the same worklists, so even the work
-// counters — per-rule applier visits, per-MD matcher statistics — must be
-// identical, not just the fixes. (WorkerVisits is exempt: how the visits
-// split across workers depends on runtime scheduling.)
+// diffParallel compares a result with every fan-out forced onto workers
+// against the sequential incremental result. The bar is stricter than
+// diffResults: rule passes run inline over the same worklists either way,
+// and the fan-outs only compute into per-task slots merged in task order,
+// so even the work counters — per-rule applier visits, per-MD matcher
+// statistics — must be identical, not just the fixes.
 func diffParallel(par, seq *Result) string {
 	if d := diffResults(par, seq); d != "" {
 		return d
@@ -105,21 +105,22 @@ func statsDump(m map[string]*ApplyStats) string {
 }
 
 // TestPropertyIncrementalEquivalence is the correctness bar of the
-// delta-driven scheduler and of the parallel applier layer on top of it:
+// delta-driven scheduler and of the fan-outs beside it:
 // over the seeded dirty corpus, the sequential incremental engine must
 // produce fix-for-fix identical results to the full-rescan reference —
 // same Fixes in the same order, same Asserts, Conflicts, group
 // resolutions, round counts, certified Report, and final cell state — and
 // the parallel engine (four workers) must match the sequential incremental
-// engine down to the work counters. Run it under -race: the propose step
-// is the engine's only concurrency.
+// engine down to the work counters. Run it under -race: the fan-outs
+// (index builds, lookup prefetch, eRepair re-keying, certification) are
+// the engine's only concurrency.
 func TestPropertyIncrementalEquivalence(t *testing.T) {
 	const seeds = 400
 	opts := DefaultOptions()
 	opts.Workers = 4
 	// Negative SeqCutoff forces the corpus — tiny by construction — through
-	// the pool; with the default cutoff the fast path would run everything
-	// inline and the sweep would prove nothing about the parallel layer.
+	// fanOut's workers; with the default cutoff the fast path would run
+	// everything inline and the sweep would prove nothing about them.
 	opts.SeqCutoff = -1
 	for seed := int64(0); seed < seeds; seed++ {
 		in := genInstance(seed)
@@ -159,7 +160,7 @@ func TestIncrementalEquivalenceWithMaster(t *testing.T) {
 }
 
 // TestDeltaOnlyRefiresReadingRules pins the reverse dependency map: after
-// the seeding round, a fix to attribute A re-enqueues work only for the
+// the first round, a fix to attribute A re-enqueues work only for the
 // rules whose premise or conclusion reads A — a rule over disjoint
 // attributes must not be visited again.
 func TestDeltaOnlyRefiresReadingRules(t *testing.T) {
@@ -175,7 +176,7 @@ func TestDeltaOnlyRefiresReadingRules(t *testing.T) {
 	data.SetAllConf(0.9)
 
 	e := New(data, nil, rules, DefaultOptions())
-	e.CRepair() // seeding round: every rule visits everything
+	e.CRepair() // first round: every rule visits everything
 	ab, cd := *e.res.Apply["fdAB"], *e.res.Apply["fdCD"]
 
 	// A delta write to A moves tuple 0 into a new group of fdAB. Only fdAB
@@ -188,6 +189,73 @@ func TestDeltaOnlyRefiresReadingRules(t *testing.T) {
 	}
 	if got := e.res.Apply["fdCD"]; got.CTuples != cd.CTuples || got.CGroups != cd.CGroups {
 		t.Errorf("fdCD visits changed from %+v to %+v after a write to A; must not re-fire", cd, *got)
+	}
+}
+
+// TestFirstVisitBillsEverything pins the seeding contract the worklists
+// own: on a fresh delta engine the first cRepair round visits everything —
+// each per-tuple rule every tuple, each variable CFD every cfd.Groups group
+// — and, when nothing fires, a second CRepair visits nothing. The rescan
+// reference bills the same first visit and repeats it on every call.
+func TestFirstVisitBillsEverything(t *testing.T) {
+	dschema := relation.NewSchema("R", "A", "B", "C", "D")
+	mschema := relation.NewSchema("M", "A", "C")
+	master := relation.New(mschema)
+	master.Append("a1", "c9")
+	master.Append("a2", "c2")
+	master.SetAllConf(1)
+	fd := cfd.FD("fd", dschema, []string{"B"}, "C")
+	rules := rule.Derive([]*cfd.CFD{
+		cfd.New("phi", dschema, []string{"B"}, []string{"b1"}, "D", "d1"),
+		fd,
+	}, []*md.MD{md.New("psi", dschema, mschema,
+		[]md.ClauseSpec{md.Eq("A", "A")},
+		[]md.PairSpec{{Data: "C", Master: "C"}})})
+	data := relation.New(dschema)
+	data.Append("a1", "b1", "c1", "d0")
+	data.Append("a2", "b1", "c2", "d1")
+	data.Append("a3", "b2", "c1", "d1")
+	data.Append("a1", "b2", "c3", "d2")
+	data.Append("a4", "b3", "c1", "d1")
+	data.SetAllConf(0.5) // below eta: no rule fires, nothing is written
+
+	groups := cfd.Groups(data, fd)
+	if len(groups) != 3 {
+		t.Fatalf("instance has %d fd groups, want 3", len(groups))
+	}
+	members := 0
+	for _, g := range groups {
+		members += len(g.Members)
+	}
+	first := []struct {
+		rule  string
+		stats ApplyStats
+	}{
+		{"phi", ApplyStats{CTuples: data.Len()}},
+		{"fd", ApplyStats{CTuples: members, CGroups: len(groups)}},
+		{"psi", ApplyStats{CTuples: data.Len()}},
+	}
+	for _, rescan := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Rescan = rescan
+		e := New(data, master, rules, opts)
+		for call := 1; call <= 2; call++ {
+			e.CRepair()
+			visits := call // the rescan reference repeats the first visit
+			if !rescan {
+				visits = 1 // the delta scheduler adds nothing after it
+			}
+			for _, f := range first {
+				want := ApplyStats{CTuples: visits * f.stats.CTuples, CGroups: visits * f.stats.CGroups}
+				if got := *e.res.Apply[f.rule]; got != want {
+					t.Errorf("rescan=%v, CRepair call %d: %s billed %+v, want %+v", rescan, call, f.rule, got, want)
+				}
+			}
+		}
+		if len(e.res.Fixes) != 0 || e.res.Asserts != 0 {
+			t.Fatalf("rescan=%v: %d fixes, %d asserts below eta; the instance must stay quiet",
+				rescan, len(e.res.Fixes), e.res.Asserts)
+		}
 	}
 }
 
@@ -213,15 +281,15 @@ func TestMasterTieBreakReadsReenqueue(t *testing.T) {
 	data.SetAllConf(0.5) // below eta: nothing freezes, groups stay put
 
 	e := New(data, master, rules, DefaultOptions())
-	e.CRepair() // seed; no writes at conf 0.5
+	e.CRepair() // first round; no writes at conf 0.5
 	var fdIdx int
 	for ri, r := range e.rules {
 		if r.Kind == rule.VariableCFD {
 			fdIdx = ri
 		}
 	}
-	gi := e.sched.gidx[fdIdx]
-	gi.dirty[phaseH] = make(map[int32]bool) // drop any seeding marks
+	gi := e.work.(*scheduler).gidx[fdIdx]
+	gi.dirty[phaseH] = make(map[int32]bool) // drop any pending marks
 
 	// A is read only by the MD premise — and, transitively, by the fd's
 	// hRepair tie-break. Writing it must H-dirty tuple 0's group of fd.
@@ -254,7 +322,7 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 		}
 		var blocked []md.Violation
 		visited := 0
-		c.visitMDViolations(data, r.MD, c.matchers[ri], &visited, func(v md.Violation) bool {
+		c.visitMDViolationsRange(data, r.MD, c.matchers[ri], 0, data.Len(), &visited, func(v md.Violation) bool {
 			blocked = append(blocked, v)
 			return true
 		})
@@ -282,7 +350,7 @@ func TestGroupIndexStaysExact(t *testing.T) {
 		e.ERepair()
 		e.HRepair()
 		for ri, r := range e.rules {
-			gi := e.sched.gidx[ri]
+			gi := e.work.(*scheduler).gidx[ri]
 			if gi == nil {
 				continue
 			}

@@ -283,7 +283,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	if n := len(x.memo.lookups); n != 0 {
 		t.Fatalf("forks wrote %d lookups into the shared memo", n)
 	}
-	if err := x.prefetch(context.Background(), nil, 2, e.data, e.allTupleIDs(), false, opts.TopL); err != nil {
+	if err := x.prefetch(context.Background(), nil, 2, e.data, nil, false, opts.TopL); err != nil {
 		t.Fatalf("prefetch: %v", err)
 	}
 	if n := len(x.memo.lookups); n != 1 {

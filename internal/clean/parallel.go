@@ -15,7 +15,7 @@ import (
 // write path (assert/fix/hfix, conflictf, spend), so the scheduler, the fix
 // trace and hRepair's budget see one order of events. fanOut runs the
 // engine's pure work concurrently: index builds, an MD pass's lookup
-// prefetch, eRepair's seeding and certification.
+// prefetch, eRepair's entropy re-keying and certification.
 
 // fanOut runs fn(task) for every task in [0, tasks) across up to workers
 // goroutines pulling task indexes from an atomic cursor. Tasks write only
@@ -103,10 +103,10 @@ func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(i int) int) (prog
 	for ii, i := range ids {
 		item = ii
 		e.fj.At(fault.SiteApply, ri, ii)
-		e.setActive(phase, ri, i)
+		e.work.setActive(phase, ri, i)
 		progress += fn(i)
 	}
-	e.clearActive()
+	e.work.clearActive()
 	return progress
 }
 
@@ -135,16 +135,4 @@ func (e *Engine) contain(phase, ri int, item *int) {
 		}
 		panic(newWorkerError(r, phaseName(phase), e.rules[ri].Name(), -1, *item))
 	}
-}
-
-// allTupleIDs returns the cached identity worklist 0..Len-1 that full-visit
-// seeding rounds iterate.
-func (e *Engine) allTupleIDs() []int {
-	if e.allIDs == nil {
-		e.allIDs = make([]int, e.data.Len())
-		for i := range e.allIDs {
-			e.allIDs[i] = i
-		}
-	}
-	return e.allIDs
 }

@@ -8,22 +8,28 @@ import (
 	"repro/internal/rule"
 )
 
-// This file implements the incremental fixpoint core: instead of re-applying
-// every rule to every tuple on every round, the engine maintains (1) a
-// reverse dependency map from attributes to the rules whose premise or
-// conclusion reads them, (2) a persistent per-rule group index for variable
-// CFDs, kept in sync under every engine write rather than rebuilt by
-// cfd.Groups each round, and (3) per-phase worklists of dirty tuples and
-// groups. The first round of each phase seeds the worklist with everything;
-// afterwards a rule is handed exactly the tuples/groups whose read attributes
-// were written since the rule last saw them.
+// This file decides what each rule pass visits. The appliers have one path
+// per phase: every pass asks the engine's worklist for the tuples or groups
+// to hand its rule, and the two worklist implementations differ only in
+// the answer.
+//
+// The delta scheduler (the default) maintains (1) a reverse dependency map
+// from attributes to the rules whose premise or conclusion reads them, (2)
+// a persistent per-rule group index for variable CFDs, kept in sync under
+// every engine write rather than rebuilt by cfd.Groups each round, and (3)
+// per-phase worklists of dirty tuples and groups. Every worklist starts in
+// an "everything is dirty" state, so the first pass of each phase visits
+// everything as an ordinary take; afterwards a rule is handed exactly the
+// tuples/groups whose read attributes were written since the rule last saw
+// them.
 //
 // Correctness rests on a quiescence argument checked by the equivalence
 // property suite: a tuple or group none of whose read cells (value,
 // confidence or mark) changed since a rule last processed it cannot newly
 // fire that rule — re-processing it is a no-op that records nothing — so
 // skipping it leaves Fixes, Asserts, Conflicts and the certified Report
-// byte-for-byte identical to the full-rescan reference (Options.Rescan).
+// byte-for-byte identical to the rescan reference (Options.Rescan), which
+// hands out every tuple and every cfd.Groups group on every call.
 //
 // Group keys are interned: each distinct LHS projection string maps to a
 // dense int32 symbol once, and the index, the dirty sets and the per-tuple
@@ -31,6 +37,44 @@ import (
 // hot spot — every noteWrite to an LHS attribute rebuilt the projection
 // string and re-hashed it into the groups map plus one dirty map per
 // consumer phase.
+
+// worklist decides what a rule pass visits. The engine holds one: the
+// delta scheduler, or the rescan reference under Options.Rescan.
+type worklist interface {
+	// tuples returns the tuples per-tuple rule ri visits in phase, in
+	// ascending order. The caller must not modify the slice.
+	tuples(phase, ri int) []int
+	// groups returns the member lists variable CFD ri visits in phase,
+	// ordered by first member, and whether they are every group of the
+	// rule rather than the ones written since the phase last looked.
+	groups(phase, ri int) (gs [][]int, full bool)
+	// regroup returns the groups eRepair (re-)keys in its entropy tree:
+	// with start, every group the tree of a new call must see; otherwise
+	// the groups the last resolution's writes may have changed.
+	regroup(start bool) []keyedGroup
+	// extracted notes that eRepair took g off its tree.
+	extracted(g keyedGroup)
+	// noteWrite learns of one cell write (i, a) — value, confidence or
+	// mark — to tuple t.
+	noteWrite(i, a int, t *relation.Tuple)
+	// setActive marks the per-tuple applier about to run on tuple i;
+	// clearActive ends it.
+	setActive(phase, ri, i int)
+	clearActive()
+}
+
+// keyedGroup is one group a worklist hands eRepair: rule ri's group with
+// LHS key, and a snapshot of its members — nil when the group dissolved
+// since it was last handed out, so its tree entry is dropped. Snapshots
+// matter: the index slices mutate under later writes, while a tree entry
+// must keep the membership it was keyed with until re-keyed. sym is the
+// scheduler's interned key, -1 from the rescan reference.
+type keyedGroup struct {
+	ri      int
+	key     string
+	sym     int32
+	members []int
+}
 
 // Worklist consumer phases. cRepair and hRepair each consume tuple- and
 // group-level dirtiness independently; eRepair consumes group-level
@@ -79,10 +123,13 @@ type dirtySet struct {
 	stamp []uint64 // per tuple: generation at which it was last marked
 	gen   uint64   // current generation; stamp[i] == gen means marked
 	items []int    // marked tuples in insertion order, deduped via stamp
+	all   []int    // the identity listing while every tuple is dirty, else nil
 }
 
-func newDirtySet(n int) *dirtySet {
-	return &dirtySet{stamp: make([]uint64, n), gen: 1}
+// newDirtySet returns a set in the start state: every tuple dirty. all is
+// the shared identity listing 0..Len-1.
+func newDirtySet(all []int) *dirtySet {
+	return &dirtySet{stamp: make([]uint64, len(all)), gen: 1, all: all}
 }
 
 // mark adds tuple i to the set; re-marking is a cheap no-op.
@@ -94,8 +141,13 @@ func (s *dirtySet) mark(i int) {
 }
 
 // take drains the set and returns the marked tuples in ascending order —
-// the order a full scan visits them, as takeTuples always promised.
+// the order a full scan visits them. The first take returns every tuple.
 func (s *dirtySet) take() []int {
+	if all := s.all; all != nil {
+		s.all = nil
+		s.clear()
+		return all
+	}
 	if len(s.items) == 0 {
 		return nil
 	}
@@ -137,7 +189,8 @@ func (g *igroup) remove(i int) {
 // groupIndex is the persistent LHS-key -> members index of one variable CFD,
 // equivalent at every instant to cfd.Groups over the current relation state.
 // It additionally tracks, per consumer phase, the keys of groups touched by
-// a write since that phase last took them.
+// a write since that phase last took them; every phase starts with all
+// groups dirty.
 type groupIndex struct {
 	c      *cfd.CFD
 	syms   *symtab
@@ -145,6 +198,7 @@ type groupIndex struct {
 	key    []int32 // per tuple: current group key symbol, valid when member
 	groups map[int32]*igroup
 	dirty  [numPhases]map[int32]bool
+	all    [numPhases]bool // phase has not taken yet: every group is dirty
 }
 
 func newGroupIndex(c *cfd.CFD, d *relation.Relation) *groupIndex {
@@ -157,6 +211,7 @@ func newGroupIndex(c *cfd.CFD, d *relation.Relation) *groupIndex {
 	}
 	for p := range gi.dirty {
 		gi.dirty[p] = make(map[int32]bool)
+		gi.all[p] = true
 	}
 	for i, t := range d.Tuples {
 		if c.MatchLHS(t) {
@@ -218,27 +273,37 @@ func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
 }
 
 // takeKeys drains and returns the dirty group keys of one consumer phase,
-// in ascending symbol order. Every consumer happens to derive
+// in ascending symbol order; the first take returns the key of every
+// current group. Every consumer happens to derive
 // order-independent state from the keys (AVL entries keyed by (entropy, id),
 // sorted group listings, summed counters) — PR 4 audited exactly that by
 // hand — but sorting removes the argument: the keys leave here deterministic
 // and no future consumer can silently start depending on map order.
 func (gi *groupIndex) takeKeys(phase int) []int32 {
-	if len(gi.dirty[phase]) == 0 {
+	var out []int32
+	switch {
+	case gi.all[phase]:
+		gi.all[phase] = false
+		out = make([]int32, 0, len(gi.groups))
+		for k := range gi.groups { //det:ok maporder keys are sorted ascending below before anyone sees them
+			out = append(out, k)
+		}
+	case len(gi.dirty[phase]) == 0:
 		return nil
-	}
-	out := make([]int32, 0, len(gi.dirty[phase]))
-	for k := range gi.dirty[phase] { //det:ok maporder keys are sorted ascending below before anyone sees them
-		out = append(out, k)
+	default:
+		out = make([]int32, 0, len(gi.dirty[phase]))
+		for k := range gi.dirty[phase] { //det:ok maporder keys are sorted ascending below before anyone sees them
+			out = append(out, k)
+		}
 	}
 	gi.dirty[phase] = make(map[int32]bool)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// scheduler is the engine's worklist state: the reverse dependency map and,
-// per rule, either a persistent group index (variable CFDs) or per-phase
-// dirty tuple sets (constant CFDs and MDs).
+// scheduler is the delta worklist: the reverse dependency map and, per
+// rule, either a persistent group index (variable CFDs) or per-phase dirty
+// tuple sets (constant CFDs and MDs).
 type scheduler struct {
 	rules     []rule.Rule
 	attrRules [][]int       // attribute -> indexes of rules reading it
@@ -265,6 +330,11 @@ type scheduler struct {
 	// deduplicated. Writes to premise attributes, writes to other tuples,
 	// and the other phase's marks are never skipped.
 	activePhase, activeRule, activeTuple int
+
+	// eredo lists the groups eRepair extracted from its tree during the
+	// last call. A call drains its tree, so the next call's tree holds
+	// exactly these (re-snapshotted) plus the groups written since.
+	eredo []keyedGroup
 }
 
 // newScheduler computes the reverse dependency map once from the ordered rule
@@ -281,6 +351,7 @@ func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
 		dirtyH:     make([]*dirtySet, len(rules)),
 		activeRule: -1,
 	}
+	all := identity(d.Len())
 	for ri, r := range rules {
 		s.lhsSet[ri] = make(map[int]bool)
 		for _, a := range r.LHSAttrs() {
@@ -294,8 +365,8 @@ func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
 		if r.Kind == rule.VariableCFD {
 			s.gidx[ri] = newGroupIndex(r.CFD, d)
 		} else {
-			s.dirtyC[ri] = newDirtySet(d.Len())
-			s.dirtyH[ri] = newDirtySet(d.Len())
+			s.dirtyC[ri] = newDirtySet(all)
+			s.dirtyH[ri] = newDirtySet(all)
 		}
 	}
 	s.attrHExtra = make([][]int, d.Schema.Arity())
@@ -328,17 +399,16 @@ func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
 	return s
 }
 
-// setActive marks the per-tuple applier about to run; clearActive ends it.
 func (s *scheduler) setActive(phase, ri, i int) {
 	s.activePhase, s.activeRule, s.activeTuple = phase, ri, i
 }
 
 func (s *scheduler) clearActive() { s.activeRule = -1 }
 
-// noteWrite propagates one cell write (i, a) — value, confidence or mark —
-// to every rule reading a: per-tuple rules get the tuple enqueued for both
-// the cRepair and hRepair consumers; variable CFDs get their group index
-// updated and the affected groups marked dirty for all phases.
+// noteWrite propagates one cell write (i, a) to every rule reading a:
+// per-tuple rules get the tuple enqueued for both the cRepair and hRepair
+// consumers; variable CFDs get their group index updated and the affected
+// groups marked dirty for all phases.
 func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
 	for _, ri := range s.attrRules[a] {
 		if gi := s.gidx[ri]; gi != nil {
@@ -373,36 +443,24 @@ func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
 	}
 }
 
-func (s *scheduler) tupleSet(phase, ri int) *dirtySet {
+// tuples drains the dirty tuples of a per-tuple rule for one consumer
+// phase.
+func (s *scheduler) tuples(phase, ri int) []int {
 	if phase == phaseH {
-		return s.dirtyH[ri]
+		return s.dirtyH[ri].take()
 	}
-	return s.dirtyC[ri]
+	return s.dirtyC[ri].take()
 }
 
-// takeTuples drains the dirty tuples of a per-tuple rule for one consumer
-// phase, in ascending tuple order — the order a full scan visits them.
-func (s *scheduler) takeTuples(phase, ri int) []int {
-	return s.tupleSet(phase, ri).take()
-}
-
-// clearTuples drops the phase's dirty marks for a per-tuple rule; a full
-// scan about to visit every tuple calls it so the marks it covers are not
-// re-processed next round.
-func (s *scheduler) clearTuples(phase, ri int) {
-	s.tupleSet(phase, ri).clear()
-}
-
-// takeGroups drains the dirty groups of a variable CFD for one consumer
-// phase and returns snapshots of their member lists, ordered by first member
-// — the order cfd.Groups yields them. Keys whose group dissolved since being
-// marked are skipped.
-func (s *scheduler) takeGroups(phase, ri int) [][]int {
+// groups drains the dirty groups of a variable CFD for one consumer phase
+// and returns snapshots of their member lists, ordered by first member —
+// the order cfd.Groups yields them. Keys whose group dissolved since being
+// marked are skipped. The first take lists every group, identical to
+// cfd.Groups at that instant (TestGroupIndexStaysExact pins the index).
+func (s *scheduler) groups(phase, ri int) ([][]int, bool) {
 	gi := s.gidx[ri]
+	full := gi.all[phase]
 	keys := gi.takeKeys(phase)
-	if len(keys) == 0 {
-		return nil
-	}
 	out := make([][]int, 0, len(keys))
 	for _, k := range keys {
 		if g := gi.groups[k]; g != nil && len(g.members) > 0 {
@@ -410,38 +468,139 @@ func (s *scheduler) takeGroups(phase, ri int) [][]int {
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
-	return out
+	return out, full
 }
 
-// clearGroups drops the phase's dirty group marks of a variable CFD before a
-// full scan covers them.
-func (s *scheduler) clearGroups(phase, ri int) {
-	s.gidx[ri].dirty[phase] = make(map[int32]bool)
-}
-
-// allGroups snapshots every group of a variable CFD, ordered by first
-// member — the listing the seeding rounds iterate instead of re-grouping
-// the whole relation with cfd.Groups. It is identical to that grouping at
-// every instant (TestGroupIndexStaysExact pins this).
-func (s *scheduler) allGroups(ri int) [][]int {
-	gi := s.gidx[ri]
-	out := make([][]int, 0, len(gi.groups))
-	for _, g := range gi.groups { //det:ok maporder snapshots are re-sorted by first member below; first members are distinct since groups partition the relation
-		out = append(out, append([]int(nil), g.members...))
+// regroup hands eRepair the groups whose phaseE marks are pending — on a
+// call's first regroup every group, since the phase starts all dirty —
+// preceded at the start of a later call by the groups the previous call
+// extracted.
+func (s *scheduler) regroup(start bool) []keyedGroup {
+	var out []keyedGroup
+	if start {
+		for _, g := range s.eredo {
+			out = append(out, s.keyed(g.ri, g.sym))
+		}
+		s.eredo = nil
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
-	return out
-}
-
-// resetE clears the eRepair consumer's group marks for every variable CFD.
-// ERepair calls it before seeding its entropy tree from scratch, so that the
-// marks it consumes afterwards reflect only its own resolutions.
-func (s *scheduler) resetE() {
-	for _, gi := range s.gidx {
-		if gi != nil {
-			gi.dirty[phaseE] = make(map[int32]bool)
+	for ri, gi := range s.gidx {
+		if gi == nil {
+			continue
+		}
+		for _, sym := range gi.takeKeys(phaseE) {
+			out = append(out, s.keyed(ri, sym))
 		}
 	}
+	return out
+}
+
+// keyed snapshots one group of variable CFD ri out of its index.
+func (s *scheduler) keyed(ri int, sym int32) keyedGroup {
+	gi := s.gidx[ri]
+	g := keyedGroup{ri: ri, key: gi.syms.str(sym), sym: sym}
+	if cg := gi.groups[sym]; cg != nil {
+		g.members = append([]int(nil), cg.members...)
+	}
+	return g
+}
+
+func (s *scheduler) extracted(g keyedGroup) { s.eredo = append(s.eredo, g) }
+
+// rescan is the full-rescan reference worklist (Options.Rescan): every
+// call hands out every tuple, or every group as cfd.Groups derives it from
+// the relation. It builds no index and shares no state with the scheduler
+// it is the oracle for.
+type rescan struct {
+	data  *relation.Relation
+	rules []rule.Rule
+	all   []int // identity listing 0..Len-1
+
+	// eRepair re-groups a whole rule at the start of each call and after
+	// every resolution that wrote an attribute the rule reads.
+	readers [][]int    // attribute -> variable CFDs reading it
+	stale   []bool     // per rule: read attribute written since last regroup
+	handed  [][]string // per rule: group keys regroup handed out last time
+}
+
+func newRescan(rules []rule.Rule, d *relation.Relation) *rescan {
+	r := &rescan{
+		data:    d,
+		rules:   rules,
+		all:     identity(d.Len()),
+		readers: make([][]int, d.Schema.Arity()),
+		stale:   make([]bool, len(rules)),
+		handed:  make([][]string, len(rules)),
+	}
+	for ri, rl := range rules {
+		if rl.Kind != rule.VariableCFD {
+			continue
+		}
+		for a, in := range ruleReadSet(rl, d.Schema.Arity()) {
+			if in {
+				r.readers[a] = append(r.readers[a], ri)
+			}
+		}
+	}
+	return r
+}
+
+func (r *rescan) tuples(_, _ int) []int { return r.all }
+
+func (r *rescan) groups(_, ri int) ([][]int, bool) {
+	gs := cfd.Groups(r.data, r.rules[ri].CFD)
+	out := make([][]int, len(gs))
+	for k, g := range gs {
+		out[k] = g.Members
+	}
+	return out, true
+}
+
+// regroup hands out every group of every variable CFD due a refresh, plus
+// the keys it handed out for that rule last time whose groups have since
+// dissolved, so their tree entries are dropped.
+func (r *rescan) regroup(start bool) []keyedGroup {
+	var out []keyedGroup
+	for ri, rl := range r.rules {
+		if rl.Kind != rule.VariableCFD || !(start || r.stale[ri]) {
+			continue
+		}
+		r.stale[ri] = false
+		live := make(map[string]bool)
+		var keys []string
+		for _, g := range cfd.Groups(r.data, rl.CFD) {
+			out = append(out, keyedGroup{ri: ri, key: g.Key, sym: -1, members: g.Members})
+			live[g.Key] = true
+			keys = append(keys, g.Key)
+		}
+		for _, k := range r.handed[ri] {
+			if !live[k] {
+				out = append(out, keyedGroup{ri: ri, key: k, sym: -1})
+			}
+		}
+		r.handed[ri] = keys
+	}
+	return out
+}
+
+func (r *rescan) extracted(keyedGroup) {}
+
+func (r *rescan) noteWrite(_, a int, _ *relation.Tuple) {
+	for _, ri := range r.readers[a] {
+		r.stale[ri] = true
+	}
+}
+
+func (r *rescan) setActive(_, _, _ int) {}
+
+func (r *rescan) clearActive() {}
+
+// identity returns the listing 0..n-1.
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 // ruleReadSet returns, indexed by data attribute, whether rule r reads that

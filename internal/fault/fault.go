@@ -34,7 +34,9 @@ const (
 	// SiteSched fires once per task a fan-out worker goroutine claims:
 	// (0, task index).
 	SiteSched Site = "sched"
-	// SiteSeed fires per eRepair seeding task: (task index, 0).
+	// SiteSeed fires per item of an eRepair re-key batch — the batch that
+	// seeds a call's entropy tree and the one after every resolution:
+	// (item index in the batch, 0).
 	SiteSeed Site = "seed"
 	// SiteCertify fires per Checker certification task: (rule index, shard lo).
 	SiteCertify Site = "certify"
