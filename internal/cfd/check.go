@@ -146,28 +146,3 @@ func Groups(d *relation.Relation, c *CFD) []Group {
 	}
 	return out
 }
-
-// Conflicted reports whether the group's members hold more than one
-// distinct RHS value (null counts as a value, consistent with Satisfies).
-func (g *Group) Conflicted(d *relation.Relation) bool {
-	first := d.Tuples[g.Members[0]].Values[g.CFD.RHS]
-	for _, i := range g.Members[1:] {
-		if d.Tuples[i].Values[g.CFD.RHS] != first {
-			return true
-		}
-	}
-	return false
-}
-
-// ViolatingGroups returns the LHS-equal groups of a variable CFD with more
-// than one distinct RHS value, ordered by first member. Constant CFDs have
-// no groups; use Violations for them.
-func ViolatingGroups(d *relation.Relation, c *CFD) []Group {
-	var out []Group
-	for _, g := range Groups(d, c) {
-		if g.Conflicted(d) {
-			out = append(out, g)
-		}
-	}
-	return out
-}

@@ -62,7 +62,7 @@ func BenchmarkCRepair(b *testing.B) {
 
 // BenchmarkERepair measures the entropy-based phase alone on a workload
 // whose confidences sit below eta, so cRepair is inert and every
-// variable-CFD conflict reaches the AVL-keyed group resolution.
+// variable-CFD conflict reaches the entropy-ordered group resolution.
 func BenchmarkERepair(b *testing.B) {
 	data, master, rules := benchInput(b, 2000, 500)
 	data.SetAllConf(0.5)

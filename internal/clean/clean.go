@@ -423,9 +423,9 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 }
 
 // noteWrite tells the worklist that cell (i, a) changed — value, confidence
-// or mark — so the rules reading a get re-enqueued. Every engine write path
-// (fix, assert, eRepair's resolveGroup, hRepair's hfix) funnels through it;
-// that is what keeps the group indexes and worklists exact.
+// or mark — so the rules reading a get re-enqueued. Both engine write paths,
+// write and assert, funnel through it; that is what keeps the group indexes
+// and worklists exact.
 func (e *Engine) noteWrite(i, a int) {
 	e.work.noteWrite(i, a, e.data.Tuples[i])
 }
@@ -651,17 +651,19 @@ func (e *Engine) assert(i, a int, conf float64) int {
 	return 1
 }
 
-// fix writes value v to cell (i, a) as a deterministic fix with confidence
-// conf, recording it in the result. The caller must have checked that the
-// cell is mutable and that v differs from the current value.
-func (e *Engine) fix(i, a int, v string, conf float64, ruleName string) int {
+// write sets cell (i, a) to value v with confidence conf and the given
+// mark, recording the Fix in the result: the one cell-write path of cRepair
+// (FixDeterministic), eRepair (FixReliable) and hRepair (FixPossible). The
+// caller must have checked that the cell may be written and that v differs
+// from the current value.
+func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, ruleName string) int {
 	t := e.data.Tuples[i]
 	e.res.Fixes = append(e.res.Fixes, Fix{
 		Tuple: i, Attr: a, Attribute: e.data.Schema.Attrs[a],
 		Old: t.Values[a], New: v, Conf: conf,
-		Mark: relation.FixDeterministic, Rule: ruleName,
+		Mark: mark, Rule: ruleName,
 	})
-	t.Set(a, v, conf, relation.FixDeterministic)
+	t.Set(a, v, conf, mark)
 	e.noteWrite(i, a)
 	return 1
 }

@@ -314,6 +314,66 @@ func TestERepairEntropyOrderAndRekeying(t *testing.T) {
 	}
 }
 
+// TestERepairQueueContract pins the resolution order of eRepair's queue,
+// under both worklists. Groups of equal entropy come out in ascending id
+// order; a group whose entropy rises when an earlier resolution moves a
+// tuple into it is resolved once, at its new position, and never through
+// the heap entry its old key left behind.
+func TestERepairQueueContract(t *testing.T) {
+	type write struct {
+		tuple int
+		attr  string
+	}
+	check := func(t *testing.T, data *relation.Relation, rules []rule.Rule, resolved int, want []write) {
+		t.Helper()
+		for _, rescan := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Rescan = rescan
+			res := Run(data, nil, rules, opts)
+			var got []write
+			for _, f := range res.Fixes {
+				got = append(got, write{f.Tuple, f.Attribute})
+			}
+			if !reflect.DeepEqual(got, want) || res.GroupsResolved != resolved {
+				t.Errorf("rescan=%v: fixes %v, %d groups resolved; want %v, %d", rescan, got, res.GroupsResolved, want, resolved)
+			}
+		}
+	}
+
+	t.Run("equal entropy resolves by ascending id", func(t *testing.T) {
+		schema := relation.NewSchema("R", "a", "b")
+		data := relation.New(schema)
+		data.Append("y", "r") // group "0|y" comes first in the relation ...
+		data.Append("y", "r")
+		data.Append("y", "s")
+		data.Append("x", "p") // ... but "0|x" has the smaller id
+		data.Append("x", "p")
+		data.Append("x", "q")
+		rules := rule.Derive([]*cfd.CFD{cfd.FD("fd", schema, []string{"a"}, "b")}, nil)
+		check(t, data, rules, 2, []write{{5, "b"}, {2, "b"}})
+	})
+
+	t.Run("re-keyed group resolves once at its new entropy", func(t *testing.T) {
+		schema := relation.NewSchema("R", "a", "b", "c")
+		data := relation.New(schema)
+		data.Append("x", "p", "m") // fd1 a=x: b {p,p,p,p,q}, entropy 0.72
+		data.Append("x", "p", "m") // fd2 b=p: c {m,m,m,n}, entropy 0.81
+		data.Append("x", "p", "m")
+		data.Append("x", "p", "n")
+		data.Append("x", "q", "n") // b q->p raises fd2 b=p to 0.97
+		data.Append("z", "u", "k") // fd1 a=z: b {u,u,v}, entropy 0.92
+		data.Append("z", "u", "k")
+		data.Append("z", "v", "k")
+		rules := rule.Derive([]*cfd.CFD{
+			cfd.FD("fd1", schema, []string{"a"}, "b"),
+			cfd.FD("fd2", schema, []string{"b"}, "c"),
+		}, nil)
+		// a=x first; then a=z, which now sits below b=p; b=p last, with
+		// tuple 4 among its members.
+		check(t, data, rules, 3, []write{{4, "b"}, {7, "b"}, {3, "c"}, {4, "c"}})
+	})
+}
+
 // TestFrozenCellsAreImmutable: once cRepair freezes a cell, a later
 // conflicting rule must record a conflict instead of overwriting it.
 func TestFrozenCellsAreImmutable(t *testing.T) {

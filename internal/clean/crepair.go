@@ -89,7 +89,7 @@ func (e *Engine) constantCFDTuple(ri int, c *cfd.CFD, i int) int {
 			c.Name, i, e.data.Schema.Attrs[c.RHS], t.Values[c.RHS], c.RHSPattern)
 		return 0
 	default:
-		return e.fix(i, c.RHS, c.RHSPattern, conf, c.Name)
+		return e.write(i, c.RHS, c.RHSPattern, conf, relation.FixDeterministic, c.Name)
 	}
 }
 
@@ -136,7 +136,7 @@ func (e *Engine) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 		if t.Values[c.RHS] == bestVal {
 			progress += e.assert(i, c.RHS, conf)
 		} else if t.Marks[c.RHS] != relation.FixDeterministic {
-			progress += e.fix(i, c.RHS, bestVal, conf, c.Name)
+			progress += e.write(i, c.RHS, bestVal, conf, relation.FixDeterministic, c.Name)
 		}
 	}
 	return progress
@@ -174,7 +174,7 @@ func (e *Engine) matchMDTuple(ri int, m *md.MD, i int) int {
 				e.conflictf("%s: t%d[%s] is frozen at %q, master tuple %d says %q",
 					m.Name, i, e.data.Schema.Attrs[p.DataAttr], t.Values[p.DataAttr], j, v)
 			default:
-				progress += e.fix(i, p.DataAttr, v, conf, m.Name)
+				progress += e.write(i, p.DataAttr, v, conf, relation.FixDeterministic, m.Name)
 			}
 		}
 	}

@@ -1,46 +1,66 @@
 package clean
 
 import (
+	"cmp"
+	"container/heap"
 	"math"
 	"strconv"
 
-	"repro/internal/avl"
 	"repro/internal/cfd"
 	"repro/internal/fault"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
 
-// egroup is one LHS-equal group of a variable CFD keyed in eRepair's tree:
+// egroup is one LHS-equal group of a variable CFD keyed in eRepair's queue:
 // the equivalence class of Section 6.1 whose RHS distribution entropy
 // measures how certain the correct value is.
 type egroup struct {
 	keyedGroup
-	id      string // "<variable-CFD ordinal>|<LHS key>", the AVL tie-break key
+	id      string // "<variable-CFD ordinal>|<LHS key>", the queue's tie-break key
 	entropy float64
 }
 
+// equeue is eRepair's min-heap of groups ordered by (entropy, id).
+type equeue []*egroup
+
+func (q equeue) Len() int { return len(q) }
+func (q equeue) Less(i, j int) bool {
+	if c := cmp.Compare(q[i].entropy, q[j].entropy); c != 0 {
+		return c < 0
+	}
+	return q[i].id < q[j].id
+}
+func (q equeue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *equeue) Push(x any)   { *q = append(*q, x.(*egroup)) }
+func (q *equeue) Pop() any {
+	old := *q
+	g := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return g
+}
+
 // ERepair is the entropy-based phase of Section 6: variable-CFD groups with
-// more than one RHS value are keyed by (entropy, id) in an AVL tree (the
-// "2-in-1" structure of Section 6.3), and the minimum-entropy group — the
-// one whose plurality value is most certain — is resolved first. Resolving a
-// group rewrites mutable cells, so the groups whose read attributes changed
-// are re-keyed before the next extraction. Fixes are marked FixReliable and
-// carry the plurality fraction as confidence; frozen cells are never
-// overwritten.
+// more than one RHS value are keyed by (entropy, id) in a min-heap plus an
+// id map (the "2-in-1" structure of Section 6.3), and the minimum-entropy
+// group — the one whose plurality value is most certain — is resolved
+// first. Resolving a group rewrites mutable cells, so the groups whose read
+// attributes changed are re-keyed before the next extraction. Fixes are
+// marked FixReliable and carry the plurality fraction as confidence; frozen
+// cells are never overwritten.
 //
-// Scheduling: the tree belongs to one call, which drains it. The worklist
+// Scheduling: the queue belongs to one call, which drains it. The worklist
 // decides what it is re-keyed with. The delta scheduler seeds a call's
-// tree with the groups the previous call extracted plus every group
+// queue with the groups the previous call extracted plus every group
 // written since — on the first call, every group — and after each
 // resolution re-keys exactly the groups its writes marked dirty. The
 // rescan reference re-groups every variable CFD with cfd.Groups at the
 // start of a call, and after each resolution every CFD reading the written
-// attribute. The tree ends up identical either way, since unchanged groups
-// keep their (entropy, id) key.
+// attribute. The live entries end up identical either way, since unchanged
+// groups keep their (entropy, id) key.
 //
-// Streaming updates (stream.go) never mutate a live tree: an Upsert/Delete
-// reruns the pipeline on a fresh sub-engine whose tree is seeded from the
+// Streaming updates (stream.go) never mutate a live queue: an Upsert/Delete
+// reruns the pipeline on a fresh sub-engine whose queue is seeded from the
 // updated base — a deleted tuple's entropy contribution is evicted and its
 // group re-keyed simply by never being seeded (tombstoned cells are Null,
 // which matches no LHS pattern). TestDeleteEvictsFrozenEntropyGroup pins
@@ -51,7 +71,7 @@ func (e *Engine) ERepair() {
 	if e.interrupted() || e.exhausted() {
 		return
 	}
-	// ordinal numbers the variable CFDs in rule order: the tree id's
+	// ordinal numbers the variable CFDs in rule order: the queue id's
 	// prefix, identical under either worklist.
 	ordinal := make([]string, len(e.rules))
 	n := 0
@@ -65,20 +85,21 @@ func (e *Engine) ERepair() {
 		return
 	}
 
-	var tree avl.Tree
-	keyed := make(map[string]*egroup) // id -> group currently keyed in tree
+	var queue equeue
+	keyed := make(map[string]*egroup) // id -> the group's live queue entry
 	done := make(map[string]bool)     // ids already resolved this call, never re-keyed
 
 	// rekey re-evaluates a batch of groups from the current relation state:
-	// each group's stale tree entry is removed and, unless the group is
-	// done, dissolved, or conflict-free, a fresh entry is inserted. The AVL
-	// tie-break id is the raw "<ordinal>|<LHS key>" string under both
-	// worklists, so they resolve ties in the same order. The entropies only
-	// read the batch's member snapshots and the live relation, which
-	// nothing writes meanwhile, so above the sequential cutoff they are
-	// computed across fanOut into per-item slots; the tree is then updated
-	// in batch order. That merge is order-independent anyway: the AVL keys
-	// by (entropy, id) and ETuples is a sum.
+	// each group's keyed entry is dropped, which leaves its heap entry
+	// stale, and, unless the group is done, dissolved, or conflict-free, a
+	// fresh entry is pushed. The tie-break id is the raw
+	// "<ordinal>|<LHS key>" string under both worklists, so they resolve
+	// ties in the same order. The entropies only read the batch's member
+	// snapshots and the live relation, which nothing writes meanwhile, so
+	// above the sequential cutoff they are computed across fanOut into
+	// per-item slots; the queue is then updated in batch order. That merge
+	// is order-independent anyway: the heap orders by (entropy, id) and
+	// ETuples is a sum.
 	rekey := func(batch []keyedGroup) bool {
 		type slot struct {
 			id       string
@@ -113,10 +134,7 @@ func (e *Engine) ERepair() {
 		}
 		for k, g := range batch {
 			s := slots[k]
-			if old := keyed[s.id]; old != nil {
-				tree.Delete(avl.Key{Entropy: old.entropy, ID: s.id})
-				delete(keyed, s.id)
-			}
+			delete(keyed, s.id)
 			if done[s.id] || len(g.members) == 0 {
 				continue
 			}
@@ -124,8 +142,9 @@ func (e *Engine) ERepair() {
 			if s.distinct < 2 {
 				continue // already conflict-free
 			}
-			keyed[s.id] = &egroup{keyedGroup: g, id: s.id, entropy: s.entropy}
-			tree.Insert(avl.Key{Entropy: s.entropy, ID: s.id})
+			eg := &egroup{keyedGroup: g, id: s.id, entropy: s.entropy}
+			keyed[s.id] = eg
+			heap.Push(&queue, eg)
 		}
 		return true
 	}
@@ -133,17 +152,18 @@ func (e *Engine) ERepair() {
 	if !rekey(e.work.regroup(true)) {
 		return
 	}
-	for tree.Len() > 0 {
+	for queue.Len() > 0 {
+		g := heap.Pop(&queue).(*egroup)
+		if keyed[g.id] != g {
+			continue // stale: re-keyed or dropped since it was pushed
+		}
 		// Each resolution is one committed transaction (sequential writes
-		// plus re-keying); checking between them keeps the tree and the
+		// plus re-keying); checking between them keeps the queue and the
 		// relation mutually consistent at every possible stop.
 		if e.interrupted() || e.exhausted() {
 			return
 		}
-		k, _ := tree.Min()
-		tree.Delete(k)
-		g := keyed[k.ID]
-		delete(keyed, k.ID)
+		delete(keyed, g.id)
 		done[g.id] = true
 		e.work.extracted(g.keyedGroup)
 		if !e.resolveGroup(e.rules[g.ri].CFD, g) {
@@ -208,13 +228,7 @@ func (e *Engine) resolveGroup(c *cfd.CFD, g *egroup) bool {
 		if t.Values[a] == target || t.Marks[a] == relation.FixDeterministic {
 			continue
 		}
-		e.res.Fixes = append(e.res.Fixes, Fix{
-			Tuple: i, Attr: a, Attribute: e.data.Schema.Attrs[a],
-			Old: t.Values[a], New: target, Conf: conf,
-			Mark: relation.FixReliable, Rule: c.Name,
-		})
-		t.Set(a, target, conf, relation.FixReliable)
-		e.noteWrite(i, a)
+		e.write(i, a, target, conf, relation.FixReliable, c.Name)
 		changed = true
 	}
 	return changed
@@ -226,7 +240,7 @@ func (e *Engine) resolveGroup(c *cfd.CFD, g *egroup) bool {
 //
 // The terms are summed in first-appearance order of the values, not map
 // order: floating-point addition is order-sensitive in the last ulp, and the
-// AVL resolution order breaks entropy ties bit-exactly, so a map-order sum
+// queue's resolution order breaks entropy ties bit-exactly, so a map-order sum
 // would make the resolution sequence vary run to run whenever two groups
 // share a distribution shape.
 func groupEntropy(d *relation.Relation, a int, members []int) (float64, int) {

@@ -65,10 +65,9 @@ func (e *Engine) HRepair() {
 				writes += e.applyGroups(phaseH, ri, gs, func(members []int) int {
 					if !conflictedMembers(e.data, r.CFD.RHS, members) {
 						// Examined but conflict-free. A full listing bills
-						// only the conflicted groups, as cfd.ViolatingGroups
-						// would list them; a delta listing bills every group
-						// it hands out, since only hVariableGroup counts the
-						// groups it runs on.
+						// only the conflicted groups; a delta listing bills
+						// every group it hands out, since only
+						// hVariableGroup counts the groups it runs on.
 						if !full {
 							e.apply[ri].HTuples += len(members)
 						}
@@ -106,7 +105,7 @@ func (e *Engine) hConstantTuple(ri int, c *cfd.CFD, i int) int {
 		return 0
 	}
 	if t.Marks[c.RHS] != relation.FixDeterministic && e.spend(i, c.RHS) {
-		return e.hfix(i, c.RHS, c.RHSPattern, minConfAt(t, c.LHS), c.Name)
+		return e.write(i, c.RHS, c.RHSPattern, minConfAt(t, c.LHS), relation.FixPossible, c.Name)
 	}
 	return e.retract(i, c)
 }
@@ -173,7 +172,7 @@ func (e *Engine) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 			continue
 		}
 		if t.Marks[a] != relation.FixDeterministic && e.spend(i, a) {
-			writes += e.hfix(i, a, target, conf, c.Name)
+			writes += e.write(i, a, target, conf, relation.FixPossible, c.Name)
 		} else {
 			writes += e.retract(i, c)
 		}
@@ -285,20 +284,5 @@ func (e *Engine) retract(i int, c *cfd.CFD) int {
 	if pick < 0 {
 		return 0
 	}
-	return e.hfix(i, pick, relation.Null, 0, c.Name+" (retract)")
-}
-
-// hfix writes value v to cell (i, a) as a possible fix with confidence
-// conf, recording it in the result. The caller must have checked that the
-// cell is not frozen and that v differs from the current value.
-func (e *Engine) hfix(i, a int, v string, conf float64, ruleName string) int {
-	t := e.data.Tuples[i]
-	e.res.Fixes = append(e.res.Fixes, Fix{
-		Tuple: i, Attr: a, Attribute: e.data.Schema.Attrs[a],
-		Old: t.Values[a], New: v, Conf: conf,
-		Mark: relation.FixPossible, Rule: ruleName,
-	})
-	t.Set(a, v, conf, relation.FixPossible)
-	e.noteWrite(i, a)
-	return 1
+	return e.write(i, pick, relation.Null, 0, relation.FixPossible, c.Name+" (retract)")
 }

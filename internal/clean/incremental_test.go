@@ -181,7 +181,7 @@ func TestDeltaOnlyRefiresReadingRules(t *testing.T) {
 
 	// A delta write to A moves tuple 0 into a new group of fdAB. Only fdAB
 	// reads A, so only fdAB may be handed work by the next CRepair.
-	e.fix(0, schema.MustIndex("A"), "a2", 0.9, "delta")
+	e.write(0, schema.MustIndex("A"), "a2", 0.9, relation.FixDeterministic, "delta")
 	e.CRepair()
 
 	if got := e.res.Apply["fdAB"].CTuples; got <= ab.CTuples {
@@ -293,7 +293,7 @@ func TestMasterTieBreakReadsReenqueue(t *testing.T) {
 
 	// A is read only by the MD premise — and, transitively, by the fd's
 	// hRepair tie-break. Writing it must H-dirty tuple 0's group of fd.
-	e.fix(0, dschema.MustIndex("A"), "a1", 0.9, "test")
+	e.write(0, dschema.MustIndex("A"), "a1", 0.9, relation.FixDeterministic, "test")
 	key := e.data.Tuples[0].Key([]int{dschema.MustIndex("B")})
 	kid, ok := gi.syms.ids[key]
 	if !ok {

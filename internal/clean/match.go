@@ -2,6 +2,7 @@ package clean
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/md"
@@ -62,16 +63,14 @@ type matcher struct {
 	// allocates nothing), seen/seenGen dedupe candidates produced by several
 	// blocking keys (first occurrence wins, preserving the verification
 	// order) so no master tuple is verified twice for one probe, topBuf
-	// and sidBuf receive the suffix-array hits of block and certCandidates,
-	// and certLists backs the per-string id lists certCandidates merges.
+	// and sidBuf receive the suffix-array hits of block and certCandidates.
 	// Scratch is private per matcher; fanOut workers probe through forks.
-	idsBuf    []int
-	keyBuf    []byte
-	seen      []uint64
-	seenGen   uint64
-	topBuf    []suffixtree.Match
-	sidBuf    []int32
-	certLists [][]int
+	idsBuf  []int
+	keyBuf  []byte
+	seen    []uint64
+	seenGen uint64
+	topBuf  []suffixtree.Match
+	sidBuf  []int32
 
 	stats MatchStats
 }
@@ -141,7 +140,7 @@ func (x *matcher) fork() *matcher {
 // memo outlives every update.
 func (x *matcher) reuse() *matcher {
 	f := *x
-	f.idsBuf, f.keyBuf, f.seen, f.seenGen, f.certLists = nil, nil, nil, 0, nil
+	f.idsBuf, f.keyBuf, f.seen, f.seenGen = nil, nil, nil, 0
 	f.topBuf, f.sidBuf, f.isFork = nil, nil, false
 	f.stats = MatchStats{MasterSize: x.stats.MasterSize}
 	return &f
@@ -446,21 +445,26 @@ func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 		// minLen — so the array enumeration is an exact superset. Each
 		// matched string id maps to the ascending list of master tuples
 		// holding that value; the lists are pairwise disjoint (one value
-		// per tuple), and the order-preserving merge below restores the
-		// single ascending order a nested scan would visit.
-		lists, n := x.certLists[:0], 0
+		// per tuple), so sorting their union restores the single ascending
+		// order a nested scan would visit.
 		x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
+		var one []int
+		matched, n := 0, 0
 		for _, sid := range x.sidBuf {
 			if l := x.treeIDs[sid]; len(l) > 0 {
-				lists = append(lists, l)
+				one = l
+				matched++
 				n += len(l)
 			}
 		}
-		x.certLists = lists
-		if len(lists) == 1 {
-			ids = lists[0] // an immutable index list: share it, no copy
+		if matched == 1 {
+			ids = one // an immutable index list: share it, no copy
 		} else {
-			ids = mergeAscending(lists, make([]int, 0, n))
+			ids = make([]int, 0, n)
+			for _, sid := range x.sidBuf {
+				ids = append(ids, x.treeIDs[sid]...)
+			}
+			slices.Sort(ids)
 		}
 		if !x.isFork {
 			x.memo.putCert(v, ids)
@@ -469,51 +473,6 @@ func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 	default:
 		return nil, false // no usable index (e.g. a lone Jaro clause)
 	}
-}
-
-// mergeAscending merges ascending, pairwise-disjoint int lists into out,
-// preserving ascending order — the order-preserving candidate merge of the
-// blocked certification path. A binary min-heap over the list heads keeps
-// the merge O(n log k) without materializing and sorting the union. The
-// heads of lists are consumed in place; the underlying arrays are not
-// touched.
-func mergeAscending(lists [][]int, out []int) []int {
-	switch len(lists) {
-	case 0:
-		return out
-	case 1:
-		return append(out, lists[0]...)
-	}
-	down := func(k int) {
-		for { //det:ok ctxflow heap sift-down: k strictly descends a log-depth heap, bounded without any cancellation concern
-			l := 2*k + 1
-			if l >= len(lists) {
-				return
-			}
-			if r := l + 1; r < len(lists) && lists[r][0] < lists[l][0] {
-				l = r
-			}
-			if lists[k][0] <= lists[l][0] {
-				return
-			}
-			lists[k], lists[l] = lists[l], lists[k]
-			k = l
-		}
-	}
-	for k := len(lists)/2 - 1; k >= 0; k-- {
-		down(k)
-	}
-	for len(lists) > 0 { //det:ok ctxflow bounded merge of precomputed candidate lists: consumes one head per pass, total work is the sum of list lengths
-		out = append(out, lists[0][0])
-		if rest := lists[0][1:]; len(rest) > 0 {
-			lists[0] = rest
-		} else {
-			lists[0] = lists[len(lists)-1]
-			lists = lists[:len(lists)-1]
-		}
-		down(0)
-	}
-	return out
 }
 
 // verify filters candidate ids down to those on which the full premise

@@ -22,7 +22,8 @@ func uncachedLookup(y *matcher, t *relation.Tuple, topL int) lookup {
 }
 
 // uncachedCert is the reference for certCandidates: the untruncated
-// suffix-array enumeration merged by mergeAscending, or the equality bucket.
+// suffix-array enumeration's id lists appended and sorted, or the equality
+// bucket.
 func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	switch {
 	case y.eqIndex != nil:
@@ -38,13 +39,12 @@ func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	if minLen < 1 {
 		return nil, false
 	}
-	var lists [][]int
+	var ids []int
 	for _, sid := range y.tree.AppendCommon(nil, v, minLen) {
-		if l := y.treeIDs[sid]; len(l) > 0 {
-			lists = append(lists, l)
-		}
+		ids = append(ids, y.treeIDs[sid]...)
 	}
-	return mergeAscending(lists, nil), true
+	slices.Sort(ids)
+	return ids, true
 }
 
 // memoCase is one MD over one instance for the memo equivalence checks.
@@ -123,7 +123,7 @@ func memoSize(m *memo) int {
 
 // TestMemoAgreesWithUncachedLookups pins the memo's contract: every
 // candidates, probe and certCandidates answer, and every MatchStats count,
-// equals a fresh uncached block+verify and mergeAscending — on the base
+// equals a fresh uncached block+verify and sorted enumeration — on the base
 // matcher (cold, then warm), on a fork before prefetch (every lookup a miss,
 // the shared memo untouched) and on a fork after it (every key memoized).
 func TestMemoAgreesWithUncachedLookups(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // inline loops that run a rule pass. Rule passes run on the engine
 // goroutine, one item after another in worklist order (ascending tuple id /
 // first group member), and every write goes straight through the engine's
-// write path (assert/fix/hfix, conflictf, spend), so the scheduler, the fix
+// write path (assert/write, conflictf, spend), so the scheduler, the fix
 // trace and hRepair's budget see one order of events. fanOut runs the
 // engine's pure work concurrently: index builds, an MD pass's lookup
 // prefetch, eRepair's entropy re-keying and certification.

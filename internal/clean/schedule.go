@@ -274,8 +274,8 @@ func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
 
 // takeKeys drains and returns the dirty group keys of one consumer phase,
 // in ascending symbol order; the first take returns the key of every
-// current group. Every consumer happens to derive
-// order-independent state from the keys (AVL entries keyed by (entropy, id),
+// current group. Every consumer happens to derive order-independent
+// state from the keys (queue entries ordered by (entropy, id),
 // sorted group listings, summed counters) — PR 4 audited exactly that by
 // hand — but sorting removes the argument: the keys leave here deterministic
 // and no future consumer can silently start depending on map order.

@@ -10,7 +10,7 @@ import (
 // lists, bench counters — must be reproducible run to run and identical
 // across the rescan, sequential-incremental and parallel engines. Iterating
 // a Go map inside them is exactly the bug class that bit PR 3 (groupEntropy
-// summed in map order, flipping AVL entropy ties) and that PR 4 had to audit
+// summed in map order, flipping eRepair entropy ties) and that PR 4 had to audit
 // by hand (takeKeys).
 var deterministicPkgs = map[string]bool{
 	"repro/internal/clean": true,
