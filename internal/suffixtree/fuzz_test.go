@@ -32,6 +32,11 @@ func FuzzIndex(f *testing.F) {
 	f.Add("\x0f😀😁日本語", "本語😁", 3, 1)
 	f.Add("", "x", 1, 1)
 	f.Add("\x02ab", "", -1, -1)
+	// 8-byte keys tie: a shared 10-byte prefix, strings that differ only
+	// in trailing NULs (the key's padding byte), and NUL-only strings.
+	f.Add("\x0babcdefghijk\x0cabcdefghijxy", "cdefghijx", 4, 2)
+	f.Add("\x01a\x02a\x00\x03a\x00\x00", "a\x00", 1, 3)
+	f.Add("\x01\x00\x03\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00", "\x00\x00\x00", 2, 3)
 	f.Fuzz(func(t *testing.T, packed, v string, minLen, l int) {
 		if len(packed) > 1024 || len(v) > 64 {
 			t.Skip()

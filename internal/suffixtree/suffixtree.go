@@ -4,8 +4,11 @@
 // The paper blocks similarity MDs with a generalized suffix tree over the
 // distinct strings of a master-data attribute's active domain. This package
 // answers the same queries from a flat suffix array: every suffix of every
-// indexed string, sorted, each one a view into its string, so nothing is
-// copied and no separator byte is needed (values may hold any byte). A
+// indexed string, sorted, each one named by its string and offset, so
+// nothing is copied and no separator byte is needed (values may hold any
+// byte). Each entry also carries the suffix's first 8 bytes as an integer
+// key: the array is built by a radix sort on the keys, with a string sort
+// only inside runs of equal keys, and searches compare keys first. A
 // lookup for a query string v binary-searches each of v's minLen-byte
 // pieces, walks the contiguous run of suffixes starting with that piece and
 // extends each hit byte by byte to its exact common length. The top-l
@@ -21,15 +24,24 @@ import (
 	"strings"
 )
 
-// Tree is a generalized suffix array over a set of strings. Queries only
-// read an indexed Tree, so any number may run concurrently. Add only
-// appends; the first query after it sorts the array again, so Add and that
-// query must not race with other queries.
+// Tree is a generalized suffix array over a set of strings. Each entry
+// names one suffix by its string id and offset and carries the suffix's
+// first 8 bytes as an integer key, so sorting and searching compare keys
+// and touch the string bytes only where keys tie. Queries only read an
+// indexed Tree, so any number may run concurrently. Add only appends; the
+// first query after it sorts the array again, so Add and that query must
+// not race with other queries.
 type Tree struct {
 	strs []string
-	sufs []string // every suffix of every indexed string, ascending
-	ids  []int32  // ids[k] owns sufs[k]; equal suffixes ascend by id
-	n    int      // strings covered by sufs; below len(strs) after an Add
+	sa   []suffix // every suffix of every indexed string, ascending; equal suffixes ascend by id
+	n    int      // strings covered by sa; below len(strs) after an Add
+}
+
+// suffix is strs[id][off:]. key holds its first 8 bytes big-endian, padded
+// with zeros, so a suffix below another never has the larger key.
+type suffix struct {
+	key     uint64
+	id, off int32
 }
 
 // New returns a tree indexing strs, with ids in argument order. The array
@@ -54,44 +66,104 @@ func (t *Tree) Add(s string) int {
 	return len(t.strs) - 1
 }
 
-// index sorts every suffix of every string, breaking ties by id.
+// suffix returns the text of entry x.
+func (t *Tree) suffix(x suffix) string { return t.strs[x.id][x.off:] }
+
+// index sorts every suffix of every string, breaking ties by id: a stable
+// radix sort on the keys of entries laid out in (id, off) order, then a
+// stable string sort inside each run of equal keys.
 func (t *Tree) index() {
-	type suffix struct {
-		s  string
-		id int32
-	}
 	total := 0
 	for _, s := range t.strs {
 		total += len(s)
 	}
-	all := make([]suffix, 0, total)
-	for id, s := range t.strs {
-		for j := range len(s) {
-			all = append(all, suffix{s[j:], int32(id)})
+	// Filling each string from its end derives every key from the one
+	// after it with a shift, instead of reading 8 bytes per suffix.
+	sa, buf := make([]suffix, total), make([]suffix, total)
+	k := total
+	for id := len(t.strs) - 1; id >= 0; id-- {
+		s := t.strs[id]
+		var key uint64
+		for off := len(s) - 1; off >= 0; off-- {
+			key = key>>8 | uint64(s[off])<<56
+			k--
+			sa[k] = suffix{key, int32(id), int32(off)}
 		}
 	}
-	slices.SortFunc(all, func(a, b suffix) int {
-		if c := strings.Compare(a.s, b.s); c != 0 {
-			return c
+	sa = radixSort(sa, buf)
+	for lo := 0; lo < len(sa); {
+		hi := lo + 1
+		for hi < len(sa) && sa[hi].key == sa[lo].key {
+			hi++
 		}
-		return cmp.Compare(a.id, b.id)
-	})
-	t.sufs, t.ids = make([]string, total), make([]int32, total)
-	for k, x := range all {
-		t.sufs[k], t.ids[k] = x.s, x.id
+		if hi-lo > 1 {
+			slices.SortStableFunc(sa[lo:hi], func(a, b suffix) int {
+				return strings.Compare(t.suffix(a), t.suffix(b))
+			})
+		}
+		lo = hi
 	}
-	t.n = len(t.strs)
+	t.sa, t.n = sa, len(t.strs)
+}
+
+// radixSort sorts a stably by key, least significant byte first, using buf
+// (as long as a) for scratch, and returns whichever of the two holds the
+// result. A pass whose byte is the same in every key is skipped.
+func radixSort(a, buf []suffix) []suffix {
+	var counts [8][256]int
+	for _, x := range a {
+		for b := range 8 {
+			counts[b][byte(x.key>>(8*b))]++
+		}
+	}
+	for b := range 8 {
+		c := &counts[b]
+		if len(a) == 0 || c[byte(a[0].key>>(8*b))] == len(a) {
+			continue
+		}
+		sum := 0
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, x := range a {
+			d := byte(x.key >> (8 * b))
+			buf[c[d]] = x
+			c[d]++
+		}
+		a, buf = buf, a
+	}
+	return a
+}
+
+// prefixKey returns p's key: its first 8 bytes big-endian, zero-padded.
+func prefixKey(p string) uint64 {
+	var key uint64
+	for i := range 8 {
+		key <<= 8
+		if i < len(p) {
+			key |= uint64(p[i])
+		}
+	}
+	return key
 }
 
 // span returns the run [lo, hi) of suffixes that start with p, indexing
-// first if an Add is pending.
+// first if an Add is pending. The search decides on keys and compares
+// strings only where a key equals p's.
 func (t *Tree) span(p string) (lo, hi int) {
 	if t.n < len(t.strs) {
 		t.index()
 	}
-	lo = sort.SearchStrings(t.sufs, p)
+	pk := prefixKey(p)
+	lo = sort.Search(len(t.sa), func(k int) bool {
+		x := t.sa[k]
+		if x.key != pk {
+			return x.key > pk
+		}
+		return t.suffix(x) >= p
+	})
 	hi = lo
-	for hi < len(t.sufs) && strings.HasPrefix(t.sufs[hi], p) {
+	for hi < len(t.sa) && strings.HasPrefix(t.suffix(t.sa[hi]), p) {
 		hi++
 	}
 	return lo, hi
@@ -121,7 +193,9 @@ func (t *Tree) AppendCommon(dst []int32, v string, minLen int) []int32 {
 	start := len(dst)
 	for i := 0; i+minLen <= len(v); i++ {
 		lo, hi := t.span(v[i : i+minLen])
-		dst = append(dst, t.ids[lo:hi]...)
+		for _, x := range t.sa[lo:hi] {
+			dst = append(dst, x.id)
+		}
 	}
 	hits := dst[start:]
 	slices.Sort(hits)
@@ -155,9 +229,9 @@ func (t *Tree) AppendTopL(dst []Match, v string, l, minLen int) []Match {
 	start := len(dst)
 	for i := 0; i+minLen <= len(v); i++ {
 		lo, hi := t.span(v[i : i+minLen])
-		for k := lo; k < hi; k++ {
-			lcs := minLen + commonPrefix(v[i+minLen:], t.sufs[k][minLen:])
-			dst = append(dst, Match{ID: int(t.ids[k]), LCS: lcs})
+		for _, x := range t.sa[lo:hi] {
+			lcs := minLen + commonPrefix(v[i+minLen:], t.suffix(x)[minLen:])
+			dst = append(dst, Match{ID: int(x.id), LCS: lcs})
 		}
 	}
 	// Keep each id's longest hit, then rank.

@@ -1,8 +1,12 @@
 package suffixtree
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -314,4 +318,86 @@ func TestStringsWithCommonSubstringRejectsVacuousBound(t *testing.T) {
 	tr := New()
 	tr.Add("abc")
 	tr.StringsWithCommonSubstring("ab", 0)
+}
+
+// TestIndexOrder pins the built array itself: every suffix with its
+// zero-padded 8-byte key, ascending by bytes and then by id, whether the
+// strings came through New or through Add and a query. The strings draw on
+// NUL, 0x01 and 0xff around two letters and often repeat each other or
+// share 8 or more leading bytes, so keys tie between different suffixes
+// and between equal ones.
+func TestIndexOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	alpha := "\x00\x01ab\xff"
+	randStr := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alpha[rng.Intn(len(alpha))]
+		}
+		return string(b)
+	}
+	for trial := 0; trial < 300; trial++ {
+		var strs []string
+		for i, n := 0, 1+rng.Intn(30); i < n; i++ {
+			s := randStr(rng.Intn(21))
+			if len(strs) > 0 {
+				old := strs[rng.Intn(len(strs))]
+				switch r := rng.Intn(4); {
+				case r == 0:
+					s = old
+				case r == 1 && len(old) >= 8:
+					p := 8 + rng.Intn(len(old)-7)
+					s = old[:p] + randStr(rng.Intn(21-p))
+				}
+			}
+			strs = append(strs, s)
+		}
+		want := referenceOrder(strs)
+		if d := orderDiff(New(strs...).sa, want); d != "" {
+			t.Fatalf("New(%q): %s", strs, d)
+		}
+		k := rng.Intn(len(strs) + 1)
+		added := New(strs[:k]...)
+		for _, s := range strs[k:] {
+			added.Add(s)
+		}
+		added.StringsWithCommonSubstring("a", 1)
+		if d := orderDiff(added.sa, want); d != "" {
+			t.Fatalf("New(%q) then Add(%q): %s", strs[:k], strs[k:], d)
+		}
+	}
+}
+
+// orderDiff describes the first entry where got departs from want, or
+// returns "" when they are equal.
+func orderDiff(got, want []suffix) string {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return fmt.Sprintf("sa[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d entries, want %d", len(got), len(want))
+	}
+	return ""
+}
+
+// referenceOrder lists every suffix of strs with its key, sorted by
+// comparing whole suffixes and then ids.
+func referenceOrder(strs []string) []suffix {
+	var out []suffix
+	for id, s := range strs {
+		for off := range len(s) {
+			var pad [8]byte
+			copy(pad[:], s[off:])
+			out = append(out, suffix{binary.BigEndian.Uint64(pad[:]), int32(id), int32(off)})
+		}
+	}
+	slices.SortFunc(out, func(a, b suffix) int {
+		if c := strings.Compare(strs[a.id][a.off:], strs[b.id][b.off:]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	return out
 }
