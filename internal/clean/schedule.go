@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/cfd"
@@ -112,31 +113,30 @@ func (s *symtab) intern(t *relation.Tuple, attrs []int) int32 {
 // str returns the key string behind a symbol.
 func (s *symtab) str(id int32) string { return s.strs[id] }
 
-// dirtySet is a generation-stamped dirty-tuple set: one per (per-tuple rule,
-// consumer phase). It replaced map[int]bool after profiles showed
-// mapassign_fast64 dominating the write path (ROADMAP (i)) — noteWrite marks
-// a tuple on every engine write, so marking must be an array stamp, not a
-// hash insert. A tuple is marked when its stamp equals the current
-// generation; draining bumps the generation instead of clearing, so there is
-// no per-round reallocation or sweep.
+// dirtySet is a bitset of dirty tuples: one per (per-tuple rule, consumer
+// phase). noteWrite marks a tuple on every engine write, so marking must be
+// a bit write, not a hash insert (mapassign_fast64 dominated the write path
+// when this was a map, ROADMAP (i)) nor an append to a side list. Draining
+// walks the words in ascending order, so the marked tuples come out sorted
+// with no sort.
 type dirtySet struct {
-	stamp []uint64 // per tuple: generation at which it was last marked
-	gen   uint64   // current generation; stamp[i] == gen means marked
-	items []int    // marked tuples in insertion order, deduped via stamp
-	all   []int    // the identity listing while every tuple is dirty, else nil
+	bits []uint64 // bit i of word i/64 is set while tuple i is marked
+	n    int      // number of marked tuples
+	all  []int    // the identity listing while every tuple is dirty, else nil
 }
 
 // newDirtySet returns a set in the start state: every tuple dirty. all is
 // the shared identity listing 0..Len-1.
 func newDirtySet(all []int) *dirtySet {
-	return &dirtySet{stamp: make([]uint64, len(all)), gen: 1, all: all}
+	return &dirtySet{bits: make([]uint64, (len(all)+63)/64), all: all}
 }
 
 // mark adds tuple i to the set; re-marking is a cheap no-op.
 func (s *dirtySet) mark(i int) {
-	if s.stamp[i] != s.gen {
-		s.stamp[i] = s.gen
-		s.items = append(s.items, i)
+	w, b := i/64, uint64(1)<<(i%64)
+	if s.bits[w]&b == 0 {
+		s.bits[w] |= b
+		s.n++
 	}
 }
 
@@ -148,20 +148,24 @@ func (s *dirtySet) take() []int {
 		s.clear()
 		return all
 	}
-	if len(s.items) == 0 {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]int, len(s.items))
-	copy(out, s.items)
-	sort.Ints(out)
-	s.clear()
+	out := make([]int, 0, s.n)
+	for w := 0; len(out) < s.n; w++ {
+		for x := s.bits[w]; x != 0; x &= x - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(x))
+		}
+		s.bits[w] = 0
+	}
+	s.n = 0
 	return out
 }
 
-// clear empties the set in O(1) by advancing the generation.
+// clear empties the set.
 func (s *dirtySet) clear() {
-	s.gen++
-	s.items = s.items[:0]
+	clear(s.bits)
+	s.n = 0
 }
 
 // igroup is one LHS-equal group of a variable CFD in the persistent index.

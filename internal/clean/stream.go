@@ -44,7 +44,13 @@ import (
 // tombstone is inert for repair and certification alike — and since the
 // oracle Run sees the same tombstoned base, the equivalence is symmetric.
 // Tombstoning (rather than splicing the tuple out) keeps every positional
-// id stable, which the scheduler's stamp arrays and group indexes assume.
+// id stable, which the scheduler's dirty bitsets and group indexes assume.
+//
+// The base starts as one Clone of the input, whose tuples share one slab
+// (relation.Relation.Clone); an update replaces a tuple with a separately
+// allocated one, so the replaced tuple's slot stays pinned with the slab
+// while any original tuple lives. The dead space is bounded by one copy of
+// the base.
 //
 // Failure contract (docs/robustness.md extended to updates): a failed
 // update — invalid input, cancellation, injected fault, worker panic —

@@ -57,6 +57,10 @@ func (r *Relation) WriteConfCSV(w io.Writer) error {
 // The input is untrusted: a duplicated header column, a row of the wrong
 // arity, or a CSV syntax error all come back as errors carrying the
 // offending line, never as a panic (pinned by FuzzReadCSV).
+//
+// Rows are carved out of slabs of readChunk tuples, one slab allocated
+// whenever the previous one fills; a slab stays alive while any of its
+// tuples is reachable.
 func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	cr.FieldsPerRecord = -1
@@ -64,11 +68,15 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
 	}
+	// The schema keeps header, so only the data rows reuse one record:
+	// each row's fields are copied into its tuple before the next Read.
+	cr.ReuseRecord = true
 	schema, err := NewSchemaChecked(name, header...)
 	if err != nil {
 		return nil, fmt.Errorf("relation: CSV header line 1: %w", err)
 	}
 	r := New(schema)
+	var s slab
 	for row := 2; ; row++ { // row counts CSV records, header included
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -80,15 +88,26 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("relation: row %d has %d fields, header has %d", row, len(rec), len(header))
 		}
+		if len(s.tuples) == 0 { // slab used up
+			s = newSlab(readChunk, len(header))
+		}
+		t := s.next(len(r.Tuples), len(header))
 		for i, v := range rec {
 			if v == "null" {
-				rec[i] = Null
+				v = Null
 			}
+			t.Values[i] = v
 		}
-		r.Append(rec...)
+		r.Tuples = append(r.Tuples, t)
 	}
 	return r, nil
 }
+
+// readChunk is the number of rows ReadCSV carves out of one slab. A fixed
+// chunk wastes at most one partly filled slab; growing one flat array by
+// append and carving it at the end would leave every outgrown copy behind
+// as garbage.
+const readChunk = 256
 
 // ReadConfCSV reads per-cell confidences (same shape as the relation, with a
 // header row) into r. A confidence outside [0,1], NaN included, is an error
@@ -96,6 +115,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 // Upsert enforces.
 func ReadConfCSV(r *Relation, rd io.Reader) error {
 	cr := csv.NewReader(rd)
+	cr.ReuseRecord = true
 	if _, err := cr.Read(); err != nil {
 		return fmt.Errorf("relation: reading confidence header: %w", err)
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,15 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("A,B\r\n1,2\r\n")      // CRLF endings
 	f.Add("A;B\n")               // no separator match
 	f.Add("A,B\n1,2\n3,null\n4") // missing trailing newline + arity
+	f.Add("A,B\n\"x\ny\",z\n")   // quoted field holding a newline
+
+	// 300 rows: the input crosses ReadCSV's 256-row slab chunk.
+	var rows strings.Builder
+	rows.WriteString("A,B\n")
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&rows, "v%d,null\n", i)
+	}
+	f.Add(rows.String())
 
 	f.Fuzz(func(t *testing.T, text string) {
 		defer func() {

@@ -32,11 +32,22 @@ func (r *Relation) Append(values ...string) *Tuple {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
-// Clone returns a deep copy of the relation sharing the schema.
+// Clone returns a deep copy of the relation sharing the schema. The copies
+// are carved out of one slab sized to the relation, so the clone costs six
+// allocations however many tuples it holds. The slab stays alive while any
+// of its tuples is reachable: a clone whose tuples are replaced one at a
+// time, as a streaming engine's base is, keeps at most one clone's worth of
+// dead tuples.
 func (r *Relation) Clone() *Relation {
+	k := r.Schema.Arity()
 	out := &Relation{Schema: r.Schema, Tuples: make([]*Tuple, len(r.Tuples))}
+	s := newSlab(len(r.Tuples), k)
 	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
+		c := s.next(t.ID, k)
+		copy(c.Values, t.Values)
+		copy(c.Conf, t.Conf)
+		copy(c.Marks, t.Marks)
+		out.Tuples[i] = c
 	}
 	return out
 }
