@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cfd"
+	"repro/internal/gen"
 	"repro/internal/md"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -222,6 +223,108 @@ func TestCheckerBlockedOrderIdentity(t *testing.T) {
 	}
 }
 
+// genLongNameInstance derives from seed a sim-MD instance shaped like gen's
+// names: 10-24 bytes, all starting with "nm-", over a small alphabet, with
+// K in {1, 2, 3}. Most values are long enough for certification's count
+// filter (len(v) >= 2(K+3)); the prefix every value shares is the piece a
+// one-piece enumeration would block on. Variants sit up to K+1 edits from
+// a stem, so pairs land on both sides of the threshold.
+func genLongNameInstance(seed int64) *simInstance {
+	rng := rand.New(rand.NewSource(seed ^ 0x10a9e))
+	in := &simInstance{seed: seed, editK: 1 + rng.Intn(3)}
+	in.dschema = relation.NewSchema("R", "A", "B", "name", "C")
+	mschema := relation.NewSchema("M", "name", "C")
+
+	const alphabet = "abcd"
+	stems := make([]string, 2+rng.Intn(6))
+	for i := range stems {
+		b := []byte("nm-")
+		for n := 7 + rng.Intn(15); n > 0; n-- {
+			b = append(b, alphabet[rng.Intn(len(alphabet))])
+		}
+		stems[i] = string(b)
+	}
+	name := func() string {
+		if rng.Intn(20) == 0 {
+			return relation.Null
+		}
+		b := []byte(stems[rng.Intn(len(stems))])
+		for ops := rng.Intn(in.editK + 2); ops > 0; ops-- {
+			i := rng.Intn(len(b))
+			switch c := alphabet[rng.Intn(len(alphabet))]; rng.Intn(3) {
+			case 0:
+				b[i] = c
+			case 1:
+				b = append(b[:i], append([]byte{c}, b[i:]...)...)
+			case 2:
+				b = append(b[:i], b[i+1:]...)
+			}
+		}
+		return string(b)
+	}
+	domainC := []string{"c0", "c1", "c2"}
+
+	in.master = relation.New(mschema)
+	for j, n := 0, 5+rng.Intn(36); j < n; j++ {
+		in.master.Append(name(), domainC[rng.Intn(len(domainC))])
+	}
+	in.master.SetAllConf(1)
+	for i, n := 0, 4+rng.Intn(57); i < n; i++ {
+		row := []string{
+			fmt.Sprintf("a%d", rng.Intn(3)),
+			fmt.Sprintf("b%d", rng.Intn(3)),
+			name(),
+			domainC[rng.Intn(len(domainC))],
+		}
+		conf := make([]float64, len(row))
+		for a := range conf {
+			conf[a] = rng.Float64() * 0.75
+		}
+		in.rows = append(in.rows, row)
+		in.confs = append(in.confs, conf)
+	}
+	m := md.New("simMD", in.dschema, mschema,
+		[]md.ClauseSpec{md.Sim("name", "name", similarity.EditWithin(in.editK))},
+		[]md.PairSpec{{Data: "C", Master: "C"}})
+	in.rules = rule.Derive(nil, []*md.MD{m})
+	return in
+}
+
+// TestCheckerLongNameIdentity is the count-filter leg of the blocked-vs-scan
+// pin: over 400 seeds of gen-shaped long names, the blocked Report must be
+// byte-identical to the naive scan's. At least half of the tuples must be
+// served by the filter itself, or the leg would only re-test the short-value
+// fallback.
+func TestCheckerLongNameIdentity(t *testing.T) {
+	const seeds = 400
+	tuples, filtered := 0, 0
+	for seed := int64(0); seed < seeds; seed++ {
+		in := genLongNameInstance(seed)
+		d := in.data()
+		c := NewChecker(in.rules, in.master)
+		blocked := c.Check(d)
+		c.noBlock = true
+		naive := c.Check(d)
+		if diff := diffReports(blocked, naive); diff != "" {
+			t.Fatalf("seed %d: blocked and scan certification disagree: %s", seed, diff)
+		}
+		if blocked.CertVisits > naive.CertVisits {
+			t.Fatalf("seed %d: blocked certification visited %d pairs, scan only %d",
+				seed, blocked.CertVisits, naive.CertVisits)
+		}
+		x := newMatcher(in.rules[0].MD, in.master)
+		for _, tp := range d.Tuples {
+			tuples++
+			if _, ok := x.tree.AppendEditCandidates(nil, tp.Values[x.simData], x.simK); ok {
+				filtered++
+			}
+		}
+	}
+	if 2*filtered < tuples {
+		t.Errorf("the count filter served %d of %d tuples, want at least half", filtered, tuples)
+	}
+}
+
 // TestCheckerParallelWorkerSweep pins the worker-count independence of the
 // certification fan-out: for every worker count the parallel Check must
 // produce a Report deeply identical to the sequential one — violations in
@@ -283,5 +386,27 @@ func TestPropertyIncrementalEquivalenceSimMD(t *testing.T) {
 		if d := diffParallel(par, inc); d != "" {
 			t.Fatalf("seed %d: parallel and sequential engines disagree: %s", seed, d)
 		}
+	}
+}
+
+// TestCertVisitsScaleFlat pins certification's blocking selectivity as
+// master grows: on the dirty gen instance with |Dm| = |D|/10, certification
+// pairs per tuple at 100k tuples stay within 1.25x of their value at 10k.
+// Blocking on any one piece of a name makes the ratio grow with |Dm|,
+// because every gen name shares its "nm-" prefix.
+func TestCertVisitsScaleFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and certifies a 100k-tuple instance")
+	}
+	perTuple := func(tuples int) float64 {
+		cfg := gen.DefaultConfig()
+		cfg.Tuples, cfg.MasterSize = tuples, tuples/10
+		inst := gen.Generate(cfg)
+		rep := NewChecker(inst.Rules, inst.Master).Check(inst.Data)
+		return float64(rep.CertVisits) / float64(tuples)
+	}
+	small, large := perTuple(10000), perTuple(100000)
+	if large > 1.25*small {
+		t.Fatalf("certification pairs per tuple grew from %.2f at 10k to %.2f at 100k, want at most 1.25x", small, large)
 	}
 }

@@ -407,12 +407,15 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 // certCandidates returns, in ascending master-tuple order, an exact blocking
 // superset of the master tuples on which x's MD premise can hold for t:
 // every (t, s) pair with s outside the returned set fails at least one
-// premise clause. ok is false when no index yields an exact superset for
-// this tuple — the MD has no equality clause and either no suffix array was
-// built (no edit-distance clause) or t's value is too short for the LCS
-// pigeonhole bound to hold (len(v) <= K, where v can be edited into anything
-// without leaving a piece intact) — and the caller must fall back to
-// scanning Dm for this tuple.
+// premise clause. On the suffix-array path that set is the count filter's
+// (suffixtree.AppendEditCandidates): master values holding 2 of v's K+3
+// pieces within K of their places. Values too short for it take every
+// value sharing one of v's K+1 pieces. ok is false when no index yields an
+// exact superset for this tuple — the MD has no equality clause and either
+// no suffix array was built (no edit-distance clause) or t's value is too
+// short for either bound to hold (len(v) <= K, where v can be edited into
+// anything without leaving a piece intact) — and the caller must fall back
+// to scanning Dm for this tuple.
 //
 // Unlike block it never truncates: block serves repair, where TopL capping a
 // candidate list only costs recall, while certCandidates serves the Checker,
@@ -433,21 +436,26 @@ func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 		if relation.IsNull(v) {
 			return nil, true // the edit clause never matches null
 		}
-		minLen := len(v) / (x.simK + 1)
-		if minLen < 1 {
-			return nil, false // bound vacuous: K edits can consume all of v
-		}
 		if ids, ok := x.memo.cert[v]; ok {
 			return ids, true
 		}
-		// Every master value within edit distance K of v contains one of
-		// v's K+1 pieces unchanged, i.e. shares a substring of length >=
-		// minLen — so the array enumeration is an exact superset. Each
-		// matched string id maps to the ascending list of master tuples
-		// holding that value; the lists are pairwise disjoint (one value
-		// per tuple), so sorting their union restores the single ascending
-		// order a nested scan would visit.
-		x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
+		// Both enumerations are exact supersets of the master values within
+		// edit distance K of v: K edits leave 2 of the filter's K+2 kept
+		// pieces intact and near their places, and 1 of the K+1. The count
+		// filter does not let a piece every value shares (a common prefix)
+		// make a candidate on its own. Each matched string id maps to the
+		// ascending list of master tuples holding that value; the lists are
+		// pairwise disjoint (one value per tuple), so sorting their union
+		// restores the single ascending order a nested scan would visit.
+		var filtered bool
+		x.sidBuf, filtered = x.tree.AppendEditCandidates(x.sidBuf[:0], v, x.simK)
+		if !filtered {
+			minLen := len(v) / (x.simK + 1)
+			if minLen < 1 {
+				return nil, false // bound vacuous: K edits can consume all of v
+			}
+			x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
+		}
 		var one []int
 		matched, n := 0, 0
 		for _, sid := range x.sidBuf {

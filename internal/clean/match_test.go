@@ -21,9 +21,10 @@ func uncachedLookup(y *matcher, t *relation.Tuple, topL int) lookup {
 	return lookup{ids: y.verify(t, ids), block: len(ids), scanned: scanned}
 }
 
-// uncachedCert is the reference for certCandidates: the untruncated
-// suffix-array enumeration's id lists appended and sorted, or the equality
-// bucket.
+// uncachedCert is the reference for certCandidates: the suffix array's
+// count-filtered id lists (or, for values too short to filter, its
+// untruncated common-piece enumeration) appended and sorted, or the
+// equality bucket.
 func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	switch {
 	case y.eqIndex != nil:
@@ -35,12 +36,16 @@ func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	if relation.IsNull(v) {
 		return nil, true
 	}
-	minLen := len(v) / (y.simK + 1)
-	if minLen < 1 {
-		return nil, false
+	sids, ok := y.tree.AppendEditCandidates(nil, v, y.simK)
+	if !ok {
+		minLen := len(v) / (y.simK + 1)
+		if minLen < 1 {
+			return nil, false
+		}
+		sids = y.tree.AppendCommon(nil, v, minLen)
 	}
 	var ids []int
-	for _, sid := range y.tree.AppendCommon(nil, v, minLen) {
+	for _, sid := range sids {
 		ids = append(ids, y.treeIDs[sid]...)
 	}
 	slices.Sort(ids)

@@ -92,3 +92,36 @@ func BenchmarkIndexCommon(b *testing.B) {
 		i++
 	}
 }
+
+// BenchmarkEditCandidates compares certification's two candidate
+// enumerations for md_name_sim (K = 2): every name sharing one |v|/3-byte
+// piece with v, and the count filter, which falls back to the former for
+// values too short to filter.
+func BenchmarkEditCandidates(b *testing.B) {
+	names, queries := genNames(4000, 4000)
+	tr := New(names...)
+	const k = 2
+	b.Run("common", func(b *testing.B) {
+		var buf []int32
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			v := queries[i%len(queries)]
+			buf = tr.AppendCommon(buf[:0], v, len(v)/(k+1))
+			i++
+		}
+	})
+	b.Run("filter", func(b *testing.B) {
+		var buf []int32
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			v := queries[i%len(queries)]
+			var ok bool
+			if buf, ok = tr.AppendEditCandidates(buf[:0], v, k); !ok {
+				buf = tr.AppendCommon(buf[:0], v, len(v)/(k+1))
+			}
+			i++
+		}
+	})
+}

@@ -8,13 +8,15 @@
 // nothing is copied and no separator byte is needed (values may hold any
 // byte). Each entry also carries the suffix's first 8 bytes as an integer
 // key: the array is built by a radix sort on the keys, with a string sort
-// only inside runs of equal keys, and searches compare keys first. A
-// lookup for a query string v binary-searches each of v's minLen-byte
-// pieces, walks the contiguous run of suffixes starting with that piece and
-// extends each hit byte by byte to its exact common length. The top-l
-// indexed strings ranked by LCS with v stand in for the whole master
-// relation, reducing the MD-matching search space from |Dm| to a constant l.
-// The package keeps its historical name.
+// only inside runs of equal keys, and searches compare keys first. The
+// suffixes starting with a piece of a query string v form one contiguous
+// run, whose two ends are found by binary search (the end by galloping from
+// the start). TopL extends each hit of v's minLen-byte pieces byte by byte
+// to its exact common length; the top-l indexed strings ranked by LCS with
+// v stand in for the whole master relation, reducing the MD-matching search
+// space from |Dm| to a constant l. AppendEditCandidates counts, per string,
+// the pieces of v found near their place, for certification's exact
+// edit-distance blocking. The package keeps its historical name.
 package suffixtree
 
 import (
@@ -149,7 +151,9 @@ func prefixKey(p string) uint64 {
 
 // span returns the run [lo, hi) of suffixes that start with p, indexing
 // first if an Add is pending. The search decides on keys and compares
-// strings only where a key equals p's.
+// strings only where a key equals p's. The run's end is found by galloping
+// from lo and then binary searching the last step, so both ends cost
+// O(log run) and a short run costs a few probes.
 func (t *Tree) span(p string) (lo, hi int) {
 	if t.n < len(t.strs) {
 		t.index()
@@ -162,10 +166,26 @@ func (t *Tree) span(p string) (lo, hi int) {
 		}
 		return t.suffix(x) >= p
 	})
-	hi = lo
-	for hi < len(t.sa) && strings.HasPrefix(t.suffix(t.sa[hi]), p) {
-		hi++
+	// The run's suffixes share p's first min(len(p), 8) bytes, which sit
+	// at the top of the key; the rest of the key varies inside the run.
+	mask := ^uint64(0)
+	if len(p) < 8 {
+		mask <<= 8 * (8 - len(p))
 	}
+	in := func(k int) bool {
+		x := t.sa[k]
+		return x.key&mask == pk&mask && strings.HasPrefix(t.suffix(x), p)
+	}
+	if lo == len(t.sa) || !in(lo) {
+		return lo, lo
+	}
+	last, step := lo, 1 // in(last) holds
+	for last+step < len(t.sa) && in(last+step) {
+		last += step
+		step *= 2
+	}
+	end := min(last+step, len(t.sa)) // !in(end), or end is the array's end
+	hi = last + 1 + sort.Search(end-last-1, func(i int) bool { return !in(last + 1 + i) })
 	return lo, hi
 }
 
@@ -200,6 +220,73 @@ func (t *Tree) AppendCommon(dst []int32, v string, minLen int) []int32 {
 	hits := dst[start:]
 	slices.Sort(hits)
 	return dst[:start+len(slices.Compact(hits))]
+}
+
+// AppendEditCandidates appends to dst, ascending and without duplicates,
+// the ids of the indexed strings that may lie within edit distance k of v,
+// and reports whether it could filter v at all. It is a q-gram count filter
+// with a position bound: v is cut into p = k+3 disjoint pieces, the piece
+// with the widest suffix-array run is skipped (ties to the lowest index),
+// and a string is kept when at least 2 distinct kept pieces occur in it at
+// an offset within k of their offset in v. The result is an exact superset
+// of the strings within distance k: each edit destroys at most one piece and
+// shifts a surviving piece by at most one byte, so k edits leave at least
+// p-k-1 = 2 kept pieces intact, each within k of its place. Unlike
+// AppendCommon, a piece shared by many strings (a common prefix) is not by
+// itself enough to make a candidate.
+//
+// ok is false, with dst unchanged, when v is too short for 2-byte pieces
+// (len(v)/p < 2); callers then fall back to AppendCommon. A negative k
+// panics.
+func (t *Tree) AppendEditCandidates(dst []int32, v string, k int) (_ []int32, ok bool) {
+	if k < 0 {
+		panic("suffixtree: AppendEditCandidates needs k >= 0")
+	}
+	p := k + 3
+	if len(v)/p < 2 {
+		return dst, false
+	}
+	var stack [16][2]int // piece spans; heap only for k > 13
+	spans := stack[:0]
+	skip := 0
+	for i := range p {
+		lo, hi := t.span(v[i*len(v)/p : (i+1)*len(v)/p])
+		spans = append(spans, [2]int{lo, hi})
+		if w := spans[skip]; hi-lo > w[1]-w[0] {
+			skip = i
+		}
+	}
+	start := len(dst)
+	for i, sp := range spans {
+		if i == skip {
+			continue
+		}
+		off, from := i*len(v)/p, len(dst)
+		for _, x := range t.sa[sp[0]:sp[1]] {
+			if d := int(x.off) - off; -k <= d && d <= k {
+				dst = append(dst, x.id)
+			}
+		}
+		// A piece can sit twice near its place in one string; count it once.
+		hits := dst[from:]
+		slices.Sort(hits)
+		dst = dst[:from+len(slices.Compact(hits))]
+	}
+	hits := dst[start:]
+	slices.Sort(hits)
+	n := start
+	for i := 0; i < len(hits); {
+		j := i + 1
+		for j < len(hits) && hits[j] == hits[i] {
+			j++
+		}
+		if j-i >= 2 {
+			dst[n] = hits[i]
+			n++
+		}
+		i = j
+	}
+	return dst[:n], true
 }
 
 // Match is a blocking candidate: an indexed string and the length of its
