@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cfd"
 	"repro/internal/gen"
 	"repro/internal/relation"
 	"repro/internal/rule"
@@ -153,5 +154,58 @@ func BenchmarkHRepair(b *testing.B) {
 		e.ERepair()
 		b.StartTimer()
 		e.HRepair()
+	}
+}
+
+// BenchmarkGroupEntropy measures eRepair's keying cost: the entropy of
+// every fd_zip_city group of the gen.DefaultConfig() instance, plus one
+// 6,000-member group with thousands of distinct values, the shape that
+// outgrows the linear scan.
+func BenchmarkGroupEntropy(b *testing.B) {
+	inst := gen.Generate(gen.DefaultConfig())
+	e := New(inst.Data, inst.Master, inst.Rules, DefaultOptions())
+	var ri int
+	for k, r := range e.rules {
+		if r.Name() == "fd_zip_city" {
+			ri = k
+		}
+	}
+	gs, _ := e.work.groups(phaseE, ri)
+	col := e.codes[e.rules[ri].CFD.RHS]
+	b.Run("zip-groups", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, g := range gs {
+				groupEntropy(col, g)
+			}
+		}
+	})
+	big := inst.Data.Schema.MustIndex("name")
+	codes := newCellCodes(rule.Derive([]*cfd.CFD{cfd.FD("fd", inst.Data.Schema, []string{"zip"}, "name")}, nil), inst.Data)
+	members := identity(6000)
+	b.Run("6000-distinct", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			groupEntropy(codes[big], members)
+		}
+	})
+}
+
+// BenchmarkGroupIndexWrites measures the scheduler's write path on the
+// group indexes in its most common shape, the assert: one noteWrite per
+// tuple to zip, the LHS of both FDs, and one to city, the RHS of one,
+// over gen.DefaultConfig() — values unchanged, so no group moves and every
+// call only re-derives the tuple's symbol and marks its groups dirty.
+func BenchmarkGroupIndexWrites(b *testing.B) {
+	inst := gen.Generate(gen.DefaultConfig())
+	e := New(inst.Data, inst.Master, inst.Rules, DefaultOptions())
+	s := e.work.(*scheduler)
+	zip, city := e.data.Schema.MustIndex("zip"), e.data.Schema.MustIndex("city")
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, t := range e.data.Tuples {
+			s.noteWrite(i, zip, t)
+			s.noteWrite(i, city, t)
+		}
 	}
 }

@@ -290,6 +290,7 @@ type Engine struct {
 	hleft    map[[2]int]int  // hRepair's per-cell budget, shared across passes
 
 	work    worklist      // what each rule pass visits (schedule.go)
+	codes   cellCodes     // the variable-CFD columns of data, dictionary-coded (codes.go)
 	apply   []*ApplyStats // parallel to rules
 	workers int           // fan-out width, Options.workerCount()
 
@@ -376,28 +377,27 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		e.apply[i] = &ApplyStats{}
 		e.res.Apply[r.Name()] = e.apply[i]
 	}
-	// The data clone with the worklist over it, and each fresh
-	// matcher's blocking indexes (the suffix array above all), are
-	// independent pure builds: with workers they run as concurrent tasks,
-	// the clone and worklist first because they take longest. A panic in
-	// one propagates, as it would from the sequential build.
+	// The data clone, the cell codes with the scheduler over them, and
+	// each fresh matcher's blocking indexes (the suffix array above all),
+	// are independent pure builds: with workers they run as concurrent
+	// tasks, the two longest first. The codes and the scheduler read data,
+	// whose values the clone copies, so they need not wait for it. A panic
+	// in one propagates, as it would from the sequential build.
 	built := make([]*matcher, len(fresh))
 	var clone *relation.Relation
 	var work worklist
+	var codes cellCodes
 	build := func(k int) {
-		if k > 0 {
-			built[k-1] = newMatcher(e.rules[fresh[k-1]].MD, master)
-			return
-		}
-		clone = data.Clone()
-		if opts.Rescan {
-			// The reference re-derives everything by scanning, so it
-			// builds no index: maintaining indexes it never reads would
-			// bill the rescan baseline for delta-engine bookkeeping and
-			// flatter the measured speedup.
-			work = newRescan(e.rules, clone)
-		} else {
-			work = newScheduler(e.rules, clone)
+		switch k {
+		case 0:
+			clone = data.Clone()
+		case 1:
+			codes = newCellCodes(e.rules, data)
+			if !opts.Rescan {
+				work = newScheduler(e.rules, data, codes)
+			}
+		default:
+			built[k-2] = newMatcher(e.rules[fresh[k-2]].MD, master)
 		}
 	}
 	workers := e.workers
@@ -406,10 +406,17 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	}
 	// No fault injector: a panic here is re-raised to the caller, outside
 	// runAll's containment.
-	if err := fanOut(context.Background(), nil, "new", workers, len(fresh)+1, build); err != nil {
+	if err := fanOut(context.Background(), nil, "new", workers, len(fresh)+2, build); err != nil {
 		panic(err)
 	}
-	e.data, e.work = clone, work
+	if opts.Rescan {
+		// The reference re-derives everything by scanning, so it builds
+		// no index: maintaining indexes it never reads would bill the
+		// rescan baseline for delta-engine bookkeeping and flatter the
+		// measured speedup.
+		work = newRescan(e.rules, clone)
+	}
+	e.data, e.work, e.codes = clone, work, codes
 	for k, i := range fresh {
 		e.matchers[i] = built[k]
 	}
@@ -653,9 +660,10 @@ func (e *Engine) assert(i, a int, conf float64) int {
 
 // write sets cell (i, a) to value v with confidence conf and the given
 // mark, recording the Fix in the result: the one cell-write path of cRepair
-// (FixDeterministic), eRepair (FixReliable) and hRepair (FixPossible). The
-// caller must have checked that the cell may be written and that v differs
-// from the current value.
+// (FixDeterministic), eRepair (FixReliable) and hRepair (FixPossible), and
+// so the one place the cell codes follow a value. The caller must have
+// checked that the cell may be written and that v differs from the current
+// value.
 func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, ruleName string) int {
 	t := e.data.Tuples[i]
 	e.res.Fixes = append(e.res.Fixes, Fix{
@@ -664,6 +672,9 @@ func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, 
 		Mark: mark, Rule: ruleName,
 	})
 	t.Set(a, v, conf, mark)
+	if col := e.codes[a]; col != nil {
+		col.code[i] = col.intern(v)
+	}
 	e.noteWrite(i, a)
 	return 1
 }

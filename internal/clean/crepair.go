@@ -101,11 +101,10 @@ func (e *Engine) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 	e.apply[ri].CGroups++
 	e.apply[ri].CTuples += len(members)
 	// Pick the highest-confidence non-null RHS value as the source.
-	bestConf, bestVal := -1.0, ""
+	col, bestConf, best := e.codes[c.RHS], -1.0, int32(nullCode)
 	for _, i := range members {
-		t := e.data.Tuples[i]
-		if v := t.Values[c.RHS]; !relation.IsNull(v) && t.Conf[c.RHS] > bestConf {
-			bestConf, bestVal = t.Conf[c.RHS], v
+		if v, cf := col.code[i], e.data.Tuples[i].Conf[c.RHS]; v != nullCode && cf > bestConf {
+			bestConf, best = cf, v
 		}
 	}
 	if bestConf < e.opts.Eta {
@@ -114,11 +113,9 @@ func (e *Engine) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 	// If another trusted cell disagrees, the group is ambiguous: no
 	// deterministic fix exists (eRepair will weigh the evidence).
 	for _, i := range members {
-		t := e.data.Tuples[i]
-		v := t.Values[c.RHS]
-		if !relation.IsNull(v) && v != bestVal && t.Conf[c.RHS] >= e.opts.Eta {
+		if v := col.code[i]; v != nullCode && v != best && e.data.Tuples[i].Conf[c.RHS] >= e.opts.Eta {
 			e.conflictf("%s: group %q has trusted values %q and %q",
-				c.Name, e.data.Tuples[members[0]].Key(c.LHS), bestVal, v)
+				c.Name, e.data.Tuples[members[0]].Key(c.LHS), col.strs[best], col.strs[v])
 			return 0
 		}
 	}
@@ -133,10 +130,10 @@ func (e *Engine) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 		if bestConf < conf {
 			conf = bestConf
 		}
-		if t.Values[c.RHS] == bestVal {
+		if col.code[i] == best {
 			progress += e.assert(i, c.RHS, conf)
 		} else if t.Marks[c.RHS] != relation.FixDeterministic {
-			progress += e.write(i, c.RHS, bestVal, conf, relation.FixDeterministic, c.Name)
+			progress += e.write(i, c.RHS, col.strs[best], conf, relation.FixDeterministic, c.Name)
 		}
 	}
 	return progress

@@ -117,7 +117,7 @@ func (e *Engine) ERepair() {
 		entropy := func(k int) {
 			e.fj.At(fault.SiteSeed, k, 0)
 			if g, s := batch[k], &slots[k]; len(g.members) > 0 && !done[s.id] {
-				s.entropy, s.distinct = groupEntropy(e.data, e.rules[g.ri].CFD.RHS, g.members)
+				s.entropy, s.distinct = groupEntropy(e.codes[e.rules[g.ri].CFD.RHS], g.members)
 			}
 		}
 		if e.inline(work) {
@@ -182,84 +182,74 @@ func (e *Engine) ERepair() {
 // ties broken by total confidence and then lexicographically, so resolution
 // is deterministic.
 func (e *Engine) resolveGroup(c *cfd.CFD, g *egroup) bool {
-	a := c.RHS
-	frozen := make(map[string]bool)
+	a, col := c.RHS, e.codes[c.RHS]
+	var frozen, vals tally
 	for _, i := range g.members {
 		t := e.data.Tuples[i]
 		if t.Marks[a] == relation.FixDeterministic {
-			frozen[t.Values[a]] = true
+			frozen = frozen.add(col.code[i], 0)
+		}
+		if v := col.code[i]; v != nullCode {
+			vals = vals.add(v, t.Conf[a])
 		}
 	}
-	if len(frozen) > 1 {
+	if len(frozen.slots) > 1 {
 		e.conflictf("%s: group %s has conflicting frozen values, cannot resolve", c.Name, g.id)
 		return false
 	}
-	count := make(map[string]int)
-	confSum := make(map[string]float64)
-	for _, i := range g.members {
-		t := e.data.Tuples[i]
-		if v := t.Values[a]; !relation.IsNull(v) {
-			count[v]++
-			confSum[v] += t.Conf[a]
-		}
-	}
-	var target string
-	if len(frozen) == 1 {
-		for v := range frozen { //det:ok maporder single-entry map: len(frozen) == 1 on this branch
-			target = v
+	var target slot // the target value's code and tally
+	if len(frozen.slots) == 1 {
+		target.code = frozen.slots[0].code
+		if k := vals.find(target.code); k >= 0 {
+			target = vals.slots[k]
 		}
 	} else {
-		for v, n := range count { //det:ok maporder strict total order (count, quantized conf, value) picks the same target from any visit order
-			switch m := count[target]; {
-			case target == "" || n > m,
-				n == m && quantConf(confSum[v]) > quantConf(confSum[target]),
-				n == m && quantConf(confSum[v]) == quantConf(confSum[target]) && v < target:
-				target = v
-			}
-		}
-		if target == "" {
+		if len(vals.slots) == 0 {
 			return false // every cell is null: no evidence to propagate
 		}
+		target = vals.slots[0]
+		for _, s := range vals.slots[1:] {
+			switch {
+			case s.n > target.n,
+				s.n == target.n && quantConf(s.conf) > quantConf(target.conf),
+				s.n == target.n && quantConf(s.conf) == quantConf(target.conf) && col.strs[s.code] < col.strs[target.code]:
+				target = s
+			}
+		}
 	}
-	conf := float64(count[target]) / float64(len(g.members))
+	v, conf := col.strs[target.code], float64(target.n)/float64(len(g.members))
 	changed := false
 	for _, i := range g.members {
-		t := e.data.Tuples[i]
-		if t.Values[a] == target || t.Marks[a] == relation.FixDeterministic {
+		if col.code[i] == target.code || e.data.Tuples[i].Marks[a] == relation.FixDeterministic {
 			continue
 		}
-		e.write(i, a, target, conf, relation.FixReliable, c.Name)
+		e.write(i, a, v, conf, relation.FixReliable, c.Name)
 		changed = true
 	}
 	return changed
 }
 
-// groupEntropy returns the Shannon entropy (base 2) of the RHS value
-// distribution over the group members, and the number of distinct values.
-// Null counts as a value: a group of one constant plus nulls is uncertain.
+// groupEntropy returns the Shannon entropy (base 2) of the RHS column col
+// over the group members, and the number of distinct values. Null counts
+// as a value: a group of one constant plus nulls is uncertain.
 //
-// The terms are summed in first-appearance order of the values, not map
-// order: floating-point addition is order-sensitive in the last ulp, and the
-// queue's resolution order breaks entropy ties bit-exactly, so a map-order sum
-// would make the resolution sequence vary run to run whenever two groups
-// share a distribution shape.
-func groupEntropy(d *relation.Relation, a int, members []int) (float64, int) {
-	count := make(map[string]int)
-	order := make([]string, 0, 8)
+// The terms are summed in first-appearance order of the values: floating-
+// point addition is order-sensitive in the last ulp, and the queue's
+// resolution order breaks entropy ties bit-exactly, so the sum must not
+// depend on how the values are coded or hashed.
+func groupEntropy(col *column, members []int) (float64, int) {
+	var buf [8]slot
+	t := tally{slots: buf[:0]}
 	for _, i := range members {
-		v := d.Tuples[i].Values[a]
-		if _, ok := count[v]; !ok {
-			order = append(order, v)
-		}
-		count[v]++
+		t = t.add(col.code[i], 0)
 	}
 	h := 0.0
 	n := float64(len(members))
-	for _, v := range order {
-		p := float64(count[v]) / n
+	for _, s := range t.slots {
+		p := float64(s.n) / n
 		h -= p * math.Log2(p)
 	}
-	return h, len(count)
+	return h, len(t.slots)
 }
 
 func hasAttr(attrs []int, a int) bool {

@@ -63,7 +63,7 @@ func (e *Engine) HRepair() {
 			case rule.VariableCFD:
 				gs, full := e.work.groups(phaseH, ri)
 				writes += e.applyGroups(phaseH, ri, gs, func(members []int) int {
-					if !conflictedMembers(e.data, r.CFD.RHS, members) {
+					if !conflictedMembers(e.codes[r.CFD.RHS], members) {
 						// Examined but conflict-free. A full listing bills
 						// only the conflicted groups; a delta listing bills
 						// every group it hands out, since only
@@ -84,11 +84,12 @@ func (e *Engine) HRepair() {
 }
 
 // conflictedMembers reports whether the members hold more than one distinct
-// RHS value (null counts as a value), i.e. the group is a standing violation.
-func conflictedMembers(d *relation.Relation, a int, members []int) bool {
-	first := d.Tuples[members[0]].Values[a]
+// value of the coded RHS column col (null counts as a value), i.e. the
+// group is a standing violation.
+func conflictedMembers(col *column, members []int) bool {
+	first := col.code[members[0]]
 	for _, i := range members[1:] {
-		if d.Tuples[i].Values[a] != first {
+		if col.code[i] != first {
 			return true
 		}
 	}
@@ -115,64 +116,60 @@ func (e *Engine) hConstantTuple(ri int, c *cfd.CFD, i int) int {
 func (e *Engine) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 	e.apply[ri].HTuples += len(members)
 	writes := 0
-	a := c.RHS
-	frozen := make(map[string]int) // frozen value -> frozen member count
+	a, col := c.RHS, e.codes[c.RHS]
+	var frozen tally // frozen values and their member counts
 	for _, i := range members {
-		t := e.data.Tuples[i]
-		if t.Marks[a] == relation.FixDeterministic {
-			frozen[t.Values[a]]++
+		if e.data.Tuples[i].Marks[a] == relation.FixDeterministic {
+			frozen = frozen.add(col.code[i], 0)
 		}
 	}
-	if len(frozen) > 1 {
+	if len(frozen.slots) > 1 {
 		// Disagreeing deterministic fixes cannot be equalized, only
 		// shrunk. Retract only the members frozen at minority values
 		// from the rule's scope: the plurality frozen value (ties
 		// broken lexicographically) survives as the next round's
 		// forced target, so the majority's data is kept.
-		keep := ""
-		for v, n := range frozen { //det:ok maporder strict total order (count, value) picks the same survivor from any visit order
-			if keep == "" || n > frozen[keep] || (n == frozen[keep] && v < keep) {
-				keep = v
+		keep := frozen.slots[0]
+		for _, s := range frozen.slots[1:] {
+			if s.n > keep.n || (s.n == keep.n && col.strs[s.code] < col.strs[keep.code]) {
+				keep = s
 			}
 		}
 		for _, i := range members {
-			t := e.data.Tuples[i]
-			if t.Marks[a] == relation.FixDeterministic && t.Values[a] != keep {
+			if e.data.Tuples[i].Marks[a] == relation.FixDeterministic && col.code[i] != keep.code {
 				writes += e.retract(i, c)
 			}
 		}
 		return writes
 	}
-	var target string
+	var target int32 // code of the target value
 	var conf float64
-	if len(frozen) == 1 {
+	if len(frozen.slots) == 1 {
 		// A single frozen value dictates the target; the confidence of
 		// the heuristic copies is the plurality fraction of the group,
 		// as in eRepair — not the frozen source's, and never 1: the
 		// copies are still guesses.
-		for v := range frozen { //det:ok maporder single-entry map: len(frozen) == 1 on this branch
-			target = v
-		}
+		target = frozen.slots[0].code
 		n := 0
 		for _, i := range members {
-			if e.data.Tuples[i].Values[a] == target {
+			if col.code[i] == target {
 				n++
 			}
 		}
 		conf = float64(n) / float64(len(members))
 	} else {
 		target, conf = e.hTarget(c, members)
-		if target == "" {
+		if target == nullCode {
 			return 0 // every cell is null: nothing to propagate
 		}
 	}
+	v := col.strs[target]
 	for _, i := range members {
-		t := e.data.Tuples[i]
-		if t.Values[a] == target {
+		if col.code[i] == target {
 			continue
 		}
-		if t.Marks[a] != relation.FixDeterministic && e.spend(i, a) {
-			writes += e.write(i, a, target, conf, relation.FixPossible, c.Name)
+		if e.data.Tuples[i].Marks[a] != relation.FixDeterministic && e.spend(i, a) {
+			writes += e.write(i, a, v, conf, relation.FixPossible, c.Name)
 		} else {
 			writes += e.retract(i, c)
 		}
@@ -180,52 +177,43 @@ func (e *Engine) hVariableGroup(ri int, c *cfd.CFD, members []int) int {
 	return writes
 }
 
-// hTarget picks the repair value for a disagreeing group: the value with
-// the largest total cell confidence, with ties broken by plain occurrence
-// count, then by support from master data via the MD blocking indexes, and
-// finally lexicographically so the choice is deterministic — the chain is a
-// strict total order, so the map iteration order underneath can never show
-// (pinned by TestHTargetTieBreakDeterminism). The returned confidence is
-// the plurality fraction of the group, as in eRepair.
-func (e *Engine) hTarget(c *cfd.CFD, members []int) (string, float64) {
-	a := c.RHS
-	count := make(map[string]int)
-	confSum := make(map[string]float64)
+// hTarget picks the code of the repair value for a disagreeing group: the
+// value with the largest total cell confidence, with ties broken by plain
+// occurrence count, then by support from master data via the MD blocking
+// indexes, and finally lexicographically — a strict total order, pinned by
+// TestHTargetTieBreakDeterminism. The returned confidence is the plurality
+// fraction of the group, as in eRepair; an all-null group returns nullCode.
+func (e *Engine) hTarget(c *cfd.CFD, members []int) (int32, float64) {
+	a, col := c.RHS, e.codes[c.RHS]
+	var vals tally
 	for _, i := range members {
-		t := e.data.Tuples[i]
-		if v := t.Values[a]; !relation.IsNull(v) {
-			count[v]++
-			confSum[v] += t.Conf[a]
+		if v := col.code[i]; v != nullCode {
+			vals = vals.add(v, e.data.Tuples[i].Conf[a])
 		}
 	}
 	var master map[string]bool // lazily built on the first tie
-	inMaster := func(v string) bool {
+	inMaster := func(code int32) bool {
 		if master == nil {
 			master = e.masterSuggestions(a, members)
 		}
-		return master[v]
+		return master[col.strs[code]]
 	}
-	target := ""
-	for v := range count { //det:ok maporder strict total order (quantized conf, count, master support, value) pinned by TestHTargetTieBreakDeterminism
-		if target == "" {
-			target = v
-			continue
-		}
-		qv, qt := quantConf(confSum[v]), quantConf(confSum[target])
+	if len(vals.slots) == 0 {
+		return nullCode, 0
+	}
+	best := vals.slots[0]
+	for _, s := range vals.slots[1:] {
+		qv, qt := quantConf(s.conf), quantConf(best.conf)
 		switch {
 		case qv > qt,
-			qv == qt && count[v] > count[target],
-			qv == qt && count[v] == count[target] &&
-				inMaster(v) && !inMaster(target),
-			qv == qt && count[v] == count[target] &&
-				inMaster(v) == inMaster(target) && v < target:
-			target = v
+			qv == qt && s.n > best.n,
+			qv == qt && s.n == best.n && inMaster(s.code) && !inMaster(best.code),
+			qv == qt && s.n == best.n && inMaster(s.code) == inMaster(best.code) &&
+				col.strs[s.code] < col.strs[best.code]:
+			best = s
 		}
 	}
-	if target == "" {
-		return "", 0
-	}
-	return target, float64(count[target]) / float64(len(members))
+	return best.code, float64(best.n) / float64(len(members))
 }
 
 // masterSuggestions collects the master values offered for data attribute a

@@ -3,6 +3,7 @@ package clean
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -115,6 +116,20 @@ func statsDump(m map[string]*ApplyStats) string {
 // (index builds, lookup prefetch, eRepair re-keying, certification) are
 // the engine's only concurrency.
 func TestPropertyIncrementalEquivalence(t *testing.T) {
+	checkEngineIdentity(t, genInstance)
+}
+
+// TestPropertyIncrementalEquivalenceMultiLHS is the same bar over
+// genMultiInstance's corpus, whose variable CFDs have two-attribute LHSs
+// (one with a constant in its pattern): the group index keys those on
+// interned code tuples, a path one-attribute LHSs never reach.
+func TestPropertyIncrementalEquivalenceMultiLHS(t *testing.T) {
+	checkEngineIdentity(t, genMultiInstance)
+}
+
+// checkEngineIdentity runs the rescan, sequential and forced-parallel
+// engines over 400 seeds of a corpus and fails on the first difference.
+func checkEngineIdentity(t *testing.T, gen func(int64) *propInstance) {
 	const seeds = 400
 	opts := DefaultOptions()
 	opts.Workers = 4
@@ -123,7 +138,7 @@ func TestPropertyIncrementalEquivalence(t *testing.T) {
 	// everything inline and the sweep would prove nothing about them.
 	opts.SeqCutoff = -1
 	for seed := int64(0); seed < seeds; seed++ {
-		in := genInstance(seed)
+		in := gen(seed)
 		inc, ref := runModes(in.relation(nil), nil, in.rules, DefaultOptions())
 		if d := diffResults(inc, ref); d != "" {
 			t.Fatalf("seed %d: incremental and rescan engines disagree: %s", seed, d)
@@ -289,21 +304,19 @@ func TestMasterTieBreakReadsReenqueue(t *testing.T) {
 		}
 	}
 	gi := e.work.(*scheduler).gidx[fdIdx]
-	gi.dirty[phaseH] = make(map[int32]bool) // drop any pending marks
+	gi.dirty[phaseH].clear() // drop any pending marks
 
 	// A is read only by the MD premise — and, transitively, by the fd's
 	// hRepair tie-break. Writing it must H-dirty tuple 0's group of fd.
 	e.write(0, dschema.MustIndex("A"), "a1", 0.9, relation.FixDeterministic, "test")
-	key := e.data.Tuples[0].Key([]int{dschema.MustIndex("B")})
-	kid, ok := gi.syms.ids[key]
-	if !ok {
-		t.Fatalf("group key %q was never interned; symbols = %v", key, gi.syms.strs)
+	sym := int(gi.key[0])
+	if sym < 0 || gi.groups[sym].key != "b" {
+		t.Fatalf("tuple 0 sits in group %d, want the fd group \"b\"", sym)
 	}
-	if !gi.dirty[phaseH][kid] {
-		t.Fatalf("write to MD premise attr A did not H-dirty the fd group %q; dirty = %v",
-			key, gi.dirty[phaseH])
+	if h := gi.dirty[phaseH].take(); !slices.Equal(h, []int{sym}) {
+		t.Fatalf("write to MD premise attr A H-dirtied groups %v, want [%d]", h, sym)
 	}
-	if gi.dirty[phaseC][kid] {
+	if c := gi.dirty[phaseC].take(); slices.Contains(c, sym) {
 		t.Errorf("write to A must not C-dirty the fd group: cRepair never reads master suggestions")
 	}
 }
@@ -342,31 +355,49 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 // TestGroupIndexStaysExact is the paranoia check behind the scheduler: after
 // a full pipeline run, every variable-CFD group index must agree exactly —
 // keys, members, order — with cfd.Groups recomputed from the final relation.
+// The corpus covers one-attribute LHSs (genInstance) and the interned code
+// tuples of two-attribute ones, constant LHS patterns included
+// (genMultiInstance).
 func TestGroupIndexStaysExact(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		in := genInstance(seed)
-		e := New(in.relation(nil), nil, in.rules, DefaultOptions())
-		e.CRepair()
-		e.ERepair()
-		e.HRepair()
-		for ri, r := range e.rules {
-			gi := e.work.(*scheduler).gidx[ri]
-			if gi == nil {
-				continue
-			}
-			want := cfd.Groups(e.data, r.CFD)
-			if len(gi.groups) != len(want) {
-				t.Fatalf("seed %d rule %s: index has %d groups, relation has %d",
-					seed, r.Name(), len(gi.groups), len(want))
-			}
-			for _, wg := range want {
-				var g *igroup
-				if kid, ok := gi.syms.ids[wg.Key]; ok {
-					g = gi.groups[kid]
+	for _, c := range []struct {
+		name  string
+		gen   func(int64) *propInstance
+		seeds int64
+	}{{"single", genInstance, 50}, {"multi", genMultiInstance, 400}} {
+		for seed := int64(0); seed < c.seeds; seed++ {
+			in := c.gen(seed)
+			e := New(in.relation(nil), nil, in.rules, DefaultOptions())
+			e.CRepair()
+			e.ERepair()
+			e.HRepair()
+			for ri, r := range e.rules {
+				gi := e.work.(*scheduler).gidx[ri]
+				if gi == nil {
+					continue
 				}
-				if g == nil || !reflect.DeepEqual(g.members, wg.Members) {
-					t.Fatalf("seed %d rule %s group %q: index members %v, want %v",
-						seed, r.Name(), wg.Key, g, wg.Members)
+				live := make(map[string]*igroup)
+				for sym, g := range gi.groups {
+					if g == nil || len(g.members) == 0 {
+						continue
+					}
+					for _, i := range g.members {
+						if int(gi.key[i]) != sym {
+							t.Fatalf("%s seed %d rule %s: t%d listed in group %q but keyed %d",
+								c.name, seed, r.Name(), i, g.key, gi.key[i])
+						}
+					}
+					live[g.key] = g
+				}
+				want := cfd.Groups(e.data, r.CFD)
+				if len(live) != len(want) {
+					t.Fatalf("%s seed %d rule %s: index has %d groups, relation has %d",
+						c.name, seed, r.Name(), len(live), len(want))
+				}
+				for _, wg := range want {
+					if g := live[wg.Key]; g == nil || !reflect.DeepEqual(g.members, wg.Members) {
+						t.Fatalf("%s seed %d rule %s group %q: index members %v, want %v",
+							c.name, seed, r.Name(), wg.Key, g, wg.Members)
+					}
 				}
 			}
 		}

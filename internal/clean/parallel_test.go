@@ -85,13 +85,12 @@ func TestParallelRescanStaysSequential(t *testing.T) {
 	}
 }
 
-// TestHTargetTieBreakDeterminism is the map-iteration-order audit pin for
-// hTarget: its candidate loop ranges over a map, and only the strict total
+// TestHTargetTieBreakDeterminism pins hTarget's tie-breaks: its candidate
+// loop visits values in first-appearance order, and only the strict total
 // order of its comparison chain (confidence sum, count, master support,
-// lexicographic) keeps the choice deterministic. Both tie levels — master
-// support and lexicographic — are exercised many times in one process,
-// where Go randomizes map iteration order per loop, and in parallel mode,
-// where worker scheduling varies too. The workload is the hrepairInput one:
+// lexicographic) makes the choice independent of that order. Both tie
+// levels — master support and lexicographic — are exercised many times,
+// sequentially and in parallel mode, where worker scheduling varies too. The workload is the hrepairInput one:
 // the k1/k2 conflict only materializes inside the HRepair fixpoint, after
 // eRepair (which has its own tie-break, pinned separately) has finished.
 func TestHTargetTieBreakDeterminism(t *testing.T) {
@@ -120,10 +119,9 @@ func TestHTargetTieBreakDeterminism(t *testing.T) {
 	}
 }
 
-// TestResolveGroupTieBreakDeterminism is the audit pin for eRepair's
-// resolveGroup, whose plurality loop also ranges over a map: on a full tie
-// (equal count, equal confidence sum) the lexicographically smaller value
-// must win every time.
+// TestResolveGroupTieBreakDeterminism pins eRepair's resolveGroup tie-break:
+// on a full tie (equal count, equal confidence sum) the lexicographically
+// smaller value must win, though the larger one appears first.
 func TestResolveGroupTieBreakDeterminism(t *testing.T) {
 	dschema := relation.NewSchema("R", "B", "C")
 	rules := rule.Derive([]*cfd.CFD{cfd.FD("fd", dschema, []string{"B"}, "C")}, nil)

@@ -79,6 +79,36 @@ func genInstance(seed int64) *propInstance {
 	return inst
 }
 
+// genMultiInstance is genInstance's data and constant CFDs under variable
+// CFDs with two-attribute LHSs, which genInstance never draws: one or two
+// FDs XY -> Z, and one CFD with a constant in its LHS pattern
+// (X=x0, Y -> Z). The rules come from their own stream, so genInstance's
+// draws for a seed are untouched.
+func genMultiInstance(seed int64) *propInstance {
+	in := genInstance(seed)
+	rng := rand.New(rand.NewSource(seed ^ 0x2a77))
+	attrs := in.schema.Attrs
+	var cfds []*cfd.CFD
+	for _, r := range in.rules {
+		if r.Kind == rule.ConstantCFD {
+			cfds = append(cfds, r.CFD)
+		}
+	}
+	nVar := 2 + rng.Intn(2)
+	for k := 0; k < nVar; k++ {
+		p := rng.Perm(len(attrs))
+		x, y, z := attrs[p[0]], attrs[p[1]], attrs[p[2]]
+		pat := []string{cfd.Wildcard, cfd.Wildcard}
+		if k == 0 {
+			pat[0] = strings.ToLower(x) + "0" // every domain holds its 0 value
+		}
+		cfds = append(cfds, cfd.New(fmt.Sprintf("fd%d", k), in.schema,
+			[]string{x, y}, pat, z, cfd.Wildcard))
+	}
+	in.rules = rule.Derive(cfds, nil)
+	return in
+}
+
 // relation builds the instance's data relation, optionally keeping only the
 // tuples whose index is marked in keep (nil keeps all) — the handle the
 // shrinker uses to drop tuples.

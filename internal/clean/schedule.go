@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sort"
 
@@ -32,12 +33,13 @@ import (
 // byte-for-byte identical to the rescan reference (Options.Rescan), which
 // hands out every tuple and every cfd.Groups group on every call.
 //
-// Group keys are interned: each distinct LHS projection string maps to a
-// dense int32 symbol once, and the index, the dirty sets and the per-tuple
-// key cache all hash and compare symbols. Key strings were the write path's
-// hot spot — every noteWrite to an LHS attribute rebuilt the projection
-// string and re-hashed it into the groups map plus one dirty map per
-// consumer phase.
+// Groups are keyed on the engine's cell codes (codes.go), not on strings:
+// a one-attribute LHS uses the cell code itself as the group symbol and a
+// wider one interns its fixed-width code tuple, so the index is a slice by
+// symbol and the dirty groups are bitsets. Key strings were the write
+// path's hot spot: every noteWrite to an LHS attribute, asserts included,
+// rebuilt and re-hashed one. A group's key string is built once, when the
+// group first forms, for eRepair's tie-break id.
 
 // worklist decides what a rule pass visits. The engine holds one: the
 // delta scheduler, or the rescan reference under Options.Rescan.
@@ -69,11 +71,11 @@ type worklist interface {
 // since it was last handed out, so its tree entry is dropped. Snapshots
 // matter: the index slices mutate under later writes, while a tree entry
 // must keep the membership it was keyed with until re-keyed. sym is the
-// scheduler's interned key, -1 from the rescan reference.
+// scheduler's group symbol, -1 from the rescan reference.
 type keyedGroup struct {
 	ri      int
 	key     string
-	sym     int32
+	sym     int
 	members []int
 }
 
@@ -87,53 +89,31 @@ const (
 	numPhases
 )
 
-// symtab interns the LHS projection keys of one variable CFD: key strings
-// are stored once and handled as dense int32 symbols afterwards.
-type symtab struct {
-	ids  map[string]int32
-	strs []string
-	buf  []byte // reusable key-building scratch; hits allocate nothing
-}
-
-func newSymtab() *symtab { return &symtab{ids: make(map[string]int32)} }
-
-// intern returns the symbol of t's projection on attrs.
-func (s *symtab) intern(t *relation.Tuple, attrs []int) int32 {
-	s.buf = relation.AppendKey(s.buf[:0], t, attrs)
-	if id, ok := s.ids[string(s.buf)]; ok {
-		return id
-	}
-	key := string(s.buf)
-	id := int32(len(s.strs))
-	s.ids[key] = id
-	s.strs = append(s.strs, key)
-	return id
-}
-
-// str returns the key string behind a symbol.
-func (s *symtab) str(id int32) string { return s.strs[id] }
-
-// dirtySet is a bitset of dirty tuples: one per (per-tuple rule, consumer
-// phase). noteWrite marks a tuple on every engine write, so marking must be
-// a bit write, not a hash insert (mapassign_fast64 dominated the write path
-// when this was a map, ROADMAP (i)) nor an append to a side list. Draining
-// walks the words in ascending order, so the marked tuples come out sorted
-// with no sort.
+// dirtySet is a bitset of dirty tuples, or of dirty group symbols: one per
+// (rule, consumer phase). noteWrite marks on every engine write, so marking
+// must be a bit write, not a hash insert (mapassign_fast64 dominated the
+// write path when these were maps, ROADMAP (i)) nor an append to a side
+// list. Draining walks the words in ascending order, so the marked items
+// come out sorted with no sort.
 type dirtySet struct {
-	bits []uint64 // bit i of word i/64 is set while tuple i is marked
-	n    int      // number of marked tuples
+	bits []uint64 // bit i of word i/64 is set while item i is marked
+	n    int      // number of marked items
 	all  []int    // the identity listing while every tuple is dirty, else nil
 }
 
 // newDirtySet returns a set in the start state: every tuple dirty. all is
-// the shared identity listing 0..Len-1.
+// the shared identity listing 0..Len-1; a nil all starts the set empty.
 func newDirtySet(all []int) *dirtySet {
 	return &dirtySet{bits: make([]uint64, (len(all)+63)/64), all: all}
 }
 
-// mark adds tuple i to the set; re-marking is a cheap no-op.
+// mark adds item i to the set, growing it as new group symbols appear;
+// re-marking is a cheap no-op.
 func (s *dirtySet) mark(i int) {
 	w, b := i/64, uint64(1)<<(i%64)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
 	if s.bits[w]&b == 0 {
 		s.bits[w] |= b
 		s.n++
@@ -170,9 +150,9 @@ func (s *dirtySet) clear() {
 
 // igroup is one LHS-equal group of a variable CFD in the persistent index.
 // Members are tuple indexes kept sorted ascending, matching the relation
-// order that cfd.Groups produces.
+// order that cfd.Groups produces. A dissolved group stays, empty.
 type igroup struct {
-	key     int32
+	key     string // the LHS projection key, as cfd.Groups spells it
 	members []int
 }
 
@@ -192,117 +172,120 @@ func (g *igroup) remove(i int) {
 
 // groupIndex is the persistent LHS-key -> members index of one variable CFD,
 // equivalent at every instant to cfd.Groups over the current relation state.
-// It additionally tracks, per consumer phase, the keys of groups touched by
-// a write since that phase last took them; every phase starts with all
-// groups dirty.
+// Groups are named by symbols over the engine's cell codes: a one-attribute
+// LHS uses its code as the symbol, a wider one interns its fixed-width code
+// tuple. The index additionally tracks, per consumer phase, the symbols of
+// groups touched by a write since that phase last took them; every group
+// is marked when the index is built, so each phase starts all dirty.
 type groupIndex struct {
 	c      *cfd.CFD
-	syms   *symtab
-	member []bool  // per tuple: currently matches the LHS pattern
-	key    []int32 // per tuple: current group key symbol, valid when member
-	groups map[int32]*igroup
-	dirty  [numPhases]map[int32]bool
-	all    [numPhases]bool // phase has not taken yet: every group is dirty
+	lhs    []*column        // the LHS attributes' coded columns, parallel to c.LHS
+	tuples map[string]int32 // wider LHS: code tuple -> symbol
+	buf    []byte           // code-tuple scratch
+	key    []int32          // per tuple: current group symbol, -1 unless it matches the LHS pattern
+	groups []*igroup        // by symbol; nil until the group first forms
+	dirty  [numPhases]*dirtySet
+	all    [numPhases]bool // groups has not taken the phase yet: the take lists every group
 }
 
-func newGroupIndex(c *cfd.CFD, d *relation.Relation) *groupIndex {
-	gi := &groupIndex{
-		c:      c,
-		syms:   newSymtab(),
-		member: make([]bool, d.Len()),
-		key:    make([]int32, d.Len()),
-		groups: make(map[int32]*igroup),
+func newGroupIndex(c *cfd.CFD, d *relation.Relation, codes cellCodes) *groupIndex {
+	gi := &groupIndex{c: c, key: make([]int32, d.Len()), tuples: make(map[string]int32)}
+	for _, a := range c.LHS {
+		gi.lhs = append(gi.lhs, codes[a])
 	}
 	for p := range gi.dirty {
-		gi.dirty[p] = make(map[int32]bool)
+		gi.dirty[p] = newDirtySet(nil)
 		gi.all[p] = true
 	}
+	// Count every group before filling it, so each member list is
+	// allocated once at its final size.
+	var size []int
 	for i, t := range d.Tuples {
+		gi.key[i] = -1
 		if c.MatchLHS(t) {
-			gi.place(i, gi.syms.intern(t, c.LHS))
+			sym := gi.symbol(i)
+			if n := int(sym) + 1; n > len(size) {
+				size = append(size, make([]int, n-len(size))...)
+			}
+			size[sym]++
+			gi.key[i] = sym
+		}
+	}
+	gi.groups = make([]*igroup, len(size))
+	for i, sym := range gi.key {
+		if sym >= 0 {
+			gi.place(i, sym, d.Tuples[i], size[sym])
 		}
 	}
 	return gi
 }
 
-func (gi *groupIndex) place(i int, key int32) {
-	g := gi.groups[key]
+// symbol returns the group symbol of tuple i's current LHS codes.
+func (gi *groupIndex) symbol(i int) int32 {
+	if len(gi.lhs) == 1 {
+		return gi.lhs[0].code[i]
+	}
+	gi.buf = gi.buf[:0]
+	for _, col := range gi.lhs {
+		gi.buf = binary.LittleEndian.AppendUint32(gi.buf, uint32(col.code[i]))
+	}
+	sym, ok := gi.tuples[string(gi.buf)]
+	if !ok {
+		sym = int32(len(gi.tuples))
+		gi.tuples[string(gi.buf)] = sym
+	}
+	return sym
+}
+
+// place adds tuple i to group sym and marks the group dirty. A group
+// forming here gets room for size members.
+func (gi *groupIndex) place(i int, sym int32, t *relation.Tuple, size int) {
+	if n := int(sym) + 1; n > len(gi.groups) {
+		gi.groups = append(gi.groups, make([]*igroup, n-len(gi.groups))...)
+	}
+	g := gi.groups[sym]
 	if g == nil {
-		g = &igroup{key: key}
-		gi.groups[key] = g
+		g = &igroup{key: t.Key(gi.c.LHS), members: make([]int, 0, size)}
+		gi.groups[sym] = g
 	}
 	g.insert(i)
-	gi.member[i], gi.key[i] = true, key
+	gi.key[i] = sym
+	gi.markDirty(sym)
 }
 
-func (gi *groupIndex) markDirty(key int32) {
-	for p := range gi.dirty {
-		gi.dirty[p][key] = true
+func (gi *groupIndex) markDirty(sym int32) {
+	for _, d := range gi.dirty {
+		d.mark(int(sym))
 	}
 }
 
-// update re-derives tuple i's membership after a write to attribute a and
-// marks the affected group keys dirty for every consumer phase. Confidence-
-// and mark-only writes (asserts) keep the key but still dirty the group,
-// since they change premise trust and resolution choices.
+// update re-derives tuple i's membership after a write to attribute a, one
+// the CFD reads, and marks the affected groups dirty for every consumer
+// phase. Confidence- and mark-only writes (asserts) keep the symbol but
+// still dirty the group, since they change premise trust and resolution
+// choices.
 func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
+	old := gi.key[i]
 	if hasAttr(gi.c.LHS, a) {
-		newMember := gi.c.MatchLHS(t)
-		newKey := int32(-1)
-		if newMember {
-			newKey = gi.syms.intern(t, gi.c.LHS)
+		sym := int32(-1)
+		if gi.c.MatchLHS(t) {
+			sym = gi.symbol(i)
 		}
-		switch {
-		case newMember != gi.member[i] || (newMember && newKey != gi.key[i]):
-			if gi.member[i] {
-				old := gi.groups[gi.key[i]]
-				old.remove(i)
-				if len(old.members) == 0 {
-					delete(gi.groups, old.key)
-				}
-				gi.markDirty(gi.key[i])
+		if sym != old {
+			if old >= 0 {
+				gi.groups[old].remove(i)
+				gi.markDirty(old)
 			}
-			gi.member[i], gi.key[i] = false, -1
-			if newMember {
-				gi.place(i, newKey)
-				gi.markDirty(newKey)
+			gi.key[i] = -1
+			if sym >= 0 {
+				gi.place(i, sym, t, 0)
 			}
-		case gi.member[i]:
-			gi.markDirty(gi.key[i])
+			return
 		}
 	}
-	if a == gi.c.RHS && gi.member[i] {
-		gi.markDirty(gi.key[i])
+	if old >= 0 {
+		gi.markDirty(old)
 	}
-}
-
-// takeKeys drains and returns the dirty group keys of one consumer phase,
-// in ascending symbol order; the first take returns the key of every
-// current group. Every consumer happens to derive order-independent
-// state from the keys (queue entries ordered by (entropy, id),
-// sorted group listings, summed counters) — PR 4 audited exactly that by
-// hand — but sorting removes the argument: the keys leave here deterministic
-// and no future consumer can silently start depending on map order.
-func (gi *groupIndex) takeKeys(phase int) []int32 {
-	var out []int32
-	switch {
-	case gi.all[phase]:
-		gi.all[phase] = false
-		out = make([]int32, 0, len(gi.groups))
-		for k := range gi.groups { //det:ok maporder keys are sorted ascending below before anyone sees them
-			out = append(out, k)
-		}
-	case len(gi.dirty[phase]) == 0:
-		return nil
-	default:
-		out = make([]int32, 0, len(gi.dirty[phase]))
-		for k := range gi.dirty[phase] { //det:ok maporder keys are sorted ascending below before anyone sees them
-			out = append(out, k)
-		}
-	}
-	gi.dirty[phase] = make(map[int32]bool)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // scheduler is the delta worklist: the reverse dependency map and, per
@@ -342,10 +325,10 @@ type scheduler struct {
 }
 
 // newScheduler computes the reverse dependency map once from the ordered rule
-// set and builds the variable-CFD group indexes over the (cloned) data. A
+// set and builds the variable-CFD group indexes over data and its codes. A
 // rule "reads" its premise attributes and its conclusion attribute: a write
 // to either can change whether and how the rule fires on the tuple.
-func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
+func newScheduler(rules []rule.Rule, d *relation.Relation, codes cellCodes) *scheduler {
 	s := &scheduler{
 		rules:      rules,
 		attrRules:  make([][]int, d.Schema.Arity()),
@@ -367,7 +350,7 @@ func newScheduler(rules []rule.Rule, d *relation.Relation) *scheduler {
 			}
 		}
 		if r.Kind == rule.VariableCFD {
-			s.gidx[ri] = newGroupIndex(r.CFD, d)
+			s.gidx[ri] = newGroupIndex(r.CFD, d, codes)
 		} else {
 			s.dirtyC[ri] = newDirtySet(all)
 			s.dirtyH[ri] = newDirtySet(all)
@@ -441,8 +424,8 @@ func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
 	// Indirect hRepair reads: the write may flip a master tie-break for a
 	// variable CFD whose groups do not otherwise read this attribute.
 	for _, ri := range s.attrHExtra[a] {
-		if gi := s.gidx[ri]; gi.member[i] {
-			gi.dirty[phaseH][gi.key[i]] = true
+		if gi := s.gidx[ri]; gi.key[i] >= 0 {
+			gi.dirty[phaseH].mark(int(gi.key[i]))
 		}
 	}
 }
@@ -464,10 +447,11 @@ func (s *scheduler) tuples(phase, ri int) []int {
 func (s *scheduler) groups(phase, ri int) ([][]int, bool) {
 	gi := s.gidx[ri]
 	full := gi.all[phase]
-	keys := gi.takeKeys(phase)
+	gi.all[phase] = false
+	keys := gi.dirty[phase].take()
 	out := make([][]int, 0, len(keys))
 	for _, k := range keys {
-		if g := gi.groups[k]; g != nil && len(g.members) > 0 {
+		if g := gi.groups[k]; len(g.members) > 0 {
 			out = append(out, append([]int(nil), g.members...))
 		}
 	}
@@ -491,7 +475,7 @@ func (s *scheduler) regroup(start bool) []keyedGroup {
 		if gi == nil {
 			continue
 		}
-		for _, sym := range gi.takeKeys(phaseE) {
+		for _, sym := range gi.dirty[phaseE].take() {
 			out = append(out, s.keyed(ri, sym))
 		}
 	}
@@ -499,13 +483,9 @@ func (s *scheduler) regroup(start bool) []keyedGroup {
 }
 
 // keyed snapshots one group of variable CFD ri out of its index.
-func (s *scheduler) keyed(ri int, sym int32) keyedGroup {
-	gi := s.gidx[ri]
-	g := keyedGroup{ri: ri, key: gi.syms.str(sym), sym: sym}
-	if cg := gi.groups[sym]; cg != nil {
-		g.members = append([]int(nil), cg.members...)
-	}
-	return g
+func (s *scheduler) keyed(ri, sym int) keyedGroup {
+	cg := s.gidx[ri].groups[sym]
+	return keyedGroup{ri: ri, key: cg.key, sym: sym, members: append([]int(nil), cg.members...)}
 }
 
 func (s *scheduler) extracted(g keyedGroup) { s.eredo = append(s.eredo, g) }

@@ -11,7 +11,7 @@ import (
 // across the rescan, sequential-incremental and parallel engines. Iterating
 // a Go map inside them is exactly the bug class that bit PR 3 (groupEntropy
 // summed in map order, flipping eRepair entropy ties) and that PR 4 had to audit
-// by hand (takeKeys).
+// by hand (the scheduler's dirty-key drain).
 var deterministicPkgs = map[string]bool{
 	"repro/internal/clean": true,
 	"repro/internal/cfd":   true,

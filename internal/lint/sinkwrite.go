@@ -20,7 +20,7 @@ var sharedTypes = map[string]bool{
 	"scheduler":  true,
 	"groupIndex": true,
 	"dirtySet":   true,
-	"symtab":     true,
+	"column":     true,
 }
 
 // workerScopeCalls are the functions whose function-literal arguments run on

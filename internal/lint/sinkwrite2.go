@@ -5,8 +5,8 @@ import (
 )
 
 // SinkWrite (v2) flags writes to engine/matcher shared state — the Engine
-// and its Result/Report, the Checker, the scheduler with its group indexes,
-// dirty sets and symtabs — from worker-scoped code. Such a write escapes
+// and its Result/Report, the Checker, the scheduler with its group indexes
+// and dirty sets, and the coded columns — from worker-scoped code. Such a write escapes
 // fanOut's task-slot merge: it races the other workers and injects
 // scheduling order into state the identity guarantee says is deterministic.
 // Writes to item-owned cells go through a local tuple binding

@@ -87,9 +87,9 @@ func (t *Tuple) Key(attrs []int) string {
 
 // AppendKey appends the canonical projection key of t on attrs (the same
 // encoding as Key) to dst and returns the extended slice. Hot paths — the
-// scheduler's group-key interner, the MD equality-blocking lookup — build
-// keys into a reusable buffer and probe maps with string(buf), so a key
-// lookup allocates nothing.
+// MD equality-blocking lookup and its memo — build keys into a reusable
+// buffer and probe maps with string(buf), so a key lookup allocates
+// nothing.
 func AppendKey(dst []byte, t *Tuple, attrs []int) []byte {
 	for i, a := range attrs {
 		if i > 0 {
