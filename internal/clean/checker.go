@@ -270,7 +270,6 @@ func (c *Checker) Check(d *relation.Relation) *Report {
 // so there is nothing to roll back.
 func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Report, error) {
 	tasks := c.certTasks(d)
-	subs := make([]ruleReport, len(tasks))
 	for _, x := range c.matchers {
 		if x != nil {
 			x.bound(d.Len())
@@ -288,19 +287,20 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 			}
 		}
 	}
-	run := func(ti int) {
+	run := func(ti int) ruleReport {
 		t := tasks[ti]
 		c.fj.At(fault.SiteCertify, t.ri, t.lo)
-		// Certification is read-only, so tasks need nothing but disjoint
-		// result slots. Matchers are forked per task (shared immutable
-		// indexes and memo, private scratch).
+		// Certification is read-only, so a task needs nothing but the
+		// ruleReport it returns. Matchers are forked per task (shared
+		// immutable indexes and memo, private scratch).
 		x := c.matchers[t.ri]
 		if x != nil && c.workers > 1 {
 			x = x.fork()
 		}
-		subs[ti] = c.checkRule(d, t.ri, t.lo, t.hi, x)
+		return c.checkRule(d, t.ri, t.lo, t.hi, x)
 	}
-	if err := fanOut(ctx, c.fj, "certify", c.workers, len(tasks), run); err != nil {
+	subs, err := fanOut(ctx, c.fj, "certify", c.workers, len(tasks), run)
+	if err != nil {
 		return nil, err
 	}
 

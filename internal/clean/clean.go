@@ -77,7 +77,7 @@ type Options struct {
 	// eRepair re-key batch). 0 means DefaultSeqCutoff. Negative forces
 	// every nonempty fan-out onto the workers, which tests use to exercise
 	// them on tiny property-test instances. Neither choice can change any output: a
-	// fan-out's tasks fill their own slots, merged in task order.
+	// fan-out's tasks return their results, merged in task order.
 	SeqCutoff int
 	// Deadline is the soft wall-clock budget of the run. Zero means none.
 	// Unlike a context deadline — which aborts with ErrDeadline — exceeding
@@ -383,22 +383,24 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	// tasks, the two longest first. The codes and the scheduler read data,
 	// whose values the clone copies, so they need not wait for it. A panic
 	// in one propagates, as it would from the sequential build.
-	built := make([]*matcher, len(fresh))
-	var clone *relation.Relation
-	var work worklist
-	var codes cellCodes
-	build := func(k int) {
+	type part struct {
+		clone *relation.Relation
+		codes cellCodes
+		work  worklist
+		m     *matcher
+	}
+	build := func(k int) part {
 		switch k {
 		case 0:
-			clone = data.Clone()
+			return part{clone: data.Clone()}
 		case 1:
-			codes = newCellCodes(e.rules, data)
-			if !opts.Rescan {
-				work = newScheduler(e.rules, data, codes)
+			codes := newCellCodes(e.rules, data)
+			if opts.Rescan {
+				return part{codes: codes}
 			}
-		default:
-			built[k-2] = newMatcher(e.rules[fresh[k-2]].MD, master)
+			return part{codes: codes, work: newScheduler(e.rules, data, codes)}
 		}
+		return part{m: newMatcher(e.rules[fresh[k-2]].MD, master)}
 	}
 	workers := e.workers
 	if runtime.GOMAXPROCS(0) == 1 {
@@ -406,19 +408,20 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	}
 	// No fault injector: a panic here is re-raised to the caller, outside
 	// runAll's containment.
-	if err := fanOut(context.Background(), nil, "new", workers, len(fresh)+2, build); err != nil {
+	parts, err := fanOut(context.Background(), nil, "new", workers, len(fresh)+2, build)
+	if err != nil {
 		panic(err)
 	}
+	e.data, e.codes, e.work = parts[0].clone, parts[1].codes, parts[1].work
 	if opts.Rescan {
 		// The reference re-derives everything by scanning, so it builds
 		// no index: maintaining indexes it never reads would bill the
 		// rescan baseline for delta-engine bookkeeping and flatter the
 		// measured speedup.
-		work = newRescan(e.rules, clone)
+		e.work = newRescan(e.rules, e.data)
 	}
-	e.data, e.work, e.codes = clone, work, codes
 	for k, i := range fresh {
-		e.matchers[i] = built[k]
+		e.matchers[i] = parts[k+2].m
 	}
 	for i, x := range e.matchers {
 		if x != nil {

@@ -96,54 +96,58 @@ func (e *Engine) ERepair() {
 	// "<ordinal>|<LHS key>" string under both worklists, so they resolve
 	// ties in the same order. The entropies only read the batch's member
 	// snapshots and the live relation, which nothing writes meanwhile, so
-	// above the sequential cutoff they are computed across fanOut into
-	// per-item slots; the queue is then updated in batch order. That merge
+	// above the sequential cutoff they are computed across fanOut as
+	// per-item results; the queue is then updated in batch order. That merge
 	// is order-independent anyway: the heap orders by (entropy, id) and
 	// ETuples is a sum.
 	rekey := func(batch []keyedGroup) bool {
 		type slot struct {
-			id       string
 			entropy  float64
 			distinct int
 		}
-		slots := make([]slot, len(batch))
+		ids := make([]string, len(batch))
 		work := 0
 		for k, g := range batch {
-			slots[k].id = ordinal[g.ri] + "|" + g.key
-			if !done[slots[k].id] {
+			ids[k] = ordinal[g.ri] + "|" + g.key
+			if !done[ids[k]] {
 				work += len(g.members)
 			}
 		}
-		entropy := func(k int) {
+		entropy := func(k int) slot {
 			e.fj.At(fault.SiteSeed, k, 0)
-			if g, s := batch[k], &slots[k]; len(g.members) > 0 && !done[s.id] {
+			var s slot
+			if g := batch[k]; len(g.members) > 0 && !done[ids[k]] {
 				s.entropy, s.distinct = groupEntropy(e.codes[e.rules[g.ri].CFD.RHS], g.members)
 			}
+			return s
 		}
+		var slots []slot
+		var err error
 		if e.inline(work) {
+			slots = make([]slot, len(batch))
 			for k := range batch {
-				entropy(k)
+				slots[k] = entropy(k)
 			}
-		} else if err := fanOut(e.ctx, e.fj, "eRepair", e.workers, len(batch), entropy); err != nil {
-			// The tasks only fill their own slots, so poisoning the engine
-			// before the merge is a consistent stop.
+		} else if slots, err = fanOut(e.ctx, e.fj, "eRepair", e.workers, len(batch), entropy); err != nil {
+			// The tasks write nothing but their results, so poisoning the
+			// engine before the merge is a consistent stop.
 			if e.fail == nil {
 				e.fail = err
 			}
 			return false
 		}
 		for k, g := range batch {
-			s := slots[k]
-			delete(keyed, s.id)
-			if done[s.id] || len(g.members) == 0 {
+			id, s := ids[k], slots[k]
+			delete(keyed, id)
+			if done[id] || len(g.members) == 0 {
 				continue
 			}
 			e.apply[g.ri].ETuples += len(g.members)
 			if s.distinct < 2 {
 				continue // already conflict-free
 			}
-			eg := &egroup{keyedGroup: g, id: s.id, entropy: s.entropy}
-			keyed[s.id] = eg
+			eg := &egroup{keyedGroup: g, id: id, entropy: s.entropy}
+			keyed[id] = eg
 			heap.Push(&queue, eg)
 		}
 		return true

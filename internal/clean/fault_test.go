@@ -34,9 +34,9 @@ func snapshot(d *relation.Relation) [][]cellSnap {
 }
 
 // faultMode is one engine configuration the fault sweep runs under: the
-// sequential default, and the forced-pool configuration that pushes every
-// nonempty worklist through the worker pool so the containment and rewind
-// machinery in runParallel/fanOut is actually on the hook.
+// sequential default, and the forced-fan-out configuration that sends every
+// nonempty index build, prefetch, eRepair re-key and certification through
+// fanOut's workers, so fanOut's containment is actually on the hook.
 type faultMode struct {
 	name string
 	opts Options
@@ -53,7 +53,7 @@ func faultModes() []faultMode {
 // faultConfig is one armed injector setup of the sweep.
 type faultConfig struct {
 	name  string
-	pools bool // pool-only sites: skip under the sequential mode
+	pools bool // fan-out-only sites: skip under the sequential mode
 	rules []fault.Rule
 }
 
@@ -88,8 +88,8 @@ func typedFailure(err error) bool {
 //     fault-free baseline (delays in particular may never change anything).
 //
 // A partially applied round, a half-torn relation, or an untyped error is a
-// property violation. The sweep runs both the sequential and the forced-pool
-// engine; CI runs it under -race (the fault-sweep job).
+// property violation. The sweep runs both the sequential and the
+// forced-fan-out engine; CI runs it under -race (the fault-sweep job).
 func TestPropertyFaultInjection(t *testing.T) {
 	seeds := int64(400)
 	if testing.Short() {
@@ -173,7 +173,7 @@ func TestRunContextHardDeadline(t *testing.T) {
 }
 
 // TestWorkerErrorCoordinates pins the structured failure: a guaranteed
-// applier panic on the pool path surfaces as a *WorkerError naming the
+// applier panic with forced fan-outs surfaces as a *WorkerError naming the
 // phase, the rule, and the work item, and unwraps to the injected fault.
 func TestWorkerErrorCoordinates(t *testing.T) {
 	in := genInstance(13)
@@ -187,10 +187,9 @@ func TestWorkerErrorCoordinates(t *testing.T) {
 		t.Fatalf("err = %v, want *WorkerError", err)
 	}
 	// The propagated failure names the phase, the rule and a worklist item.
-	// Which items record failures before the abort flag drains the pool is
-	// scheduling-dependent (the lowest-index choice is deterministic over
-	// the recorded set, not over the schedule), so the item is asserted
-	// present, not pinned to 0.
+	// Rule passes run inline, so the item is the first one the injector
+	// hits; that depends on the worklist, not on this test, so the item is
+	// asserted present, not pinned to 0.
 	if we.Phase != "cRepair" || we.Rule == "" || we.Item < 0 {
 		t.Fatalf("WorkerError coordinates = phase %q rule %q item %d, want cRepair/<rule>/>=0",
 			we.Phase, we.Rule, we.Item)
@@ -311,9 +310,56 @@ func TestCheckContextCanceled(t *testing.T) {
 	}
 }
 
+// TestFanOutContract pins fanOut's own contract: results come back indexed
+// by task and identical for any worker count, and a failure returns nil
+// results with the lowest failing task's *WorkerError, else the typed
+// cancellation.
+func TestFanOutContract(t *testing.T) {
+	const tasks = 40
+	square := func(task int) string { return fmt.Sprintf("r%d", task*task) }
+	want := make([]string, tasks)
+	for i := range want {
+		want[i] = square(i)
+	}
+	for w := 1; w <= 8; w++ {
+		got, err := fanOut(context.Background(), nil, "test", w, tasks, square)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers %d: fanOut = %v, %v; want %v", w, got, err, want)
+		}
+
+		got, err = fanOut(context.Background(), nil, "test", w, tasks, func(task int) string {
+			if task == 7 || task == 23 {
+				panic(fmt.Sprintf("task %d", task))
+			}
+			return square(task)
+		})
+		var we *WorkerError
+		if got != nil || !errors.As(err, &we) || we.Phase != "test" || we.Item != 7 {
+			t.Fatalf("workers %d: panicking tasks 7, 23: fanOut = %v, %v; want nil, WorkerError at item 7", w, got, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if got, err = fanOut(ctx, nil, "test", w, tasks, square); got != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("workers %d: canceled before the call: fanOut = %v, %v; want nil, ErrCanceled", w, got, err)
+		}
+		ctx, cancel = context.WithCancel(context.Background())
+		got, err = fanOut(ctx, nil, "test", w, tasks, func(task int) string {
+			if task == 11 {
+				cancel()
+			}
+			return square(task)
+		})
+		cancel()
+		if got != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("workers %d: canceled by task 11: fanOut = %v, %v; want nil, ErrCanceled", w, got, err)
+		}
+	}
+}
+
 // TestFaultSweepFires sanity-checks the sweep itself: over the corpus, each
 // armed kind actually fires somewhere, so a green property run cannot mean
-// "the hooks never triggered". The pooled passes check the scheduling site
+// "the hooks never triggered". The fan-out passes check the scheduling site
 // too, both in the sweep's forced-fan-out mode and with the default cutoff.
 func TestFaultSweepFires(t *testing.T) {
 	pool := DefaultOptions()

@@ -205,23 +205,23 @@ func (x *matcher) prefetch(ctx context.Context, fj *fault.Injector, workers int,
 			visit(d.Tuples[i])
 		}
 	}
-	var lookups []lookup
-	var certs [][]int
-	if cert {
-		certs = make([][]int, len(todo))
-	} else {
-		lookups = make([]lookup, len(todo))
-	}
+	// Each fork returns the entries of its own contiguous chunk of todo, so
+	// the chunks concatenate to key order. A certification entry holds only
+	// ids.
 	n := min(len(todo), workers)
-	err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) {
+	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) []lookup {
 		f := x.fork()
-		for k := c * len(todo) / n; k < (c+1)*len(todo)/n; k++ {
+		part := todo[c*len(todo)/n : (c+1)*len(todo)/n]
+		out := make([]lookup, 0, len(part))
+		for _, t := range part {
 			if cert {
-				certs[k], _ = f.certCandidates(todo[k])
+				ids, _ := f.certCandidates(t)
+				out = append(out, lookup{ids: ids})
 			} else {
-				lookups[k] = f.lookup(todo[k], topL)
+				out = append(out, f.lookup(t, topL))
 			}
 		}
+		return out
 	})
 	if err != nil {
 		return err
@@ -229,19 +229,21 @@ func (x *matcher) prefetch(ctx context.Context, fj *fault.Injector, workers int,
 	// Clear up front when the keys would take the map past the bound, so
 	// no entry stored here is shed before the pass reads it.
 	m := x.memo
-	if cert {
-		if len(m.cert)+len(keys) > m.limit {
-			clear(m.cert)
-		}
-		for k, key := range keys {
-			m.putCert(key, certs[k])
-		}
-	} else {
-		if len(m.lookups)+len(keys) > m.limit {
-			clear(m.lookups)
-		}
-		for k, key := range keys {
-			m.putLookup(key, lookups[k])
+	if cert && len(m.cert)+len(keys) > m.limit {
+		clear(m.cert)
+	}
+	if !cert && len(m.lookups)+len(keys) > m.limit {
+		clear(m.lookups)
+	}
+	k := 0
+	for _, c := range chunks {
+		for _, l := range c {
+			if cert {
+				m.putCert(keys[k], l.ids)
+			} else {
+				m.putLookup(keys[k], l)
+			}
+			k++
 		}
 	}
 	return nil

@@ -257,16 +257,18 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	phase := func(label string) {
 		t.Helper()
 		n := data.Len()
-		got := make([][]int, n)
 		forks := []*matcher{x.fork(), x.fork()}
-		err := fanOut(context.Background(), nil, "test", len(forks), len(forks), func(w int) {
+		chunks, err := fanOut(context.Background(), nil, "test", len(forks), len(forks), func(w int) [][]int {
+			var got [][]int
 			for i := w * n / len(forks); i < (w+1)*n/len(forks); i++ {
-				got[i] = forks[w].candidates(e.data.Tuples[i], opts.TopL)
+				got = append(got, forks[w].candidates(e.data.Tuples[i], opts.TopL))
 			}
+			return got
 		})
 		if err != nil {
 			t.Fatalf("%s: fanOut: %v", label, err)
 		}
+		got := slices.Concat(chunks...)
 		for i := range got {
 			if !slices.Equal(got[i], want.ids) {
 				t.Fatalf("%s: t%d: candidates = %v, want %v", label, i, got[i], want.ids)

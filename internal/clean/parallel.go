@@ -18,18 +18,19 @@ import (
 // prefetch, eRepair's entropy re-keying and certification.
 
 // fanOut runs fn(task) for every task in [0, tasks) across up to workers
-// goroutines pulling task indexes from an atomic cursor. Tasks write only
-// their own task-indexed result slot and the caller merges in task order
-// afterwards, so the outcome is identical for any worker count. Each task
-// runs under its own recover; on a panic or a context cancellation the
-// remaining tasks are skipped and the error — the lowest-index
-// *WorkerError, else the typed cancellation — is returned. The caller must
-// discard the partially filled result slots on error. fj's SiteSched hook
-// fires once per task a worker goroutine claims, inside the task's recover.
-func fanOut(ctx context.Context, fj *fault.Injector, phase string, workers, tasks int, fn func(task int)) error {
+// goroutines pulling task indexes from an atomic cursor, and returns the
+// results indexed by task. Tasks write no captured state; the caller merges
+// the results in task order afterwards, so the outcome is identical for any
+// worker count. Each task runs under its own recover; on a panic or a
+// context cancellation the remaining tasks are skipped and fanOut returns
+// nil results with the error — the lowest-index *WorkerError, else the
+// typed cancellation. fj's SiteSched hook fires once per task a worker
+// goroutine claims, inside the task's recover.
+func fanOut[T any](ctx context.Context, fj *fault.Injector, phase string, workers, tasks int, fn func(task int) T) ([]T, error) {
 	if workers > tasks {
 		workers = tasks
 	}
+	out := make([]T, tasks)
 	fails := make([]*WorkerError, tasks)
 	var aborted atomic.Bool
 	runTask := func(shard, task int) {
@@ -42,7 +43,7 @@ func fanOut(ctx context.Context, fj *fault.Injector, phase string, workers, task
 		if shard >= 0 {
 			fj.At(fault.SiteSched, 0, task)
 		}
-		fn(task)
+		out[task] = fn(task)
 	}
 	if workers <= 1 {
 		for task := 0; task < tasks && !aborted.Load() && ctx.Err() == nil; task++ {
@@ -71,13 +72,13 @@ func fanOut(ctx context.Context, fj *fault.Injector, phase string, workers, task
 	}
 	for _, f := range fails {
 		if f != nil {
-			return f
+			return nil, f
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return ctxErr(err)
+		return nil, ctxErr(err)
 	}
-	return nil
+	return out, nil
 }
 
 // applyTuples runs one per-tuple rule over the given tuple ids (ascending).

@@ -97,6 +97,21 @@ func (e *Engine) badRulesIndirect() {
 
 func (e *Engine) applyOne() { applyTuples(nil, nil) }
 
+// fanOut is a pool entry point too, also when instantiated explicitly.
+func fanOut[T any](tasks int, fn func(int) T) []T {
+	out := make([]T, tasks)
+	for t := range out {
+		out[t] = fn(t)
+	}
+	return out
+}
+
+func (e *Engine) badRulesFanOut() {
+	for range e.rules { // want "rule worklist loop drives pool work"
+		fanOut[int](2, func(t int) int { return t })
+	}
+}
+
 // Bounded setup over the rules — no pool work — is out of scope.
 func (e *Engine) setupRules() map[string]bool {
 	seen := make(map[string]bool)
