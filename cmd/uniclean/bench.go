@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,14 +23,10 @@ import (
 // incremental run down to the visit counters (a hard failure otherwise).
 type benchReport struct {
 	Config            gen.Config
-	RescanNs          int64
 	IncrementalNs     int64
-	Speedup           float64 // RescanNs / IncrementalNs, same process and machine
-	RescanVisits      int
 	IncrementalVisits int
-	VisitRatio        float64 // RescanVisits / IncrementalVisits
-	CertifyVisits     int     // MD certification pairs verified; naive is |D|·|Dm| per MD rule
-	Workers           int     // effective worker count of the parallel run
+	CertifyVisits     int // MD certification pairs verified; naive is |D|·|Dm| per MD rule
+	Workers           int // effective worker count of the parallel run
 	ParallelNs        int64
 	ParallelSpeedup   float64 // IncrementalNs / ParallelNs, same process and machine
 	ParallelVisits    int     // must equal IncrementalVisits
@@ -53,16 +50,15 @@ type benchReport struct {
 }
 
 // maxVisitRegression is the CI gate: the run fails when the incremental
-// engine's visit count grows more than 20% over the committed baseline, or
-// its advantage over the rescan engine shrinks by more than 20%.
+// engine's visit count grows more than 20% over the committed baseline.
 const maxVisitRegression = 1.20
 
-// pairedSpeedupSlack is the paired-run wall-clock gate (ROADMAP (e)): the
-// incremental engine must beat the rescan engine in the same process, and
-// its measured speedup may fall at most this factor below the committed
-// baseline's. Paired runs cancel machine speed but not scheduler noise, so
-// the slack is generous — only losing half the advantage fails; the visit
-// gates stay the precise instrument.
+// pairedSpeedupSlack is the relative parallel wall-clock gate: on a runner
+// whose baseline recorded a real parallel advantage, the measured
+// parallel speedup may fall at most this factor below the baseline's.
+// Paired runs cancel machine speed but not scheduler noise, so the slack
+// is generous — only losing half the advantage fails; the visit gates stay
+// the precise instrument.
 const pairedSpeedupSlack = 2.0
 
 // parallelWallFloor is the absolute floor of the parallel-vs-sequential
@@ -88,19 +84,17 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// deriveRatios fills the report's derived ratio fields from the measured
-// ones, guarding every division.
+// deriveRatios fills the report's derived ratio field from the measured
+// ones, guarding the division.
 func (r *benchReport) deriveRatios() {
-	r.Speedup = ratio(float64(r.RescanNs), float64(r.IncrementalNs))
-	r.VisitRatio = ratio(float64(r.RescanVisits), float64(r.IncrementalVisits))
 	r.ParallelSpeedup = ratio(float64(r.IncrementalNs), float64(r.ParallelNs))
 }
 
 // runBench generates the configured synthetic instance, runs the full
-// pipeline once per engine mode — full-rescan reference, sequential
-// incremental, parallel incremental with the requested worker count —
+// pipeline sequentially and in parallel with the requested worker count,
 // writes the JSON report, and enforces the baseline gate when one is given.
-func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string, stderr io.Writer) error {
+// A canceled or expired ctx fails the run before any report is written.
+func runBench(ctx context.Context, cfg gen.Config, workers, updates int, outPath, baselinePath string, stderr io.Writer) error {
 	inst := gen.Generate(cfg)
 	opts := clean.DefaultOptions()
 
@@ -108,26 +102,25 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Each engine mode is timed benchRounds times, interleaved — rescan,
-	// incremental, parallel, then again — and the fastest sample wins. The
-	// pipeline is deterministic, so repeated runs compute identical
-	// results; interleaving matters because the jitter on shared runners
-	// (GC pauses, container CPU throttling) is epoch-correlated, and
-	// back-to-back same-mode samples used to swing the paired wall ratios
-	// ±15% and flake the wall gates.
-	modes := make([]clean.Options, 3)
-	modes[0] = opts
-	modes[0].Rescan, modes[0].Workers = true, 1
-	modes[1] = opts
-	modes[1].Rescan, modes[1].Workers = false, 1
-	modes[2] = opts
-	modes[2].Rescan, modes[2].Workers = false, workers
+	// Each engine mode is timed benchRounds times, interleaved — sequential,
+	// parallel, then again — and the fastest sample wins. The pipeline is
+	// deterministic, so repeated runs compute identical results;
+	// interleaving matters because the jitter on shared runners (GC pauses,
+	// container CPU throttling) is epoch-correlated, and back-to-back
+	// same-mode samples used to swing the paired wall ratio ±15% and flake
+	// the wall gate.
+	modes := []int{1, workers}
 	results := make([]*clean.Result, len(modes))
 	best := make([]int64, len(modes))
 	for round := 0; round < benchRounds; round++ {
-		for m, o := range modes {
+		for m, w := range modes {
+			o := opts
+			o.Workers = w
 			t0 := time.Now()
-			res := clean.Run(inst.Data, inst.Master, inst.Rules, o)
+			res, err := clean.RunContext(ctx, inst.Data, inst.Master, inst.Rules, o)
+			if err != nil {
+				return fmt.Errorf("bench: %w", err)
+			}
 			if ns := time.Since(t0).Nanoseconds(); round == 0 || ns < best[m] {
 				best[m] = ns
 			}
@@ -136,22 +129,14 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 			}
 		}
 	}
-	ref, rescanNs := results[0], best[0]
-	inc, incrementalNs := results[1], best[1]
-	par, parallelNs := results[2], best[2]
+	inc, incrementalNs := results[0], best[0]
+	par, parallelNs := results[1], best[1]
 
-	// The engines must agree fix-for-fix; a benchmark that measures
-	// different computations is worthless, so disagreement is a hard
-	// failure. The comparison is deep — full fix records in order,
-	// conflicts, the certified report, and the repaired cells — because
-	// this workload (MDs plus master data) is exactly the shape the
-	// nil-master property corpus does not cover.
-	if err := diffRuns("incremental", "rescan", inc, ref); err != nil {
-		return err
-	}
-	// The parallel engine additionally must match the sequential visit
-	// counters exactly: it shards the same worklists, so any drift means
-	// the merge replayed different work, not just scheduled it elsewhere.
+	// The engines must agree fix-for-fix, and the parallel engine must
+	// match the sequential visit counters exactly: it shards the same
+	// worklists, so any drift means the merge replayed different work, not
+	// just scheduled it elsewhere. A benchmark that measures different
+	// computations is worthless, so disagreement is a hard failure.
 	if err := diffRuns("parallel", "incremental", par, inc); err != nil {
 		return err
 	}
@@ -159,20 +144,18 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 		return fmt.Errorf("bench: parallel visits %d != incremental visits %d",
 			par.TotalVisits(), inc.TotalVisits())
 	}
-	// Certification work is deterministic too: all three engines certify
-	// the same repaired relation through the same blocked enumeration, and
-	// the parallel checker merges per-rule passes — so the counter must not
-	// depend on engine mode or worker count.
-	if ref.Report.CertVisits != inc.Report.CertVisits || par.Report.CertVisits != inc.Report.CertVisits {
-		return fmt.Errorf("bench: certify visits disagree: rescan %d, incremental %d, parallel %d",
-			ref.Report.CertVisits, inc.Report.CertVisits, par.Report.CertVisits)
+	// Certification work is deterministic too: both engines certify the
+	// same repaired relation through the same blocked enumeration, and the
+	// parallel checker merges per-rule passes — so the counter must not
+	// depend on worker count.
+	if par.Report.CertVisits != inc.Report.CertVisits {
+		return fmt.Errorf("bench: certify visits disagree: incremental %d, parallel %d",
+			inc.Report.CertVisits, par.Report.CertVisits)
 	}
 
 	rep := benchReport{
-		Config:            cfg,
-		RescanNs:          rescanNs,
+		Config:            inst.Config,
 		IncrementalNs:     incrementalNs,
-		RescanVisits:      ref.TotalVisits(),
 		IncrementalVisits: inc.TotalVisits(),
 		CertifyVisits:     inc.Report.CertVisits,
 		Workers:           workers,
@@ -186,7 +169,7 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 	rep.deriveRatios()
 
 	if updates > 0 {
-		if err := runUpdateBench(inst, updates, workers, opts, &rep, stderr); err != nil {
+		if err := runUpdateBench(ctx, inst, updates, workers, opts, &rep, stderr); err != nil {
 			return err
 		}
 	}
@@ -199,17 +182,15 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 		return err
 	}
 	fmt.Fprintf(stderr, "bench: %d tuples, %d dirtied cells, %d fixes\n",
-		cfg.Tuples, inst.Dirtied, rep.Fixes)
-	fmt.Fprintf(stderr, "bench: rescan        %8.1fms  %9d visits\n",
-		float64(rescanNs)/1e6, rep.RescanVisits)
+		inst.Config.Tuples, inst.Dirtied, rep.Fixes)
 	fmt.Fprintf(stderr, "bench: incremental   %8.1fms  %9d visits\n",
 		float64(incrementalNs)/1e6, rep.IncrementalVisits)
 	fmt.Fprintf(stderr, "bench: parallel(%2d)  %8.1fms  %9d visits\n",
 		workers, float64(parallelNs)/1e6, rep.ParallelVisits)
 	fmt.Fprintf(stderr, "bench: certify       %9d pairs verified (naive scan: %d per MD rule)\n",
-		rep.CertifyVisits, cfg.Tuples*cfg.MasterSize)
-	fmt.Fprintf(stderr, "bench: speedup %.2fx, visit ratio %.2fx, parallel speedup %.2fx, report written to %s\n",
-		rep.Speedup, rep.VisitRatio, rep.ParallelSpeedup, outPath)
+		rep.CertifyVisits, inst.Config.Tuples*inst.Config.MasterSize)
+	fmt.Fprintf(stderr, "bench: parallel speedup %.2fx, report written to %s\n",
+		rep.ParallelSpeedup, outPath)
 
 	if baselinePath == "" {
 		return nil
@@ -233,7 +214,7 @@ func runBench(cfg gen.Config, workers, updates int, outPath, baselinePath string
 // fields. The two replays must agree on every final observable and on the
 // summed applier visit counters — the streaming analogue of the
 // parallel-vs-sequential hard check of the batch bench.
-func runUpdateBench(inst *gen.Instance, updates, workers int, opts clean.Options, rep *benchReport, stderr io.Writer) error {
+func runUpdateBench(ctx context.Context, inst *gen.Instance, updates, workers int, opts clean.Options, rep *benchReport, stderr io.Writer) error {
 	stream := gen.GenerateUpdates(inst, gen.UpdateConfig{
 		Updates:      updates,
 		DeleteRate:   0.15,
@@ -250,7 +231,7 @@ func runUpdateBench(inst *gen.Instance, updates, workers int, opts clean.Options
 	run := func(w int) (replay, error) {
 		o := opts
 		o.Workers = w
-		e, err := clean.NewStream(inst.Data, inst.Master, inst.Rules, o)
+		e, err := clean.NewStreamContext(ctx, inst.Data, inst.Master, inst.Rules, o)
 		if err != nil {
 			return replay{}, fmt.Errorf("bench: stream setup: %w", err)
 		}
@@ -259,9 +240,9 @@ func runUpdateBench(inst *gen.Instance, updates, workers int, opts clean.Options
 		for i, u := range stream {
 			var res *clean.Result
 			if u.Delete {
-				res, err = e.Delete(u.ID)
+				res, err = e.DeleteContext(ctx, u.ID)
 			} else {
-				res, err = e.Upsert(u.ID, u.Values, u.Conf)
+				res, err = e.UpsertContext(ctx, u.ID, u.Values, u.Conf)
 			}
 			if err != nil {
 				return replay{}, fmt.Errorf("bench: update %d: %w", i, err)
@@ -347,24 +328,18 @@ func readBaseline(path string) (benchReport, error) {
 
 // checkBaseline fails the run when the deterministic work counters regress
 // more than 20% against the committed baseline, or when the paired-run
-// wall-clock advantage collapses. Absolute time is never gated — CI runners
-// are too noisy — but a paired run (rescan and incremental in the same
-// process, same machine) cancels machine speed, so the incremental engine
-// must beat the rescan engine outright and must keep at least half the
-// baseline's measured speedup (pairedSpeedupSlack). The wall gates are
-// skipped when a coarse clock zeroed a measured duration: the ratios are
+// parallel wall-clock advantage collapses. Absolute time is never gated —
+// CI runners are too noisy — but a paired run (sequential and parallel in
+// the same process, same machine) cancels machine speed. The wall gate is
+// skipped when a coarse clock zeroed a measured duration: the ratio is
 // then 0 by construction and meaningless.
 func checkBaseline(rep, base benchReport, stderr io.Writer) error {
-	if base.IncrementalVisits <= 0 || base.VisitRatio <= 0 {
+	if base.IncrementalVisits <= 0 {
 		return fmt.Errorf("bench: baseline has no visit counts; regenerate it with -bench")
 	}
 	if got, limit := rep.IncrementalVisits, float64(base.IncrementalVisits)*maxVisitRegression; float64(got) > limit {
 		return fmt.Errorf("bench: incremental visits regressed: %d > %.0f (baseline %d +20%%)",
 			got, limit, base.IncrementalVisits)
-	}
-	if got, floor := rep.VisitRatio, base.VisitRatio/maxVisitRegression; got < floor {
-		return fmt.Errorf("bench: visit ratio regressed: %.2f < %.2f (baseline %.2f -20%%)",
-			got, floor, base.VisitRatio)
 	}
 	if base.CertifyVisits > 0 {
 		if got, limit := rep.CertifyVisits, float64(base.CertifyVisits)*maxVisitRegression; float64(got) > limit {
@@ -387,21 +362,12 @@ func checkBaseline(rep, base benchReport, stderr io.Writer) error {
 				got, floor, base.UpdateVisits)
 		}
 	}
-	if rep.RescanNs > 0 && rep.IncrementalNs > 0 {
-		if rep.Speedup < 1 {
-			return fmt.Errorf("bench: incremental engine slower than rescan (%.2fx)", rep.Speedup)
-		}
-		if base.Speedup > 0 && rep.Speedup*pairedSpeedupSlack < base.Speedup {
-			return fmt.Errorf("bench: paired-run speedup collapsed: %.2fx < baseline %.2fx / %.1f",
-				rep.Speedup, base.Speedup, pairedSpeedupSlack)
-		}
-	}
 	// The parallel paired run gates on every machine: Workers > 1 must
 	// never lose to the sequential engine beyond clock tolerance — the
 	// fast path routes small rounds inline, so even a single core has
 	// nothing to lose — and on a runner whose baseline recorded a real
 	// parallel advantage (a multicore box), losing more than half of it
-	// fails like the rescan-vs-incremental gate does.
+	// fails.
 	if rep.Workers > 1 && rep.IncrementalNs > 0 && rep.ParallelNs > 0 {
 		if rep.ParallelSpeedup < parallelWallFloor {
 			return fmt.Errorf("bench: parallel engine slower than sequential: %.2fx < %.2f floor",
@@ -419,10 +385,6 @@ func checkBaseline(rep, base benchReport, stderr io.Writer) error {
 	if base.CertifyVisits > 0 {
 		certGate = fmt.Sprintf("certify %d <= %d +20%%", rep.CertifyVisits, base.CertifyVisits)
 	}
-	wallGate := "wall gate skipped (zeroed clock)"
-	if rep.RescanNs > 0 && rep.IncrementalNs > 0 {
-		wallGate = fmt.Sprintf("paired speedup %.2fx", rep.Speedup)
-	}
 	parGate := "parallel gate skipped (1 worker or zeroed clock)"
 	if rep.Workers > 1 && rep.IncrementalNs > 0 && rep.ParallelNs > 0 {
 		parGate = fmt.Sprintf("parallel speedup %.2fx >= %.2f", rep.ParallelSpeedup, parallelWallFloor)
@@ -431,9 +393,8 @@ func checkBaseline(rep, base benchReport, stderr io.Writer) error {
 	if base.UpdateVisits > 0 && rep.UpdateCount > 0 {
 		updGate = fmt.Sprintf("update visits %d within %d +-20%%", rep.UpdateVisits, base.UpdateVisits)
 	}
-	fmt.Fprintf(stderr, "bench: within baseline (visits %d <= %d +20%%, ratio %.2f >= %.2f -20%%, %s, %s, %s, %s)\n",
-		rep.IncrementalVisits, base.IncrementalVisits, rep.VisitRatio, base.VisitRatio,
-		certGate, wallGate, parGate, updGate)
+	fmt.Fprintf(stderr, "bench: within baseline (visits %d <= %d +20%%, %s, %s, %s)\n",
+		rep.IncrementalVisits, base.IncrementalVisits, certGate, parGate, updGate)
 	return nil
 }
 

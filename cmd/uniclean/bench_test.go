@@ -32,17 +32,16 @@ func TestRatioGuardsZeroDenominator(t *testing.T) {
 }
 
 // TestBenchReportMarshalsWithZeroDenominators is the regression test for the
-// -bench crash: Speedup, VisitRatio and ParallelSpeedup used to divide by
-// measured values that can legitimately be zero, and the resulting +Inf/NaN
-// made json.Marshal of BENCH_<sha>.json fail with an UnsupportedValueError,
+// -bench crash: the derived ratios divide by measured values that can
+// legitimately be zero, and the resulting +Inf/NaN used to make
+// json.Marshal of BENCH_<sha>.json fail with an UnsupportedValueError,
 // killing the whole run after the benchmark had already completed.
 func TestBenchReportMarshalsWithZeroDenominators(t *testing.T) {
 	reports := []benchReport{
 		{},                     // everything zero: the coarse-clock worst case
-		{RescanNs: 12345},      // incremental timed at 0
 		{IncrementalNs: 12345}, // parallel timed at 0
-		{RescanVisits: 99},     // zero-visit incremental report
-		{RescanNs: 5, IncrementalNs: 2, ParallelNs: 1, RescanVisits: 10, IncrementalVisits: 4},
+		{ParallelNs: 12345},    // incremental timed at 0
+		{IncrementalNs: 2, ParallelNs: 1, IncrementalVisits: 4},
 	}
 	for i, rep := range reports {
 		rep.deriveRatios()
@@ -58,42 +57,38 @@ func TestBenchReportMarshalsWithZeroDenominators(t *testing.T) {
 	// The fully measured case must still compute the real ratios.
 	rep := reports[len(reports)-1]
 	rep.deriveRatios()
-	if rep.Speedup != 2.5 || rep.VisitRatio != 2.5 || rep.ParallelSpeedup != 2 {
-		t.Errorf("derived ratios = %v/%v/%v, want 2.5/2.5/2",
-			rep.Speedup, rep.VisitRatio, rep.ParallelSpeedup)
+	if rep.ParallelSpeedup != 2 {
+		t.Errorf("derived parallel speedup = %v, want 2", rep.ParallelSpeedup)
 	}
 }
 
 // TestCheckBaselineSkipsWallGateOnCoarseClock: when a measured duration is
-// zero the paired-run wall-clock gates are meaningless (the guarded ratios
-// are 0) and must be skipped rather than fail the run; the visit gates still
+// zero the paired-run wall-clock gate is meaningless (the guarded ratio is
+// 0) and must be skipped rather than fail the run; the visit gates still
 // apply.
 func TestCheckBaselineSkipsWallGateOnCoarseClock(t *testing.T) {
-	base := benchReport{RescanVisits: 100, IncrementalVisits: 20, RescanNs: 400, IncrementalNs: 100}
-	base.deriveRatios()                                          // baseline speedup 4x
-	rep := benchReport{RescanVisits: 100, IncrementalVisits: 20} // all timings 0
+	base := benchReport{IncrementalVisits: 20, Workers: 4, IncrementalNs: 300, ParallelNs: 100}
+	base.deriveRatios()                                   // baseline parallel speedup 3x
+	rep := benchReport{IncrementalVisits: 20, Workers: 4} // all timings 0
 	rep.deriveRatios()
-	if err := checkBaseline(rep, base, io.Discard); err != nil {
+	var log strings.Builder
+	if err := checkBaseline(rep, base, &log); err != nil {
 		t.Errorf("zero-clock report failed the gate: %v", err)
 	}
+	if !strings.Contains(log.String(), "parallel gate skipped") {
+		t.Errorf("success line claims a wall gate that never ran: %s", log.String())
+	}
 
-	// With real timings the paired gates bite: slower than rescan fails...
-	rep.RescanNs, rep.IncrementalNs = 100, 200
+	// The visit gate still bites on a zeroed clock...
+	rep.IncrementalVisits = 30
+	if err := checkBaseline(rep, base, io.Discard); err == nil || !strings.Contains(err.Error(), "regressed") {
+		t.Errorf("zero-clock visit regression passed the gate: %v", err)
+	}
+	// ...and once both runs are timed, the wall gate is armed again.
+	rep.IncrementalVisits, rep.IncrementalNs, rep.ParallelNs = 20, 100, 200
 	rep.deriveRatios()
 	if err := checkBaseline(rep, base, io.Discard); err == nil {
-		t.Error("incremental slower than rescan passed the gate")
-	}
-	// ...as does keeping less than 1/pairedSpeedupSlack of the baseline speedup.
-	rep.RescanNs, rep.IncrementalNs = 110, 100
-	rep.deriveRatios()
-	if err := checkBaseline(rep, base, io.Discard); err == nil {
-		t.Error("collapsed paired speedup passed the gate")
-	}
-	// A healthy paired run passes.
-	rep.RescanNs, rep.IncrementalNs = 300, 100
-	rep.deriveRatios()
-	if err := checkBaseline(rep, base, io.Discard); err != nil {
-		t.Errorf("healthy paired run failed the gate: %v", err)
+		t.Error("parallel at 0.5x sequential passed the gate")
 	}
 }
 
@@ -103,13 +98,12 @@ func TestCheckBaselineSkipsWallGateOnCoarseClock(t *testing.T) {
 // real multicore advantage must not see it halve), and the skip conditions
 // — one worker, or a zeroed clock.
 func TestCheckBaselineParallelGates(t *testing.T) {
-	base := benchReport{RescanVisits: 100, IncrementalVisits: 20}
+	base := benchReport{IncrementalVisits: 20}
 	base.deriveRatios()
 
 	// Parallel slower than sequential beyond the floor fails even with no
 	// parallel baseline numbers at all.
-	rep := benchReport{RescanVisits: 100, IncrementalVisits: 20,
-		Workers: 4, IncrementalNs: 100, ParallelNs: 200}
+	rep := benchReport{IncrementalVisits: 20, Workers: 4, IncrementalNs: 100, ParallelNs: 200}
 	rep.deriveRatios()
 	if err := checkBaseline(rep, base, io.Discard); err == nil {
 		t.Error("parallel at 0.5x sequential passed the gate")

@@ -26,14 +26,15 @@
 // records are reported to stderr and skipped.
 //
 // With -bench, the tool instead generates a synthetic dirty instance
-// (internal/gen), runs the pipeline with the full-rescan reference
-// scheduler, the sequential delta-driven one, and the parallel engine
-// (-workers, default GOMAXPROCS), writes a BENCH_<sha>.json report with
-// timings and deterministic visit counters, and — when -bench.baseline is
-// given — fails if the visit
-// counters regressed more than 20% against the committed baseline. The
-// three runs must agree fix-for-fix, and the parallel run must reproduce
-// the sequential visit counters exactly; either mismatch is a hard error.
+// (internal/gen), runs the pipeline sequentially and with the parallel
+// engine (-workers, default GOMAXPROCS), writes a BENCH_<sha>.json report
+// with timings and deterministic visit counters, and — when
+// -bench.baseline is given — fails if the visit counters regressed more
+// than 20% against the committed baseline or the parallel run lost to the
+// sequential one. The two runs must agree fix-for-fix, and the parallel
+// run must reproduce the sequential visit counters exactly; either
+// mismatch is a hard error. -timeout and SIGINT/SIGTERM stop -bench like
+// any other run: exit status 3, no report.
 // With -bench.updates N, the report additionally replays a generated
 // N-operation update stream through the streaming engine, sequentially and
 // with -workers, records update visit counters and updates/sec, and gates
@@ -126,7 +127,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	defaultConf := fs.Float64("defaultconf", 0, "cell confidence assumed when -conf is not given")
 	certify := fs.Bool("certify", false, "print the checker's violation report when the output is still dirty")
 	verbose := fs.Bool("v", false, "list every fix in the report")
-	rescan := fs.Bool("rescan", false, "use the full-rescan reference scheduler instead of the delta-driven one")
 	workers := fs.Int("workers", 0, "workers for index builds, lookup prefetch, eRepair entropy re-keying and certification (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the run aborts with exit status 3 and writes no output (0 = none)")
 	deadline := fs.Duration("deadline", 0, "soft wall-clock budget; on expiry the engine stops proposing fixes and reports a degraded but truthful result (0 = none)")
@@ -147,23 +147,30 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Confidences live in [0,1]: the same range ReadConfCSV and the
-	// streaming engine's Upsert enforce. NaN fails both comparisons.
+	// Confidences and the bench's error rate live in [0,1]: the same range
+	// ReadConfCSV and the streaming engine's Upsert enforce. NaN fails both
+	// comparisons.
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"eta", *eta}, {"defaultconf", *defaultConf}} {
+	}{{"eta", *eta}, {"defaultconf", *defaultConf}, {"bench.dirty", *benchDirty}} {
 		if !(f.v >= 0 && f.v <= 1) {
 			fs.Usage()
 			return fmt.Errorf("-%s %v outside [0,1]", f.name, f.v)
 		}
 	}
-	// A suffix-array lookup with fewer than one candidate finds nothing,
-	// and no count or duration flag has a meaning below zero; 0 keeps its
-	// documented meaning everywhere else.
-	if *topL < 1 {
-		fs.Usage()
-		return fmt.Errorf("-topl %d below 1", *topL)
+	// A suffix-array lookup with fewer than one candidate finds nothing, a
+	// bench instance needs data and master tuples, and no count or
+	// duration flag has a meaning below zero; 0 keeps its documented
+	// meaning everywhere else.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"topl", *topL}, {"bench.tuples", *benchTuples}, {"bench.master", *benchMaster}} {
+		if f.v < 1 {
+			fs.Usage()
+			return fmt.Errorf("-%s %d below 1", f.name, f.v)
+		}
 	}
 	for _, f := range []struct {
 		name     string
@@ -175,6 +182,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		{"maxfixes", *maxFixes, *maxFixes < 0},
 		{"deadline", *deadline, *deadline < 0},
 		{"timeout", *timeout, *timeout < 0},
+		{"bench.fanout", *benchFanout, *benchFanout < 0},
+		{"bench.updates", *benchUpdates, *benchUpdates < 0},
 	} {
 		if f.negative {
 			fs.Usage()
@@ -206,7 +215,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		if out == "" {
 			out = fmt.Sprintf("BENCH_%s.json", benchSHA(*benchSha))
 		}
-		return runBench(cfg, *workers, *benchUpdates, out, *benchBaseline, stderr)
+		return runBench(ctx, cfg, *workers, *benchUpdates, out, *benchBaseline, stderr)
 	}
 	if *dataPath == "" || *rulesPath == "" {
 		fs.Usage()
@@ -254,7 +263,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return fmt.Errorf("%s: no rules", *rulesPath)
 	}
 
-	opts := clean.Options{Eta: *eta, TopL: *topL, HBudget: *hBudget, Rescan: *rescan, Workers: *workers,
+	opts := clean.Options{Eta: *eta, TopL: *topL, HBudget: *hBudget, Workers: *workers,
 		Deadline: *deadline, MaxFixes: *maxFixes}
 	var res *clean.Result
 	if *updatesPath != "" {

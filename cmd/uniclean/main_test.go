@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/clean"
+	"repro/internal/gen"
 )
 
 const (
@@ -307,10 +308,10 @@ func TestRunMissingFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOutOfRangeConfidence: -eta and -defaultconf outside [0,1]
-// (NaN included) are usage errors with exit status 1 and no output, in
-// batch and -updates mode alike — never a run on a nonsense threshold, nor
-// a replay whose every upsert is rejected.
+// TestRunRejectsOutOfRangeConfidence: -eta, -defaultconf and -bench.dirty
+// outside [0,1] (NaN included) are usage errors with exit status 1 and no
+// output, in batch and -updates mode alike — never a run on a nonsense
+// threshold or error rate, nor a replay whose every upsert is rejected.
 func TestRunRejectsOutOfRangeConfidence(t *testing.T) {
 	dir := t.TempDir()
 	updates := filepath.Join(dir, "updates.csv")
@@ -325,6 +326,7 @@ func TestRunRejectsOutOfRangeConfidence(t *testing.T) {
 		{"-defaultconf", "NaN"},
 		{"-defaultconf", "-0.1"},
 		{"-defaultconf", "2", "-updates", updates},
+		{"-bench.dirty", "1.5"},
 	} {
 		outPath := filepath.Join(dir, "repaired.csv")
 		var stdout, stderr bytes.Buffer
@@ -346,9 +348,12 @@ func TestRunRejectsOutOfRangeConfidence(t *testing.T) {
 }
 
 // TestRunRejectsOutOfRangeCounts: -topl below 1 (every blocking lookup
-// would come back empty) and negative -hbudget, -workers, -maxfixes,
-// -deadline and -timeout are usage errors with exit status 1 and no output,
-// not runs that silently leave rules unresolved or ignore the budget.
+// would come back empty), -bench.tuples and -bench.master below 1 (the
+// generator would silently substitute its defaults), and negative
+// -hbudget, -workers, -maxfixes, -deadline, -timeout, -bench.fanout and
+// -bench.updates are usage errors with exit status 1 and no output, not
+// runs that silently leave rules unresolved, ignore the budget or measure
+// an instance other than the one the report names.
 func TestRunRejectsOutOfRangeCounts(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -362,6 +367,10 @@ func TestRunRejectsOutOfRangeCounts(t *testing.T) {
 		{[]string{"-maxfixes", "-1"}, "-maxfixes -1 is negative"},
 		{[]string{"-deadline", "-1s"}, "-deadline -1s is negative"},
 		{[]string{"-timeout", "-1ms"}, "-timeout -1ms is negative"},
+		{[]string{"-bench.tuples", "0"}, "-bench.tuples 0 below 1"},
+		{[]string{"-bench.master", "-5"}, "-bench.master -5 below 1"},
+		{[]string{"-bench.fanout", "-1"}, "-bench.fanout -1 is negative"},
+		{[]string{"-bench.updates", "-1"}, "-bench.updates -1 is negative"},
 	} {
 		outPath := filepath.Join(dir, "repaired.csv")
 		var stdout, stderr bytes.Buffer
@@ -423,8 +432,11 @@ func TestRunBenchMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report unreadable: %v", err)
 	}
-	if rep.IncrementalVisits <= 0 || rep.RescanVisits <= rep.IncrementalVisits {
+	if rep.IncrementalVisits <= 0 || rep.ParallelVisits != rep.IncrementalVisits {
 		t.Fatalf("implausible visit counters: %+v", rep)
+	}
+	if rep.Config.Tuples != 500 || rep.Config.MasterSize != 100 {
+		t.Fatalf("report mislabels the generated instance: %+v", rep.Config)
 	}
 	if rep.Fixes == 0 {
 		t.Fatal("bench workload produced no fixes")
@@ -445,5 +457,47 @@ func TestRunBenchMode(t *testing.T) {
 	err = run(context.Background(), append(args, "-bench.baseline", tight), &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Fatalf("gate did not catch a visit regression: %v", err)
+	}
+}
+
+// TestRunBenchHonorsCancellation: -bench runs under the invocation's
+// context, so an expired -timeout or a SIGINT-canceled context aborts it
+// with exit status 3 and writes no report — the update replay included.
+func TestRunBenchHonorsCancellation(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_test.json")
+	args := []string{
+		"-bench",
+		"-bench.tuples", "300", "-bench.master", "60", "-bench.updates", "10",
+		"-bench.out", out,
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		args []string
+	}{
+		{"timeout", context.Background(), append(args, "-timeout", "1ns")},
+		{"interrupt", canceled, args},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(tc.ctx, tc.args, &stdout, &stderr)
+		if got := exitCode(err); got != 3 {
+			t.Errorf("%s: exitCode %d, err %v; want 3", tc.name, got, err)
+		}
+		if _, statErr := os.Stat(out); statErr == nil {
+			t.Errorf("%s: an aborted bench wrote %s", tc.name, out)
+			os.Remove(out)
+		}
+	}
+
+	// The update replay checks the context too: with the batch runs done,
+	// a cancel still stops it before any report field is filled.
+	inst := gen.Generate(gen.Config{Tuples: 300, MasterSize: 60, ErrorRate: 0.05, RuleFanout: 3, Seed: 1})
+	var rep benchReport
+	err := runUpdateBench(canceled, inst, 10, 1, clean.DefaultOptions(), &rep, &bytes.Buffer{})
+	if got := exitCode(err); got != 3 || rep.UpdateCount != 0 {
+		t.Errorf("canceled update replay: exitCode %d, err %v, %d updates recorded; want 3 and none", got, err, rep.UpdateCount)
 	}
 }

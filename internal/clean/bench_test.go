@@ -83,13 +83,7 @@ func BenchmarkERepair(b *testing.B) {
 // scheduler (sequential) on the 10k-tuple / 5%-dirty generator config — the
 // headline number the CI gate tracks.
 func BenchmarkRunIncremental(b *testing.B) {
-	benchmarkRun(b, false, 1)
-}
-
-// BenchmarkRunRescan measures the full-rescan reference on the same
-// workload, so the speedup is a recorded ratio, not a claim.
-func BenchmarkRunRescan(b *testing.B) {
-	benchmarkRun(b, true, 1)
+	benchmarkRun(b, 1)
 }
 
 // BenchmarkRunParallel measures the delta-driven engine with its fan-outs
@@ -98,13 +92,12 @@ func BenchmarkRunRescan(b *testing.B) {
 // GOMAXPROCS=1), so compare it against BenchmarkRunIncremental on the same
 // machine.
 func BenchmarkRunParallel(b *testing.B) {
-	benchmarkRun(b, false, 0)
+	benchmarkRun(b, 0)
 }
 
-func benchmarkRun(b *testing.B, rescan bool, workers int) {
+func benchmarkRun(b *testing.B, workers int) {
 	inst := gen.Generate(gen.DefaultConfig())
 	opts := DefaultOptions()
-	opts.Rescan = rescan
 	opts.Workers = workers
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -206,6 +199,39 @@ func BenchmarkGroupIndexWrites(b *testing.B) {
 		for i, t := range e.data.Tuples {
 			s.noteWrite(i, zip, t)
 			s.noteWrite(i, city, t)
+		}
+	}
+}
+
+// TestRescanIdentityBenchShapes holds the delta scheduler to the rescan
+// reference on the benchmark's two non-default batch shapes: master-heavy
+// (as many master as data tuples, so blocking and certification carry the
+// run) and skew-lowconf (one hot zip group, confidence below eta, and a
+// master missing 60% of the providers, so eRepair and hRepair carry it).
+func TestRescanIdentityBenchShapes(t *testing.T) {
+	heavy := gen.DefaultConfig()
+	heavy.Tuples, heavy.MasterSize = 4000, 4000
+	skew := gen.DefaultConfig()
+	skew.Tuples, skew.MasterSize = 2000, 500
+	skew.HotZipRate, skew.ErrorRate, skew.StubbornRate, skew.Conf = 0.6, 0.1, 0.3, 0.6
+	for _, shape := range []struct {
+		name        string
+		cfg         gen.Config
+		masterShare float64 // leading fraction of the master rows kept
+	}{{"master-heavy", heavy, 1}, {"skew-lowconf", skew, 0.4}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := shape.cfg
+			cfg.Seed = seed
+			inst := gen.Generate(cfg)
+			m := inst.Master
+			master := &relation.Relation{Schema: m.Schema, Tuples: m.Tuples[:int(float64(m.Len())*shape.masterShare)]}
+			inc, ref := runModes(inst.Data, master, inst.Rules, DefaultOptions())
+			if d := diffResults(inc, ref); d != "" {
+				t.Fatalf("%s seed %d: incremental and rescan engines disagree: %s", shape.name, seed, d)
+			}
+			if len(inc.Fixes) == 0 {
+				t.Fatalf("%s seed %d: no fixes; the shape is not exercising the engine", shape.name, seed)
+			}
 		}
 	}
 }

@@ -51,15 +51,6 @@ type Options struct {
 	// retraction, which prevents oscillation between interacting rules.
 	// 0 means DefaultHBudget.
 	HBudget int
-	// Rescan selects the full-rescan reference worklist: every cRepair and
-	// hRepair round re-applies every rule to every tuple, and eRepair
-	// re-groups whole rules after each resolution, as in the original
-	// engine. The default (false) is the delta-driven scheduler, which after
-	// each phase's first round hands each rule only the tuples and groups
-	// whose read attributes were written since the rule last saw them. Both
-	// produce fix-for-fix identical Results; Rescan exists as the
-	// correctness reference and the benchmark baseline.
-	Rescan bool
 	// Workers bounds the engine's fan-outs, which run its pure work
 	// concurrently: building the indexes, an MD pass's lookup prefetch,
 	// eRepair's entropy re-keying and certification. Rule passes
@@ -67,8 +58,7 @@ type Options struct {
 	// parallel.go). Any Workers value produces fix-for-fix identical
 	// Results — same Fixes order, Asserts, Conflicts, Rounds, work counters
 	// and certified Report. 0 means GOMAXPROCS; 1 runs everything on the
-	// engine goroutine. The Rescan reference engine is always sequential
-	// and ignores Workers.
+	// engine goroutine.
 	Workers int
 	// SeqCutoff is the work threshold below which a fan-out runs inline on
 	// the engine goroutine instead: spawning workers for a handful of
@@ -142,9 +132,6 @@ func (e *Engine) inline(work int) bool {
 
 // workerCount resolves Options.Workers to the effective fan-out width.
 func (o Options) workerCount() int {
-	if o.Rescan {
-		return 1
-	}
 	if o.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -186,8 +173,8 @@ type MatchStats struct {
 
 // ApplyStats counts, per rule, the tuples and groups its appliers examined
 // across the whole run. It is the scheduler's analogue of MatchStats: the
-// deterministic work measure that benchmarks and the CI gate compare between
-// the delta-driven and full-rescan schedulers, free of timing noise.
+// deterministic work measure that benchmarks and the CI gate track, free of
+// timing noise.
 type ApplyStats struct {
 	CTuples int // tuples (or group members) examined by the cRepair applier
 	CGroups int // variable-CFD groups examined by the cRepair applier
@@ -268,8 +255,7 @@ func (r *Result) PossibleFixes() []Fix {
 }
 
 // TotalVisits sums the applier tuple visits over all rules: the
-// scheduler-work measure benchmarks compare between the delta-driven and
-// full-rescan engines.
+// scheduler-work measure benchmarks and the CI gate track.
 func (r *Result) TotalVisits() int {
 	n := 0
 	for _, s := range r.Apply { //det:ok maporder integer sum is order-independent
@@ -324,9 +310,9 @@ type Engine struct {
 }
 
 // New prepares an engine: it clones data, orders the rules per Section 6.2,
-// builds the MD blocking indexes over master, and builds the worklist (for
-// the delta scheduler: reverse dependency map, variable-CFD group indexes)
-// over the clone.
+// builds the MD blocking indexes over master, and builds the delta
+// scheduler (reverse dependency map, variable-CFD group indexes) over the
+// clone.
 // master may be nil when the rule set contains no MDs. The engine is not
 // cancellable; use NewContext to attach a context.
 func New(data, master *relation.Relation, rules []rule.Rule, opts Options) *Engine {
@@ -395,9 +381,6 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			return part{clone: data.Clone()}
 		case 1:
 			codes := newCellCodes(e.rules, data)
-			if opts.Rescan {
-				return part{codes: codes}
-			}
 			return part{codes: codes, work: newScheduler(e.rules, data, codes)}
 		}
 		return part{m: newMatcher(e.rules[fresh[k-2]].MD, master)}
@@ -413,13 +396,6 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		panic(err)
 	}
 	e.data, e.codes, e.work = parts[0].clone, parts[1].codes, parts[1].work
-	if opts.Rescan {
-		// The reference re-derives everything by scanning, so it builds
-		// no index: maintaining indexes it never reads would bill the
-		// rescan baseline for delta-engine bookkeeping and flatter the
-		// measured speedup.
-		e.work = newRescan(e.rules, e.data)
-	}
 	for k, i := range fresh {
 		e.matchers[i] = parts[k+2].m
 	}

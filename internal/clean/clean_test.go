@@ -327,9 +327,11 @@ func TestERepairQueueContract(t *testing.T) {
 	check := func(t *testing.T, data *relation.Relation, rules []rule.Rule, resolved int, want []write) {
 		t.Helper()
 		for _, rescan := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.Rescan = rescan
-			res := Run(data, nil, rules, opts)
+			run := Run
+			if rescan {
+				run = runRescan
+			}
+			res := run(data, nil, rules, DefaultOptions())
 			var got []write
 			for _, f := range res.Fixes {
 				got = append(got, write{f.Tuple, f.Attribute})

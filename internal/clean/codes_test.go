@@ -57,14 +57,24 @@ func codesDrift(e *Engine) string {
 // after every phase of every outer pass over both property corpora — under
 // the delta scheduler, the rescan reference and forced fan-outs, where
 // eRepair's re-keying reads the columns from several workers — and after
-// every accepted stream update. Rescan and the delta engine share
-// groupEntropy and the group appliers' counting, so a stale code would
-// otherwise pass every identity suite.
+// every accepted stream update. The rescan reference and the delta engine
+// share groupEntropy and the group appliers' counting, so a stale code
+// would otherwise pass every identity suite.
 func TestCellCodesStayExact(t *testing.T) {
 	const seeds = 400
-	ref := DefaultOptions()
-	ref.Rescan = true
-	modes := append(faultModes(), faultMode{"rescan", ref})
+	type mode struct {
+		name  string
+		build func(data *relation.Relation, rules []rule.Rule) *Engine
+	}
+	var modes []mode
+	for _, m := range faultModes() {
+		modes = append(modes, mode{m.name, func(data *relation.Relation, rules []rule.Rule) *Engine {
+			return New(data, nil, rules, m.opts)
+		}})
+	}
+	modes = append(modes, mode{"rescan", func(data *relation.Relation, rules []rule.Rule) *Engine {
+		return newRescanEngine(data, nil, rules, DefaultOptions())
+	}})
 	for _, c := range []struct {
 		name string
 		gen  func(int64) *propInstance
@@ -72,7 +82,7 @@ func TestCellCodesStayExact(t *testing.T) {
 		for _, m := range modes {
 			for seed := int64(0); seed < seeds; seed++ {
 				in := c.gen(seed)
-				e := New(in.relation(nil), nil, in.rules, m.opts)
+				e := m.build(in.relation(nil), in.rules)
 				if d := codesDrift(e); d != "" {
 					t.Fatalf("%s seed %d %s, built: %s", c.name, seed, m.name, d)
 				}

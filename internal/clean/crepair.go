@@ -20,8 +20,8 @@ import (
 // start with everything dirty, so the first round visits every tuple of
 // every rule; each later round hands a rule only the tuples and groups
 // whose read attributes were written since the rule last saw them, which
-// is the only place new firings can come from. The rescan reference hands
-// out everything every round. Each rule's visit runs inline (see
+// is the only place new firings can come from. The test-only rescan
+// reference hands out everything every round. Each rule's visit runs inline (see
 // parallel.go), rules one after another in rule.Order, so Options.Workers
 // never shows in the result.
 func (e *Engine) CRepair() {

@@ -54,10 +54,10 @@ func (q *equeue) Pop() any {
 // queue with the groups the previous call extracted plus every group
 // written since — on the first call, every group — and after each
 // resolution re-keys exactly the groups its writes marked dirty. The
-// rescan reference re-groups every variable CFD with cfd.Groups at the
-// start of a call, and after each resolution every CFD reading the written
-// attribute. The live entries end up identical either way, since unchanged
-// groups keep their (entropy, id) key.
+// test-only rescan reference re-groups every variable CFD with cfd.Groups
+// at the start of a call, and after each resolution every CFD reading the
+// written attribute. The live entries end up identical either way, since
+// unchanged groups keep their (entropy, id) key.
 //
 // Streaming updates (stream.go) never mutate a live queue: an Upsert/Delete
 // reruns the pipeline on a fresh sub-engine whose queue is seeded from the

@@ -40,8 +40,8 @@ const DefaultHBudget = 3
 // returns for the hRepair phase, which the delta scheduler tracks
 // independently of cRepair's. Its first round visits every tuple and group;
 // later rounds — and later outer passes of Run — visit only the tuples and
-// groups written since hRepair last saw them. The rescan reference hands
-// out everything every round. Each rule's visit runs inline, like
+// groups written since hRepair last saw them. The test-only rescan
+// reference hands out everything every round. Each rule's visit runs inline, like
 // cRepair's.
 func (e *Engine) HRepair() {
 	for {

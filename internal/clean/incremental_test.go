@@ -19,11 +19,8 @@ import (
 // — and returns both results. Workers is forced to 1 so the incremental
 // result is the sequential engine's, whatever the host's GOMAXPROCS.
 func runModes(data, master *relation.Relation, rules []rule.Rule, opts Options) (inc, ref *Result) {
-	opts.Rescan, opts.Workers = false, 1
-	inc = Run(data, master, rules, opts)
-	opts.Rescan = true
-	ref = Run(data, master, rules, opts)
-	return inc, ref
+	opts.Workers = 1
+	return Run(data, master, rules, opts), runRescan(data, master, rules, opts)
 }
 
 // diffResults returns a description of the first observable difference
@@ -251,9 +248,11 @@ func TestFirstVisitBillsEverything(t *testing.T) {
 		{"psi", ApplyStats{CTuples: data.Len()}},
 	}
 	for _, rescan := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.Rescan = rescan
-		e := New(data, master, rules, opts)
+		build := New
+		if rescan {
+			build = newRescanEngine
+		}
+		e := build(data, master, rules, DefaultOptions())
 		for call := 1; call <= 2; call++ {
 			e.CRepair()
 			visits := call // the rescan reference repeats the first visit

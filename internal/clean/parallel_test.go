@@ -67,24 +67,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelRescanStaysSequential pins that the full-rescan reference
-// engine ignores Workers: it is the correctness oracle, and must stay the
-// plain sequential computation whatever the options say.
-func TestParallelRescanStaysSequential(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Rescan, opts.Workers = true, 8
-	in := genInstance(7)
-	res := Run(in.relation(nil), nil, in.rules, opts)
-	if res.WorkerVisits != nil {
-		t.Fatalf("rescan engine built a worker pool: WorkerVisits %v", res.WorkerVisits)
-	}
-	opts.Workers = 1
-	ref := Run(in.relation(nil), nil, in.rules, opts)
-	if d := diffParallel(res, ref); d != "" {
-		t.Fatalf("rescan result depends on Workers: %s", d)
-	}
-}
-
 // TestHTargetTieBreakDeterminism pins hTarget's tie-breaks: its candidate
 // loop visits values in first-appearance order, and only the strict total
 // order of its comparison chain (confidence sum, count, master support,

@@ -12,10 +12,11 @@ import (
 
 // This file decides what each rule pass visits. The appliers have one path
 // per phase: every pass asks the engine's worklist for the tuples or groups
-// to hand its rule, and the two worklist implementations differ only in
-// the answer.
+// to hand its rule. The engine runs the delta scheduler; the test-only
+// rescan reference (rescan_test.go) answers the same questions by scanning
+// everything, and is the oracle the identity suites compare against.
 //
-// The delta scheduler (the default) maintains (1) a reverse dependency map
+// The delta scheduler maintains (1) a reverse dependency map
 // from attributes to the rules whose premise or conclusion reads them, (2)
 // a persistent per-rule group index for variable CFDs, kept in sync under
 // every engine write rather than rebuilt by cfd.Groups each round, and (3)
@@ -30,8 +31,8 @@ import (
 // confidence or mark) changed since a rule last processed it cannot newly
 // fire that rule — re-processing it is a no-op that records nothing — so
 // skipping it leaves Fixes, Asserts, Conflicts and the certified Report
-// byte-for-byte identical to the rescan reference (Options.Rescan), which
-// hands out every tuple and every cfd.Groups group on every call.
+// byte-for-byte identical to the test-only rescan reference, which hands
+// out every tuple and every cfd.Groups group on every call.
 //
 // Groups are keyed on the engine's cell codes (codes.go), not on strings:
 // a one-attribute LHS uses the cell code itself as the group symbol and a
@@ -42,7 +43,8 @@ import (
 // group first forms, for eRepair's tie-break id.
 
 // worklist decides what a rule pass visits. The engine holds one: the
-// delta scheduler, or the rescan reference under Options.Rescan.
+// delta scheduler, which the identity suites swap for the test-only rescan
+// reference.
 type worklist interface {
 	// tuples returns the tuples per-tuple rule ri visits in phase, in
 	// ascending order. The caller must not modify the slice.
@@ -71,7 +73,7 @@ type worklist interface {
 // since it was last handed out, so its tree entry is dropped. Snapshots
 // matter: the index slices mutate under later writes, while a tree entry
 // must keep the membership it was keyed with until re-keyed. sym is the
-// scheduler's group symbol, -1 from the rescan reference.
+// scheduler's group symbol, -1 from the test-only rescan reference.
 type keyedGroup struct {
 	ri      int
 	key     string
@@ -489,94 +491,6 @@ func (s *scheduler) keyed(ri, sym int) keyedGroup {
 }
 
 func (s *scheduler) extracted(g keyedGroup) { s.eredo = append(s.eredo, g) }
-
-// rescan is the full-rescan reference worklist (Options.Rescan): every
-// call hands out every tuple, or every group as cfd.Groups derives it from
-// the relation. It builds no index and shares no state with the scheduler
-// it is the oracle for.
-type rescan struct {
-	data  *relation.Relation
-	rules []rule.Rule
-	all   []int // identity listing 0..Len-1
-
-	// eRepair re-groups a whole rule at the start of each call and after
-	// every resolution that wrote an attribute the rule reads.
-	readers [][]int    // attribute -> variable CFDs reading it
-	stale   []bool     // per rule: read attribute written since last regroup
-	handed  [][]string // per rule: group keys regroup handed out last time
-}
-
-func newRescan(rules []rule.Rule, d *relation.Relation) *rescan {
-	r := &rescan{
-		data:    d,
-		rules:   rules,
-		all:     identity(d.Len()),
-		readers: make([][]int, d.Schema.Arity()),
-		stale:   make([]bool, len(rules)),
-		handed:  make([][]string, len(rules)),
-	}
-	for ri, rl := range rules {
-		if rl.Kind != rule.VariableCFD {
-			continue
-		}
-		for a, in := range ruleReadSet(rl, d.Schema.Arity()) {
-			if in {
-				r.readers[a] = append(r.readers[a], ri)
-			}
-		}
-	}
-	return r
-}
-
-func (r *rescan) tuples(_, _ int) []int { return r.all }
-
-func (r *rescan) groups(_, ri int) ([][]int, bool) {
-	gs := cfd.Groups(r.data, r.rules[ri].CFD)
-	out := make([][]int, len(gs))
-	for k, g := range gs {
-		out[k] = g.Members
-	}
-	return out, true
-}
-
-// regroup hands out every group of every variable CFD due a refresh, plus
-// the keys it handed out for that rule last time whose groups have since
-// dissolved, so their tree entries are dropped.
-func (r *rescan) regroup(start bool) []keyedGroup {
-	var out []keyedGroup
-	for ri, rl := range r.rules {
-		if rl.Kind != rule.VariableCFD || !(start || r.stale[ri]) {
-			continue
-		}
-		r.stale[ri] = false
-		live := make(map[string]bool)
-		var keys []string
-		for _, g := range cfd.Groups(r.data, rl.CFD) {
-			out = append(out, keyedGroup{ri: ri, key: g.Key, sym: -1, members: g.Members})
-			live[g.Key] = true
-			keys = append(keys, g.Key)
-		}
-		for _, k := range r.handed[ri] {
-			if !live[k] {
-				out = append(out, keyedGroup{ri: ri, key: k, sym: -1})
-			}
-		}
-		r.handed[ri] = keys
-	}
-	return out
-}
-
-func (r *rescan) extracted(keyedGroup) {}
-
-func (r *rescan) noteWrite(_, a int, _ *relation.Tuple) {
-	for _, ri := range r.readers[a] {
-		r.stale[ri] = true
-	}
-}
-
-func (r *rescan) setActive(_, _, _ int) {}
-
-func (r *rescan) clearActive() {}
 
 // identity returns the listing 0..n-1.
 func identity(n int) []int {

@@ -1,8 +1,8 @@
 // Package lint is a stdlib-only static-analysis framework that mechanizes
 // the repo's determinism and concurrency invariants: the guarantees that the
-// rescan, sequential-incremental and parallel engines produce byte-identical
-// Fixes and Reports are encoded as analyzers that fail CI instead of relying
-// on reviewer vigilance.
+// sequential and parallel engines produce Fixes and Reports byte-identical
+// to each other and to the test-only rescan reference are encoded as
+// analyzers that fail CI instead of relying on reviewer vigilance.
 //
 // The framework deliberately does not depend on golang.org/x/tools: packages
 // are parsed with go/parser and type-checked with go/types using the source

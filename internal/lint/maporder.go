@@ -8,7 +8,8 @@ import (
 // deterministicPkgs are the packages whose output feeds the byte-identity
 // guarantee: everything they emit — Fixes order, Report violations, conflict
 // lists, bench counters — must be reproducible run to run and identical
-// across the rescan, sequential-incremental and parallel engines. Iterating
+// across the sequential and parallel engines and the test-only rescan
+// reference. Iterating
 // a Go map inside them is exactly the bug class that bit PR 3 (groupEntropy
 // summed in map order, flipping eRepair entropy ties) and that PR 4 had to audit
 // by hand (the scheduler's dirty-key drain).
