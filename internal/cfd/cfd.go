@@ -68,9 +68,6 @@ func FD(name string, schema *relation.Schema, lhs []string, rhs string) *CFD {
 // pairs of tuples.
 func (c *CFD) IsConstant() bool { return c.RHSPattern != Wildcard }
 
-// IsVariable reports whether tp[A] is the unnamed variable.
-func (c *CFD) IsVariable() bool { return !c.IsConstant() }
-
 // matchPattern implements v ≍ p for a single cell: a constant matches
 // itself; the wildcard matches any non-null value; null matches nothing.
 func matchPattern(v, p string) bool {
@@ -88,11 +85,6 @@ func (c *CFD) MatchLHS(t *relation.Tuple) bool {
 		}
 	}
 	return true
-}
-
-// MatchRHS reports whether t[A] ≍ tp[A].
-func (c *CFD) MatchRHS(t *relation.Tuple) bool {
-	return matchPattern(t.Values[c.RHS], c.RHSPattern)
 }
 
 // String renders the CFD in the paper's R(X -> A, tp) notation.

@@ -161,12 +161,12 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-func TestIsConstantIsVariable(t *testing.T) {
+func TestIsConstant(t *testing.T) {
 	s := tranSchema()
-	if c := phi1(s); !c.IsConstant() || c.IsVariable() {
+	if c := phi1(s); !c.IsConstant() {
 		t.Error("phi1 must be constant")
 	}
-	if c := phi3St(s); c.IsConstant() || !c.IsVariable() {
+	if c := phi3St(s); c.IsConstant() {
 		t.Error("phi3 must be variable")
 	}
 }
@@ -177,17 +177,6 @@ func TestStringRendering(t *testing.T) {
 	want := "tran([AC] -> [city], (131 || Edi))"
 	if got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-func TestMatchRHS(t *testing.T) {
-	d := fig1Data()
-	c := phi1(d.Schema)
-	if c.MatchRHS(d.Tuples[0]) {
-		t.Error("t1 city=Ldn must not match pattern Edi")
-	}
-	if !c.MatchRHS(d.Tuples[1]) {
-		t.Error("t2 city=Edi must match pattern Edi")
 	}
 }
 

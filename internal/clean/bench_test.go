@@ -87,10 +87,9 @@ func BenchmarkRunIncremental(b *testing.B) {
 }
 
 // BenchmarkRunParallel measures the delta-driven engine with its fan-outs
-// at GOMAXPROCS workers on the same workload. On a single-core runner it
-// degenerates to the sequential path (every fan-out runs inline at
-// GOMAXPROCS=1), so compare it against BenchmarkRunIncremental on the same
-// machine.
+// at GOMAXPROCS workers on the same workload. On a single-core runner
+// Engine.width runs every fan-out inline, so it measures the sequential
+// path; compare it against BenchmarkRunIncremental on the same machine.
 func BenchmarkRunParallel(b *testing.B) {
 	benchmarkRun(b, 0)
 }

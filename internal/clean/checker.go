@@ -139,20 +139,17 @@ func (r *Report) String() string {
 // order-preserving candidate merge streams violations in the same (T, S)
 // order the nested scan would produce, so the Report is byte-identical.
 // Per-rule passes are independent and read-only; with workers > 1 they fan
-// out across fanOut's workers with forked matchers, and the rule-ordered
-// report merge keeps the Report deterministic for any worker count.
+// out across fanOut's workers, each task probing the shared indexes through
+// its own non-storing matcher, and the rule-ordered report merge keeps the
+// Report deterministic for any worker count.
 type Checker struct {
 	rules  []rule.Rule
 	master *relation.Relation
 
-	// matchers is parallel to rules: the blocking indexes MD certification
+	// indexes is parallel to rules: the blocking indexes MD certification
 	// enumerates candidates from. NewChecker builds them; Engine.Finish
 	// hands the checker the engine's own, so indexes are built once per run.
-	matchers []*matcher
-	// allMaster is the identity candidate list 0..|Dm|-1 the per-tuple
-	// full-scan fallback uses (no usable index, or the LCS bound is vacuous
-	// for a too-short value). Shared read-only across workers.
-	allMaster []int
+	indexes []*mdIndex
 	// workers bounds the per-rule certification fan-out of Check.
 	workers int
 	// noBlock forces the naive |D|·|Dm| scan for every MD — the reference
@@ -169,34 +166,23 @@ type Checker struct {
 // the engine's behavior. The checker is sequential; the engine's Finish
 // fans certification out across its workers instead.
 func NewChecker(rules []rule.Rule, master *relation.Relation) *Checker {
-	matchers := make([]*matcher, len(rules))
+	indexes := make([]*mdIndex, len(rules))
 	if master != nil {
+		all := masterIDs(master)
 		for i, r := range rules {
 			if r.Kind == rule.MatchMD {
-				matchers[i] = newMatcher(r.MD, master)
+				indexes[i] = newMDIndex(r.MD, master, all)
 			}
 		}
 	}
-	return newChecker(rules, master, matchers, 1)
+	return newChecker(rules, master, indexes, 1)
 }
 
-// newChecker wires a checker from prebuilt matchers (parallel to rules) and
-// a worker budget — the constructor Engine.Finish uses to reuse the engine's
-// indexes and Options.Workers.
-func newChecker(rules []rule.Rule, master *relation.Relation, matchers []*matcher, workers int) *Checker {
-	c := &Checker{rules: rules, master: master, matchers: matchers, workers: workers}
-	if master != nil {
-		for _, r := range rules {
-			if r.Kind == rule.MatchMD {
-				c.allMaster = make([]int, master.Len())
-				for j := range c.allMaster {
-					c.allMaster[j] = j
-				}
-				break
-			}
-		}
-	}
-	return c
+// newChecker wires a checker from prebuilt indexes (parallel to rules) and
+// a fan-out width — the constructor Engine.Finish uses to reuse the
+// engine's indexes and Engine.width.
+func newChecker(rules []rule.Rule, master *relation.Relation, indexes []*mdIndex, workers int) *Checker {
+	return &Checker{rules: rules, master: master, indexes: indexes, workers: workers}
 }
 
 // ruleReport is one certification task's outcome — a whole rule, or one
@@ -214,7 +200,7 @@ type ruleReport struct {
 }
 
 // certShardMin is the smallest data-tuple range worth its own certification
-// task: below it the per-task matcher fork costs more than the scan.
+// task: below it the per-task matcher costs more than the scan.
 const certShardMin = 256
 
 // certTask is one unit of the certification fan-out: rule ri restricted to
@@ -270,19 +256,19 @@ func (c *Checker) Check(d *relation.Relation) *Report {
 // so there is nothing to roll back.
 func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Report, error) {
 	tasks := c.certTasks(d)
-	for _, x := range c.matchers {
-		if x != nil {
-			x.bound(d.Len())
+	for _, ix := range c.indexes {
+		if ix != nil {
+			ix.bound(d.Len())
 		}
 	}
 	// Before a parallel fan-out, prefetch memoizes each MD rule's distinct
-	// values across the workers, so the read-only forks below only hit.
+	// values across the workers, so the non-storing matchers below only hit.
 	if c.workers > 1 && !c.noBlock {
-		for _, x := range c.matchers {
-			if x == nil {
+		for _, ix := range c.indexes {
+			if ix == nil {
 				continue
 			}
-			if err := x.prefetch(ctx, c.fj, c.workers, d, nil, true, 0); err != nil {
+			if err := ix.prefetch(ctx, c.fj, c.workers, d, nil, true, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -291,11 +277,12 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 		t := tasks[ti]
 		c.fj.At(fault.SiteCertify, t.ri, t.lo)
 		// Certification is read-only, so a task needs nothing but the
-		// ruleReport it returns. Matchers are forked per task (shared
-		// immutable indexes and memo, private scratch).
-		x := c.matchers[t.ri]
-		if x != nil && c.workers > 1 {
-			x = x.fork()
+		// ruleReport it returns and a matcher of its own (private scratch
+		// over the shared index and memo), which stores its memo misses
+		// only when the tasks run one at a time.
+		var x *matcher
+		if ix := c.indexes[t.ri]; ix != nil {
+			x = newMatcher(ix, c.workers <= 1)
 		}
 		return c.checkRule(d, t.ri, t.lo, t.hi, x)
 	}
@@ -415,13 +402,13 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 // ascending-lo order — the certify sub-shards — reproduce the full stream.
 func (c *Checker) visitMDViolationsRange(d *relation.Relation, m *md.MD, x *matcher, lo, hi int, visited *int, fn func(md.Violation) bool) {
 	md.VisitViolationsBlockedRange(d, c.master, m, lo, hi, func(i int, t *relation.Tuple) []int {
-		if x != nil && !c.noBlock {
+		if !c.noBlock {
 			if ids, ok := x.certCandidates(t); ok {
 				*visited += len(ids)
 				return ids
 			}
 		}
-		*visited += len(c.allMaster)
-		return c.allMaster
+		*visited += len(x.all)
+		return x.all
 	}, fn)
 }

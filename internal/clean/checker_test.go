@@ -312,7 +312,7 @@ func TestCheckerLongNameIdentity(t *testing.T) {
 			t.Fatalf("seed %d: blocked certification visited %d pairs, scan only %d",
 				seed, blocked.CertVisits, naive.CertVisits)
 		}
-		x := newMatcher(in.rules[0].MD, in.master)
+		x := testMatcher(in.rules[0].MD, in.master)
 		for _, tp := range d.Tuples {
 			tuples++
 			if _, ok := x.tree.AppendEditCandidates(nil, tp.Values[x.simData], x.simK); ok {
@@ -330,7 +330,7 @@ func TestCheckerLongNameIdentity(t *testing.T) {
 // produce a Report deeply identical to the sequential one — violations in
 // rule order, truncation, certify visit counter, and the internal per-rule
 // accounting. Run under -race, this is also what proves the per-rule
-// passes share nothing but forked matchers.
+// passes share nothing but the indexes their own matchers probe.
 func TestCheckerParallelWorkerSweep(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		in := genSimInstance(seed)
@@ -375,7 +375,7 @@ func TestPropertyIncrementalEquivalenceSimMD(t *testing.T) {
 	popts := DefaultOptions()
 	popts.Workers = 4
 	// Force the corpus through the pool: see TestPropertyIncrementalEquivalence.
-	popts.SeqCutoff = -1
+	popts.forceFanOut = true
 	for seed := int64(0); seed < seeds; seed++ {
 		in := genSimInstance(seed)
 		inc, ref := runModes(in.data(), in.master, in.rules, DefaultOptions())

@@ -55,20 +55,12 @@ type Options struct {
 	// concurrently: building the indexes, an MD pass's lookup prefetch,
 	// eRepair's entropy re-keying and certification. Rule passes
 	// themselves always run inline on the engine goroutine (see
-	// parallel.go). Any Workers value produces fix-for-fix identical
-	// Results — same Fixes order, Asserts, Conflicts, Rounds, work counters
-	// and certified Report. 0 means GOMAXPROCS; 1 runs everything on the
-	// engine goroutine.
+	// parallel.go), and so does a fan-out too small to pay for its
+	// goroutines (see Engine.width). Any Workers value produces
+	// fix-for-fix identical Results — same Fixes order, Asserts, Conflicts,
+	// Rounds, work counters and certified Report. 0 means GOMAXPROCS; 1
+	// runs everything on the engine goroutine.
 	Workers int
-	// SeqCutoff is the work threshold below which a fan-out runs inline on
-	// the engine goroutine instead: spawning workers for a handful of
-	// tuples costs more than the work itself. Work is estimated in tuple
-	// visits (tuples for an MD pass's prefetch, total members for an
-	// eRepair re-key batch). 0 means DefaultSeqCutoff. Negative forces
-	// every nonempty fan-out onto the workers, which tests use to exercise
-	// them on tiny property-test instances. Neither choice can change any output: a
-	// fan-out's tasks return their results, merged in task order.
-	SeqCutoff int
 	// Deadline is the soft wall-clock budget of the run. Zero means none.
 	// Unlike a context deadline — which aborts with ErrDeadline — exceeding
 	// the soft budget degrades gracefully: the engine stops proposing new
@@ -94,40 +86,37 @@ type Options struct {
 	// inert at the cost of one predictable nil-check branch. Only the
 	// robustness property suite sets it.
 	Fault *fault.Injector
+
+	// forceFanOut sends every nonempty fan-out to Workers goroutines,
+	// whatever its size and GOMAXPROCS: the test seam that runs the
+	// fan-outs on tiny instances. No output may depend on it.
+	forceFanOut bool
 }
 
-// DefaultSeqCutoff is the fan-out work threshold used when
-// Options.SeqCutoff is zero. At ~128 tuple visits the work is on the order
-// of the fan-out overhead (goroutine wakeups, result slots, the merge), so
-// smaller passes are faster inline on every machine.
-const DefaultSeqCutoff = 128
+// seqCutoff is the estimated tuple visits below which a fan-out runs
+// inline on the engine goroutine. At about 128 tuple visits the work is on
+// the order of the fan-out overhead (goroutine wakeups, result slots, the
+// merge), so smaller fan-outs are faster inline on every machine.
+const seqCutoff = 128
 
-// seqCutoff resolves Options.SeqCutoff to the effective inline threshold:
-// 0 picks the default, negative disables the fast path entirely.
-func (o Options) seqCutoff() int {
-	if o.SeqCutoff == 0 {
-		return DefaultSeqCutoff
-	}
-	return o.SeqCutoff
-}
-
-// inline reports whether a fan-out with the given estimated tuple-visit
-// work should bypass the workers and run on the engine goroutine.
-func (e *Engine) inline(work int) bool {
+// width returns how many goroutines a fan-out over work estimated tuple
+// visits runs on — tuples for the index builds, an MD pass's prefetch and
+// certification, total members for an eRepair re-key batch — where 1 means
+// inline on the engine goroutine. It is the resolved Workers, except 1 when
+// Workers is 1, when a single P cannot overlap any work, or when work is
+// under seqCutoff. The choice cannot change any output: a fan-out's tasks
+// return their results, merged in task order.
+func (e *Engine) width(work int) int {
 	if e.workers <= 1 || work == 0 {
-		return true
+		return 1
 	}
-	cut := e.opts.seqCutoff()
-	if cut < 0 {
-		return false // forced fan-out: the determinism suites' escape hatch
+	if e.opts.forceFanOut {
+		return e.workers
 	}
-	// A single-P process cannot overlap any work: fanning out would pay
-	// the overhead with zero parallelism to show for it, so everything
-	// runs inline regardless of size.
-	if runtime.GOMAXPROCS(0) == 1 {
-		return true
+	if runtime.GOMAXPROCS(0) == 1 || work < seqCutoff {
+		return 1
 	}
-	return work < cut
+	return e.workers
 }
 
 // workerCount resolves Options.Workers to the effective fan-out width.
@@ -270,15 +259,17 @@ type Engine struct {
 	master   *relation.Relation
 	rules    []rule.Rule
 	opts     Options
-	matchers []*matcher // parallel to rules; nil for CFD rules
+	indexes  []*mdIndex // parallel to rules; nil for CFD rules
+	matchers []*matcher // this run's probes of indexes, parallel to rules
 	res      *Result
 	seen     map[string]bool // conflicts already recorded
 	hleft    map[[2]int]int  // hRepair's per-cell budget, shared across passes
 
-	work    worklist      // what each rule pass visits (schedule.go)
-	codes   cellCodes     // the variable-CFD columns of data, dictionary-coded (codes.go)
-	apply   []*ApplyStats // parallel to rules
-	workers int           // fan-out width, Options.workerCount()
+	work     worklist      // what each rule pass visits (schedule.go)
+	codes    cellCodes     // the variable-CFD columns of data, dictionary-coded (codes.go)
+	apply    []*ApplyStats // parallel to rules
+	workers  int           // fan-out width, Options.workerCount()
+	prefetch bool          // MD passes prefetch their lookups (see applyTuples)
 
 	// ctx carries the run's cooperative cancellation: the round loops, the
 	// eRepair resolution loop, the fan-out loops and the certify tasks
@@ -303,9 +294,8 @@ type Engine struct {
 	fj *fault.Injector
 
 	// stream is the committed state of a streaming engine (see stream.go),
-	// shared by the shell NewStream returns and each update's sub-run. Nil
-	// on batch engines: RunContext never sets it, so the one-shot pipeline
-	// pays nothing for the update API existing.
+	// held by the shell NewStream returns. Nil on batch engines, the
+	// sub-engines a stream runs included: those get only its indexes.
 	stream *stream
 }
 
@@ -326,54 +316,54 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 	return newEngine(ctx, data, master, rule.Order(rules), nil, opts)
 }
 
-// newEngine wires an engine from already-ordered rules. st is nil for a
-// batch engine; a streaming sub-run gets its stream's committed state, and
-// once the stream holds prebuilt master blocking indexes (parallel to
-// ordered) they are reused instead of rebuilt, so each update's sub-run
-// shares the indexes and lookup memo the initial run built.
-func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, st *stream, opts Options) *Engine {
+// newEngine wires an engine from already-ordered rules. indexes is nil when
+// the engine builds its own MD blocking indexes over master. A stream update
+// passes the indexes (parallel to ordered) its initial run built instead,
+// and the engine skips the repair prefetch: the update reruns the clean over
+// a base one tuple away from the committed run's, whose lookups the shared
+// memo already holds, so the scan would find next to nothing to spread, and
+// the passes store what they miss.
+func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, indexes []*mdIndex, opts Options) *Engine {
 	e := &Engine{
-		master:  master,
-		rules:   ordered,
-		opts:    opts,
-		workers: opts.workerCount(),
-		res:     &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
-		seen:    make(map[string]bool),
-		ctx:     ctx,
-		start:   time.Now(),
-		fj:      opts.Fault,
-		stream:  st,
+		master:   master,
+		rules:    ordered,
+		opts:     opts,
+		indexes:  indexes,
+		workers:  opts.workerCount(),
+		prefetch: indexes == nil,
+		res:      &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
+		seen:     make(map[string]bool),
+		ctx:      ctx,
+		start:    time.Now(),
+		fj:       opts.Fault,
 	}
-	e.matchers = make([]*matcher, len(e.rules))
 	e.apply = make([]*ApplyStats, len(e.rules))
-	var fresh []int // MD rules whose matcher is built here
+	var fresh []int // MD rules whose index is built here
+	if indexes == nil {
+		e.indexes = make([]*mdIndex, len(e.rules))
+	}
 	for i, r := range e.rules {
-		if r.Kind == rule.MatchMD && master != nil {
-			if st != nil && st.protos != nil && st.protos[i] != nil {
-				// The copy shares the immutable equality buckets, suffix
-				// array and lookup memo with zeroed statistics, so a
-				// sub-run's matcher work counters come out identical to a
-				// fresh build's, and its lookups land in the memo every
-				// later update reuses.
-				e.matchers[i] = st.protos[i].reuse()
-			} else {
-				fresh = append(fresh, i)
-			}
+		if indexes == nil && r.Kind == rule.MatchMD && master != nil {
+			fresh = append(fresh, i)
 		}
 		e.apply[i] = &ApplyStats{}
 		e.res.Apply[r.Name()] = e.apply[i]
 	}
+	var all []int
+	if len(fresh) > 0 {
+		all = masterIDs(master)
+	}
 	// The data clone, the cell codes with the scheduler over them, and
-	// each fresh matcher's blocking indexes (the suffix array above all),
-	// are independent pure builds: with workers they run as concurrent
-	// tasks, the two longest first. The codes and the scheduler read data,
-	// whose values the clone copies, so they need not wait for it. A panic
-	// in one propagates, as it would from the sequential build.
+	// each fresh blocking index (the suffix array above all), are
+	// independent pure builds: with workers they run as concurrent tasks,
+	// the two longest first. The codes and the scheduler read data, whose
+	// values the clone copies, so they need not wait for it. A panic in one
+	// propagates, as it would from the sequential build.
 	type part struct {
 		clone *relation.Relation
 		codes cellCodes
 		work  worklist
-		m     *matcher
+		ix    *mdIndex
 	}
 	build := func(k int) part {
 		switch k {
@@ -383,26 +373,26 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			codes := newCellCodes(e.rules, data)
 			return part{codes: codes, work: newScheduler(e.rules, data, codes)}
 		}
-		return part{m: newMatcher(e.rules[fresh[k-2]].MD, master)}
-	}
-	workers := e.workers
-	if runtime.GOMAXPROCS(0) == 1 {
-		workers = 1
+		return part{ix: newMDIndex(e.rules[fresh[k-2]].MD, master, all)}
 	}
 	// No fault injector: a panic here is re-raised to the caller, outside
 	// runAll's containment.
-	parts, err := fanOut(context.Background(), nil, "new", workers, len(fresh)+2, build)
+	parts, err := fanOut(context.Background(), nil, "new", e.width(data.Len()), len(fresh)+2, build)
 	if err != nil {
 		panic(err)
 	}
 	e.data, e.codes, e.work = parts[0].clone, parts[1].codes, parts[1].work
 	for k, i := range fresh {
-		e.matchers[i] = parts[k+2].m
+		e.indexes[i] = parts[k+2].ix
 	}
-	for i, x := range e.matchers {
-		if x != nil {
-			x.bound(data.Len())
-			e.res.Match[e.rules[i].Name()] = &x.stats
+	// Fresh matchers zero the statistics, so a stream update's matcher work
+	// counters come out identical to a cold build's.
+	e.matchers = make([]*matcher, len(e.rules))
+	for i, ix := range e.indexes {
+		if ix != nil {
+			ix.bound(data.Len())
+			e.matchers[i] = newMatcher(ix, true)
+			e.res.Match[e.rules[i].Name()] = &e.matchers[i].stats
 		}
 	}
 	return e
@@ -541,12 +531,11 @@ func (e *Engine) finish() (*Result, error) {
 		return nil, e.fail
 	}
 	e.res.Data = e.data
-	// The checker reuses the engine's own blocking matchers (indexes are
-	// built once per run) and fans its per-rule passes across the engine's
-	// workers; the rule-ordered report merge keeps
-	// the Report deterministic for any worker count, so -certify output is
-	// identical whatever -workers says.
-	ck := newChecker(e.rules, e.master, e.matchers, e.workers)
+	// The checker reuses the engine's blocking indexes (built once per run)
+	// and fans its per-rule passes across the engine's workers; the
+	// rule-ordered report merge keeps the Report deterministic for any
+	// worker count, so -certify output is identical whatever -workers says.
+	ck := newChecker(e.rules, e.master, e.indexes, e.width(e.data.Len()))
 	ck.fj = e.fj
 	rep, err := ck.CheckContext(e.ctx, e.data)
 	if err != nil {
@@ -606,10 +595,14 @@ func (e *Engine) conflictf(format string, args ...any) {
 	e.res.Conflicts = append(e.res.Conflicts, msg)
 }
 
-// minConfAt returns the fuzzy minimum of t's confidences at attrs, with the
-// same semantics as rule.MinConf (1 when attrs is empty) but computed in
-// place: it sits on the hottest path — every tuple visit of every rule — so
-// it must not allocate.
+// minConfAt returns the fuzzy-logic confidence of a fix derived from the
+// premise cells of t at attrs: their minimum (Section 3.1 uses min rather
+// than product, following fuzzy set membership). Callers pass only the
+// cells of exact premises, since similarity-tested cells contribute none;
+// with none left the result is 1 (the fix is backed entirely by similarity
+// to clean data). It is computed
+// in place: it sits on the hottest path — every tuple visit of every rule —
+// so it must not allocate.
 func minConfAt(t *relation.Tuple, attrs []int) float64 {
 	m := 1.0
 	for _, a := range attrs {

@@ -105,7 +105,7 @@ func TestCellCodesStayExact(t *testing.T) {
 		}
 	}
 	// Streams: each update runs a sub-engine built as rebase builds it —
-	// the candidate base, the stream's prototype matchers — then commits
+	// the candidate base, the stream's MD indexes — then commits
 	// the same update through the API so the next candidate starts from
 	// the accepted base.
 	for _, m := range faultModes() {
@@ -120,7 +120,7 @@ func TestCellCodesStayExact(t *testing.T) {
 				if u.Delete {
 					vals, conf = make([]string, in.schema.Arity()), nil
 				}
-				sub := newEngine(context.Background(), e.stream.with(u.ID, vals, conf), e.master, e.rules, e.stream, e.opts)
+				sub := newEngine(context.Background(), e.stream.with(u.ID, vals, conf), e.master, e.rules, e.stream.indexes, e.opts)
 				if _, err := sub.runAll(); err != nil {
 					t.Fatalf("%s seed %d op %d: sub-run: %v", m.name, seed, oi, err)
 				}

@@ -96,10 +96,10 @@ func (e *Engine) ERepair() {
 	// "<ordinal>|<LHS key>" string under both worklists, so they resolve
 	// ties in the same order. The entropies only read the batch's member
 	// snapshots and the live relation, which nothing writes meanwhile, so
-	// above the sequential cutoff they are computed across fanOut as
-	// per-item results; the queue is then updated in batch order. That merge
-	// is order-independent anyway: the heap orders by (entropy, id) and
-	// ETuples is a sum.
+	// fanOut computes them as per-item results, as wide as Engine.width
+	// allows for the batch's members; the queue is then updated in batch
+	// order. That merge is order-independent anyway: the heap orders by
+	// (entropy, id) and ETuples is a sum.
 	rekey := func(batch []keyedGroup) bool {
 		type slot struct {
 			entropy  float64
@@ -121,14 +121,8 @@ func (e *Engine) ERepair() {
 			}
 			return s
 		}
-		var slots []slot
-		var err error
-		if e.inline(work) {
-			slots = make([]slot, len(batch))
-			for k := range batch {
-				slots[k] = entropy(k)
-			}
-		} else if slots, err = fanOut(e.ctx, e.fj, "eRepair", e.workers, len(batch), entropy); err != nil {
+		slots, err := fanOut(e.ctx, e.fj, "eRepair", e.width(work), len(batch), entropy)
+		if err != nil {
 			// The tasks write nothing but their results, so poisoning the
 			// engine before the merge is a consistent stop.
 			if e.fail == nil {

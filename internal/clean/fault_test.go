@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/relation"
+	"repro/internal/rule"
 )
 
 // cellSnap is one cell's full state, captured for bit-exact comparison: the
@@ -46,7 +49,7 @@ func faultModes() []faultMode {
 	seq := DefaultOptions()
 	pool := DefaultOptions()
 	pool.Workers = 4
-	pool.SeqCutoff = -1
+	pool.forceFanOut = true
 	return []faultMode{{"seq", seq}, {"pool", pool}}
 }
 
@@ -179,7 +182,7 @@ func TestWorkerErrorCoordinates(t *testing.T) {
 	in := genInstance(13)
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
+	opts.forceFanOut = true
 	opts.Fault = fault.New(13, fault.Rule{Site: fault.SiteApply, Kind: fault.Panic, Rate: 1})
 	_, err := RunContext(context.Background(), in.relation(nil), nil, in.rules, opts)
 	var we *WorkerError
@@ -359,8 +362,10 @@ func TestFanOutContract(t *testing.T) {
 
 // TestFaultSweepFires sanity-checks the sweep itself: over the corpus, each
 // armed kind actually fires somewhere, so a green property run cannot mean
-// "the hooks never triggered". The fan-out passes check the scheduling site
-// too, both in the sweep's forced-fan-out mode and with the default cutoff.
+// "the hooks never triggered". The forced-fan-out pass checks the
+// scheduling site too. With default options the corpus, far under
+// seqCutoff, runs every fan-out inline, so the scheduling site cannot fire
+// there; TestFanOutWidthRule pins where the default fans out.
 func TestFaultSweepFires(t *testing.T) {
 	pool := DefaultOptions()
 	pool.Workers = 4
@@ -394,7 +399,7 @@ func TestFaultSweepFires(t *testing.T) {
 			}
 		}
 		want := []string{"apply/panic", "seed/panic", "certify/panic", "apply/cancel", "apply/delay"}
-		if pooled {
+		if pass.opts.forceFanOut {
 			want = append(want, "sched/panic", "sched/cancel", "sched/delay")
 		}
 		for _, w := range want {
@@ -403,4 +408,56 @@ func TestFaultSweepFires(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFanOutWidthRule pins Engine.width through fault.SiteSched, which
+// fires only on tasks a worker goroutine claims: armed to panic on every
+// one, a run fails with a *WorkerError exactly when some fan-out reaches
+// the workers. With Workers 4, a run under seqCutoff and a run at one P
+// stay inline everywhere, certification included; a run over the cutoff
+// with two Ps fans out, and the forceFanOut seam fans out regardless.
+func TestFanOutWidthRule(t *testing.T) {
+	small := genInstance(5)
+	cfg := gen.DefaultConfig()
+	cfg.Tuples, cfg.MasterSize = 2*seqCutoff, 20
+	large := gen.Generate(cfg)
+	// Runs never write their input, so one relation serves every case.
+	smallData := small.relation(nil)
+	run := func(data, master *relation.Relation, rules []rule.Rule, forced bool) error {
+		opts := DefaultOptions()
+		opts.Workers = 4
+		opts.forceFanOut = forced
+		opts.Fault = fault.New(1, fault.Rule{Site: fault.SiteSched, Kind: fault.Panic, Rate: 1})
+		_, err := RunContext(context.Background(), data, master, rules, opts)
+		return err
+	}
+	atProcs := func(n int, f func()) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		f()
+	}
+	wantInline := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Errorf("%s: err = %v, want every fan-out inline and no error", name, err)
+		}
+	}
+	wantFanOut := func(name string, err error) {
+		t.Helper()
+		var we *WorkerError
+		if !errors.As(err, &we) {
+			t.Errorf("%s: err = %v, want the *WorkerError of a worker-claimed task", name, err)
+		}
+	}
+	if n := smallData.Len(); n >= seqCutoff {
+		t.Fatalf("genInstance(5) holds %d tuples, not under seqCutoff", n)
+	}
+	atProcs(2, func() {
+		wantInline("under the cutoff", run(smallData, nil, small.rules, false))
+		wantFanOut("over the cutoff", run(large.Data, large.Master, large.Rules, false))
+		wantFanOut("forced, under the cutoff", run(smallData, nil, small.rules, true))
+	})
+	atProcs(1, func() {
+		wantInline("one P", run(large.Data, large.Master, large.Rules, false))
+		wantFanOut("forced, one P", run(large.Data, large.Master, large.Rules, true))
+	})
 }

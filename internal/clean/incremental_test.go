@@ -130,10 +130,10 @@ func checkEngineIdentity(t *testing.T, gen func(int64) *propInstance) {
 	const seeds = 400
 	opts := DefaultOptions()
 	opts.Workers = 4
-	// Negative SeqCutoff forces the corpus — tiny by construction — through
-	// fanOut's workers; with the default cutoff the fast path would run
+	// The forceFanOut seam sends the corpus — tiny by construction —
+	// through fanOut's workers; with the default cutoff the fast path would run
 	// everything inline and the sweep would prove nothing about them.
-	opts.SeqCutoff = -1
+	opts.forceFanOut = true
 	for seed := int64(0); seed < seeds; seed++ {
 		in := gen(seed)
 		inc, ref := runModes(in.relation(nil), nil, in.rules, DefaultOptions())
@@ -163,7 +163,7 @@ func TestIncrementalEquivalenceWithMaster(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1 // figure1 is tiny: bypass the inline fast path
+	opts.forceFanOut = true // figure1 is tiny: bypass the inline fast path
 	data, master, rules = figure1(t)
 	par := Run(data, master, rules, opts)
 	if d := diffParallel(par, inc); d != "" {
@@ -334,7 +334,7 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 		}
 		var blocked []md.Violation
 		visited := 0
-		c.visitMDViolationsRange(data, r.MD, c.matchers[ri], 0, data.Len(), &visited, func(v md.Violation) bool {
+		c.visitMDViolationsRange(data, r.MD, newMatcher(c.indexes[ri], true), 0, data.Len(), &visited, func(v md.Violation) bool {
 			blocked = append(blocked, v)
 			return true
 		})

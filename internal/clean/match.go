@@ -10,9 +10,10 @@ import (
 	"repro/internal/suffixtree"
 )
 
-// matcher finds, for a data tuple, the master tuples on which an MD premise
-// holds, without scanning all of Dm (Section 5.2). Two blocking indexes are
-// built over the master relation:
+// mdIndex is one MD's blocking index over the master relation (Section
+// 5.2), built once: master is fixed for a whole run and, on a stream,
+// across every update, so only the lookup memo is written after
+// construction. Two indexes are available:
 //
 //   - a hash index keyed on the projection of the master attributes of the
 //     equality clauses, when the MD has any;
@@ -25,10 +26,13 @@ import (
 // full scan, which the stats expose so callers can notice.
 //
 // Without an equality index, a lookup is a pure function of the tuple's
-// LHS values and the immutable master, so those matchers memoize it (see
+// LHS values and the immutable master, so those indexes memoize it (see
 // memo): tuples share few distinct values, and each is blocked and verified
 // once per memo lifetime rather than once per tuple.
-type matcher struct {
+//
+// An index is read through matchers: any number may share it, on any
+// goroutine, since only storing matchers, which run alone, write the memo.
+type mdIndex struct {
 	m      *md.MD
 	master *relation.Relation
 
@@ -42,29 +46,33 @@ type matcher struct {
 	tree      *suffixtree.Tree
 	treeIDs   [][]int // suffix-array string id -> master tuple indexes
 
-	// allIDs is the identity list the index-less fallback scans, built once
-	// and shared read-only with every fork.
-	allIDs []int
+	// all is the identity list 0..|Dm|-1 the full-scan fallbacks return,
+	// one list shared by every index over master and the Checker.
+	all []int
 
-	// memo is shared by the matcher, its forks and, on a stream, every
-	// later sub-engine's matcher; nil on equality-index matchers. lhsAttrs
-	// are the data attributes of every premise clause, the projection
-	// lookups are keyed on. A fork only reads memo: it runs beside other
-	// forks, so a miss is computed and returned but not stored. Every
-	// write happens at a sequential point — on a matcher that is not a
-	// fork, or in prefetch's store step — so no lock is needed.
+	// memo is nil when the MD has an equality index. lhsAttrs are the data
+	// attributes of every premise clause, the projection lookups are keyed
+	// on. Every memo write happens at a sequential point — a storing
+	// matcher, or prefetch's store step — while the matchers reading it
+	// concurrently never store, so no lock is needed.
 	memo     *memo
 	lhsAttrs []int
-	isFork   bool
+}
 
-	// Lookup scratch, reused across probes so the hot path does not
-	// allocate per tuple: idsBuf backs the candidate list, keyBuf backs the
-	// equality-index key and the memo key (probed as string(keyBuf), which
-	// allocates nothing), seen/seenGen dedupe candidates produced by several
-	// blocking keys (first occurrence wins, preserving the verification
-	// order) so no master tuple is verified twice for one probe, topBuf
-	// and sidBuf receive the suffix-array hits of block and certCandidates.
-	// Scratch is private per matcher; fanOut workers probe through forks.
+// matcher is one probe of an mdIndex: the index plus the lookup scratch
+// and statistics of one caller. Scratch is reused across probes so the hot
+// path does not allocate per tuple: idsBuf backs the candidate list, keyBuf
+// backs the equality-index key and the memo key (probed as string(keyBuf),
+// which allocates nothing), seen/seenGen dedupe candidates produced by
+// several blocking keys (first occurrence wins, preserving the verification
+// order) so no master tuple is verified twice for one probe, topBuf and
+// sidBuf receive the suffix-array hits of block and certCandidates. store
+// says whether a memo miss is stored: true for a matcher that runs alone,
+// false for one that runs beside others on a fanOut worker.
+type matcher struct {
+	*mdIndex
+	store bool
+
 	idsBuf  []int
 	keyBuf  []byte
 	seen    []uint64
@@ -75,7 +83,14 @@ type matcher struct {
 	stats MatchStats
 }
 
-// memo holds a matcher's pure lookups. Entries are shared and read-only
+// newMatcher returns a probe of ix with fresh scratch and zeroed
+// statistics, so its work counters come out identical whether ix was just
+// built or has served earlier runs.
+func newMatcher(ix *mdIndex, store bool) *matcher {
+	return &matcher{mdIndex: ix, store: store, stats: MatchStats{MasterSize: ix.master.Len()}}
+}
+
+// memo holds an index's pure lookups. Entries are shared and read-only
 // once stored: callers iterate the returned slices and never write them.
 // The maps are made on the first store and cleared when they reach limit
 // entries, a bound derived from the instance (see bound), so a long-lived
@@ -124,73 +139,52 @@ func (m *memo) putCert(key string, ids []int) {
 	m.cert[key] = ids
 }
 
-// fork returns a matcher for concurrent use — one certify task, one
-// prefetch chunk — sharing x's immutable blocking indexes and its memo,
-// with private lookup scratch and statistics. Forks never write the memo,
-// so they read it without locks.
-func (x *matcher) fork() *matcher {
-	f := x.reuse()
-	f.isFork = true
-	return f
-}
-
-// reuse returns a copy of x with fresh lookup scratch and zeroed
-// statistics that writes x's memo. A stream's sub-engines use it: they run
-// one at a time, so each is the memo's only writer while it runs, and the
-// memo outlives every update.
-func (x *matcher) reuse() *matcher {
-	f := *x
-	f.idsBuf, f.keyBuf, f.seen, f.seenGen = nil, nil, nil, 0
-	f.topBuf, f.sidBuf, f.isFork = nil, nil, false
-	f.stats = MatchStats{MasterSize: x.stats.MasterSize}
-	return &f
-}
-
 // bound sets the memo's size limit for a data relation of n tuples:
 // 2·(|D|+|Dm|) entries per map (docs/streaming.md). A run holds one key
 // per distinct value it looks up, typically a fraction of |D|; a long
 // stream whose updates keep bringing new values reaches the limit, and the
 // clear sheds the values it churned through.
-func (x *matcher) bound(n int) {
-	if x.memo != nil {
-		x.memo.limit = 2 * (n + x.master.Len())
+func (ix *mdIndex) bound(n int) {
+	if ix.memo != nil {
+		ix.memo.limit = 2 * (n + ix.master.Len())
 	}
 }
 
 // prefetch memoizes every lookup a pass over the tuples ids of d (all of d
 // when ids is nil) would miss, computing the misses in parallel: the first
 // tuple of each distinct key the memo lacks is looked up by one of up to
-// workers forks, each taking one contiguous chunk, and the results are
-// stored in the order their keys first appear. The pass then only hits;
-// certification's forks would otherwise recompute every miss without
-// storing it. cert selects certCandidates' entries,
-// else lookup's under topL. Like any memo write it changes no output. It
-// runs at a sequential point, so it may use x's own scratch; on an error,
-// fanOut's, nothing is stored. fj arms fanOut's scheduling hook.
-func (x *matcher) prefetch(ctx context.Context, fj *fault.Injector, workers int, d *relation.Relation, ids []int, cert bool, topL int) error {
-	if x.memo == nil || (cert && x.tree == nil) {
+// workers non-storing matchers, each taking one contiguous chunk, and the
+// results are stored in the order their keys first appear. The pass then
+// only hits; certification's non-storing matchers would otherwise recompute
+// every miss. cert selects certCandidates' entries, else lookup's under
+// topL. Like any memo write it changes no output. It runs at a sequential
+// point; on an error, fanOut's, nothing is stored. fj arms fanOut's
+// scheduling hook.
+func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int, d *relation.Relation, ids []int, cert bool, topL int) error {
+	if ix.memo == nil || (cert && ix.tree == nil) {
 		return nil
 	}
 	var keys []string
 	var todo []*relation.Tuple
+	var buf []byte
 	pending := make(map[string]bool)
 	visit := func(t *relation.Tuple) {
 		var key string
 		if cert {
-			v := t.Values[x.simData]
-			if relation.IsNull(v) || len(v)/(x.simK+1) < 1 {
+			v := t.Values[ix.simData]
+			if relation.IsNull(v) || len(v)/(ix.simK+1) < 1 {
 				return // certCandidates answers without the index or memo
 			}
-			if _, ok := x.memo.cert[v]; ok || pending[v] {
+			if _, ok := ix.memo.cert[v]; ok || pending[v] {
 				return
 			}
 			key = v
 		} else {
-			x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.lhsAttrs)
-			if _, ok := x.memo.lookups[string(x.keyBuf)]; ok || pending[string(x.keyBuf)] {
+			buf = relation.AppendKey(buf[:0], t, ix.lhsAttrs)
+			if _, ok := ix.memo.lookups[string(buf)]; ok || pending[string(buf)] {
 				return
 			}
-			key = string(x.keyBuf)
+			key = string(buf)
 		}
 		pending[key] = true
 		keys = append(keys, key)
@@ -205,12 +199,12 @@ func (x *matcher) prefetch(ctx context.Context, fj *fault.Injector, workers int,
 			visit(d.Tuples[i])
 		}
 	}
-	// Each fork returns the entries of its own contiguous chunk of todo, so
+	// Each task returns the entries of its own contiguous chunk of todo, so
 	// the chunks concatenate to key order. A certification entry holds only
 	// ids.
 	n := min(len(todo), workers)
 	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) []lookup {
-		f := x.fork()
+		f := newMatcher(ix, false)
 		part := todo[c*len(todo)/n : (c+1)*len(todo)/n]
 		out := make([]lookup, 0, len(part))
 		for _, t := range part {
@@ -228,7 +222,7 @@ func (x *matcher) prefetch(ctx context.Context, fj *fault.Injector, workers int,
 	}
 	// Clear up front when the keys would take the map past the bound, so
 	// no entry stored here is shed before the pass reads it.
-	m := x.memo
+	m := ix.memo
 	if cert && len(m.cert)+len(keys) > m.limit {
 		clear(m.cert)
 	}
@@ -274,53 +268,58 @@ func buildEqIndex(master *relation.Relation, attrs []int) map[string][]int {
 	return idx
 }
 
-func newMatcher(m *md.MD, master *relation.Relation) *matcher {
-	x := &matcher{m: m, master: master, simData: -1}
-	x.stats.MasterSize = master.Len()
-	x.eqDataAttrs, x.eqMasterAttrs = eqClauses(m)
+// masterIDs returns the identity list 0..|Dm|-1 that every index over
+// master shares (mdIndex.all).
+func masterIDs(master *relation.Relation) []int {
+	all := make([]int, master.Len())
+	for j := range all {
+		all[j] = j
+	}
+	return all
+}
+
+// newMDIndex builds m's blocking index over master; all is
+// masterIDs(master).
+func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
+	ix := &mdIndex{m: m, master: master, simData: -1, all: all}
+	ix.eqDataAttrs, ix.eqMasterAttrs = eqClauses(m)
 	for _, cl := range m.LHS {
-		if k, ok := cl.Pred.EditThreshold(); ok && !cl.Pred.Exact && x.simData < 0 {
-			x.simData, x.simMaster, x.simK = cl.DataAttr, cl.MasterAttr, k
+		if k, ok := cl.Pred.EditThreshold(); ok && !cl.Pred.Exact && ix.simData < 0 {
+			ix.simData, ix.simMaster, ix.simK = cl.DataAttr, cl.MasterAttr, k
 		}
 	}
-	if len(x.eqDataAttrs) > 0 {
-		x.eqIndex = buildEqIndex(master, x.eqMasterAttrs)
-		return x
+	if len(ix.eqDataAttrs) > 0 {
+		ix.eqIndex = buildEqIndex(master, ix.eqMasterAttrs)
+		return ix
 	}
 	for _, cl := range m.LHS {
-		x.lhsAttrs = append(x.lhsAttrs, cl.DataAttr)
+		ix.lhsAttrs = append(ix.lhsAttrs, cl.DataAttr)
 	}
-	x.memo = &memo{}
-	x.bound(0) // until an engine or checker knows |D|
-	if x.simData >= 0 {
-		byValue := make(map[string]int)
-		var names []string
-		for j, s := range master.Tuples {
-			v := s.Values[x.simMaster]
-			if relation.IsNull(v) {
-				continue
-			}
-			id, ok := byValue[v]
-			if !ok {
-				id = len(names)
-				byValue[v] = id
-				names = append(names, v)
-				x.treeIDs = append(x.treeIDs, nil)
-			}
-			x.treeIDs[id] = append(x.treeIDs[id], j)
+	ix.memo = &memo{}
+	ix.bound(0) // until an engine or checker knows |D|
+	if ix.simData < 0 {
+		return ix // no usable index: every lookup scans Dm
+	}
+	byValue := make(map[string]int)
+	var names []string
+	for j, s := range master.Tuples {
+		v := s.Values[ix.simMaster]
+		if relation.IsNull(v) {
+			continue
 		}
-		// Index every name here, before any fork shares the array, so
-		// fanOut workers only ever read it.
-		x.tree = suffixtree.New(names...)
-		return x
+		id, ok := byValue[v]
+		if !ok {
+			id = len(names)
+			byValue[v] = id
+			names = append(names, v)
+			ix.treeIDs = append(ix.treeIDs, nil)
+		}
+		ix.treeIDs[id] = append(ix.treeIDs[id], j)
 	}
-	// No usable index: every lookup scans Dm. The identity list is built
-	// here, not lazily in block, so forks can share it.
-	x.allIDs = make([]int, master.Len())
-	for j := range x.allIDs {
-		x.allIDs[j] = j
-	}
-	return x
+	// Index every name here, before any matcher shares the array, so
+	// fanOut workers only ever read it.
+	ix.tree = suffixtree.New(names...)
+	return ix
 }
 
 // candidates returns the master tuple indexes on which the full MD premise
@@ -358,7 +357,7 @@ func (x *matcher) lookup(t *relation.Tuple, topL int) lookup {
 	}
 	ids, scanned := x.block(t, topL)
 	en := lookup{ids: x.verify(t, ids), block: len(ids), scanned: scanned}
-	if !x.isFork {
+	if x.store {
 		x.memo.putLookup(string(x.keyBuf), en)
 	}
 	return en
@@ -402,7 +401,7 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 		x.idsBuf = ids
 		return ids, false
 	default:
-		return x.allIDs, true
+		return x.all, true
 	}
 }
 
@@ -476,7 +475,7 @@ func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
 			}
 			slices.Sort(ids)
 		}
-		if !x.isFork {
+		if x.store {
 			x.memo.putCert(v, ids)
 		}
 		return ids, true

@@ -122,6 +122,11 @@ func checkAgainstUncached(t *testing.T, label string, x, y *matcher, d *relation
 	}
 }
 
+// testMatcher returns a storing matcher over a freshly built index of m.
+func testMatcher(m *md.MD, master *relation.Relation) *matcher {
+	return newMatcher(newMDIndex(m, master, masterIDs(master)), true)
+}
+
 func memoSize(m *memo) int {
 	return len(m.lookups) + len(m.cert)
 }
@@ -129,13 +134,14 @@ func memoSize(m *memo) int {
 // TestMemoAgreesWithUncachedLookups pins the memo's contract: every
 // candidates, probe and certCandidates answer, and every MatchStats count,
 // equals a fresh uncached block+verify and sorted enumeration — on the base
-// matcher (cold, then warm), on a fork before prefetch (every lookup a miss,
-// the shared memo untouched) and on a fork after it (every key memoized).
+// matcher (cold, then warm), on a non-storing matcher before prefetch
+// (every lookup a miss, the shared memo untouched) and on one after it
+// (every key memoized).
 func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 	topL := DefaultOptions().TopL
 	for _, c := range memoCases() {
-		y := newMatcher(c.m, c.master)
-		x := newMatcher(c.m, c.master)
+		y := testMatcher(c.m, c.master)
+		x := testMatcher(c.m, c.master)
 		x.bound(c.data.Len())
 		checkAgainstUncached(t, c.name+" base cold", x, y, c.data, topL)
 		checkAgainstUncached(t, c.name+" base warm", x, y, c.data, topL)
@@ -146,11 +152,11 @@ func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 			continue
 		}
 
-		z := newMatcher(c.m, c.master)
+		z := testMatcher(c.m, c.master)
 		z.bound(c.data.Len())
-		checkAgainstUncached(t, c.name+" fork before prefetch", z.fork(), y, c.data, topL)
+		checkAgainstUncached(t, c.name+" non-storing before prefetch", newMatcher(z.mdIndex, false), y, c.data, topL)
 		if n := memoSize(z.memo); n != 0 {
-			t.Fatalf("%s: a fork wrote %d entries into the shared memo", c.name, n)
+			t.Fatalf("%s: a non-storing matcher wrote %d entries into the shared memo", c.name, n)
 		}
 		ctx := context.Background()
 		if err := z.prefetch(ctx, nil, 2, c.data, nil, false, topL); err != nil {
@@ -170,9 +176,9 @@ func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 			}
 		}
 		n := memoSize(z.memo)
-		checkAgainstUncached(t, c.name+" fork after prefetch", z.fork(), y, c.data, topL)
+		checkAgainstUncached(t, c.name+" non-storing after prefetch", newMatcher(z.mdIndex, false), y, c.data, topL)
 		if memoSize(z.memo) != n {
-			t.Fatalf("%s: a fork after prefetch changed the memo", c.name)
+			t.Fatalf("%s: a non-storing matcher after prefetch changed the memo", c.name)
 		}
 	}
 }
@@ -187,7 +193,7 @@ func TestMemoBound(t *testing.T) {
 			break
 		}
 	}
-	x, y := newMatcher(c.m, c.master), newMatcher(c.m, c.master)
+	x, y := testMatcher(c.m, c.master), testMatcher(c.m, c.master)
 	x.bound(c.data.Len())
 	if want := 2 * (c.data.Len() + c.master.Len()); x.memo.limit != want {
 		t.Fatalf("limit = %d, want 2(|D|+|Dm|) = %d", x.memo.limit, want)
@@ -203,7 +209,7 @@ func TestMemoBound(t *testing.T) {
 
 	// A prefetch whose keys would take the map past its limit clears it
 	// first, so every key it stores survives for its pass.
-	z := newMatcher(c.m, c.master)
+	z := testMatcher(c.m, c.master)
 	distinct := make(map[string]bool)
 	for _, tp := range c.data.Tuples {
 		distinct[tp.Key(z.lhsAttrs)] = true
@@ -233,10 +239,11 @@ func simRule(t *testing.T, rules []rule.Rule) int {
 
 // TestMemoConcurrentMisses has two fan-out workers miss the same value in
 // one parallel phase: every tuple carries one name, and the shared memo is
-// empty, so both workers' forks miss it while reading the memo. Run under
-// -race, it checks the lock-free design: the answers and the summed
-// statistics must be exact, and no fork may have written the memo. A
-// prefetch then stores the one entry, and a second phase only hits it.
+// empty, so both workers' non-storing matchers miss it while reading the
+// memo. Run under -race, it checks the lock-free design: the answers and
+// the summed statistics must be exact, and neither matcher may have
+// written the memo. A prefetch then stores the one entry, and a second
+// phase only hits it.
 func TestMemoConcurrentMisses(t *testing.T) {
 	cfg := gen.DefaultConfig()
 	cfg.Tuples, cfg.MasterSize = 600, 50
@@ -252,16 +259,16 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	e := New(data, inst.Master, inst.Rules, opts)
 	ri := simRule(t, e.rules)
 	x := e.matchers[ri]
-	want := uncachedLookup(newMatcher(e.rules[ri].MD, inst.Master), data.Tuples[0], opts.TopL)
+	want := uncachedLookup(testMatcher(e.rules[ri].MD, inst.Master), data.Tuples[0], opts.TopL)
 
 	phase := func(label string) {
 		t.Helper()
 		n := data.Len()
-		forks := []*matcher{x.fork(), x.fork()}
-		chunks, err := fanOut(context.Background(), nil, "test", len(forks), len(forks), func(w int) [][]int {
+		probes := []*matcher{newMatcher(x.mdIndex, false), newMatcher(x.mdIndex, false)}
+		chunks, err := fanOut(context.Background(), nil, "test", len(probes), len(probes), func(w int) [][]int {
 			var got [][]int
-			for i := w * n / len(forks); i < (w+1)*n/len(forks); i++ {
-				got = append(got, forks[w].candidates(e.data.Tuples[i], opts.TopL))
+			for i := w * n / len(probes); i < (w+1)*n/len(probes); i++ {
+				got = append(got, probes[w].candidates(e.data.Tuples[i], opts.TopL))
 			}
 			return got
 		})
@@ -275,7 +282,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 			}
 		}
 		sum := MatchStats{MasterSize: inst.Master.Len()}
-		for _, f := range forks {
+		for _, f := range probes {
 			sum.Lookups += f.stats.Lookups
 			sum.Candidates += f.stats.Candidates
 			sum.Verified += f.stats.Verified
@@ -288,7 +295,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	}
 	phase("missing phase")
 	if n := len(x.memo.lookups); n != 0 {
-		t.Fatalf("forks wrote %d lookups into the shared memo", n)
+		t.Fatalf("non-storing matchers wrote %d lookups into the shared memo", n)
 	}
 	if err := x.prefetch(context.Background(), nil, 2, e.data, nil, false, opts.TopL); err != nil {
 		t.Fatalf("prefetch: %v", err)
@@ -315,7 +322,7 @@ func TestMemoSurvivesFailedUpdate(t *testing.T) {
 				t.Fatalf("NewStream: %v", err)
 			}
 			ri := simRule(t, e.rules)
-			mem := e.stream.protos[ri].memo
+			mem := e.stream.indexes[ri].memo
 			lookups, certs := len(mem.lookups), len(mem.cert)
 
 			res := e.Result()

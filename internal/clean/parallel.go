@@ -82,21 +82,19 @@ func fanOut[T any](ctx context.Context, fj *fault.Injector, phase string, worker
 }
 
 // applyTuples runs one per-tuple rule over the given tuple ids (ascending).
-// An MD rule's pass over the fan-out cutoff first has its lookups
-// prefetched: the distinct values the memo lacks are looked up across the
-// workers, and each tuple then costs one memo hit. A stream update skips
-// the prefetch: it reruns the clean over a base one tuple away from the
-// committed run's, whose lookups the inherited memo already holds, so the
-// scan would find next to nothing to spread, and the pass stores what it
-// misses.
+// An MD rule's pass wide enough to fan out first has its lookups
+// prefetched, unless the engine was handed prebuilt indexes (newEngine):
+// the distinct values the memo lacks are looked up across the workers, and
+// each tuple then costs one memo hit.
 func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(i int) int) (progress int) {
-	update := e.stream != nil && e.stream.protos != nil
-	if x := e.matchers[ri]; x != nil && !update && !e.inline(len(ids)) {
-		if err := x.prefetch(e.ctx, e.fj, e.workers, e.data, ids, false, e.opts.TopL); err != nil && e.fail == nil {
-			e.fail = err
-		}
-		if e.interrupted() {
-			return 0
+	if x := e.matchers[ri]; x != nil && e.prefetch {
+		if w := e.width(len(ids)); w > 1 {
+			if err := x.prefetch(e.ctx, e.fj, w, e.data, ids, false, e.opts.TopL); err != nil && e.fail == nil {
+				e.fail = err
+			}
+			if e.interrupted() {
+				return 0
+			}
 		}
 	}
 	item := -1

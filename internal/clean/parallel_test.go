@@ -11,29 +11,24 @@ import (
 )
 
 // TestParallelWorkerSweep pins the worker-count independence of the
-// parallel applier layer: every worker count — including 1, which must
-// take the inline sequential path (no pool is built) — produces results
-// identical to the sequential incremental engine, down to the work
-// counters, on both the randomized corpus and the MD-heavy figure1
-// workload.
+// engine's fan-outs: every worker count — including 1, which runs every
+// fan-out inline — produces results identical to the sequential engine,
+// down to the work counters, on both the randomized corpus and the
+// MD-heavy figure1 workload.
 func TestParallelWorkerSweep(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		// Force every nonempty worklist through the pool: the corpus
-		// instances are a handful of tuples, far under DefaultSeqCutoff,
-		// and the sweep must exercise the parallel path, not the inline
-		// fast path.
-		opts.SeqCutoff = -1
+		// Force every nonempty fan-out onto the workers: the corpus
+		// instances are a handful of tuples, far under seqCutoff, and the
+		// sweep must exercise the workers, not the inline path.
+		opts.forceFanOut = true
 		for seed := int64(0); seed < 25; seed++ {
 			in := genInstance(seed)
 			seq := Run(in.relation(nil), nil, in.rules, DefaultOptions())
 			par := Run(in.relation(nil), nil, in.rules, opts)
 			if d := diffParallel(par, seq); d != "" {
 				t.Fatalf("seed %d, %d workers: %s", seed, workers, d)
-			}
-			if workers == 1 && par.WorkerVisits != nil {
-				t.Fatalf("1 worker must not build a pool, got WorkerVisits %v", par.WorkerVisits)
 			}
 		}
 		data, master, rules := figure1(t)
@@ -46,15 +41,15 @@ func TestParallelWorkerSweep(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism runs the parallel engine repeatedly on the same
-// instances: the goroutine interleavings of the propose step and the map
-// iteration order underneath the appliers vary run to run, and none of it
-// may show in the result — the commit merge and the total-order tie-breaks
-// are the only places ordering can come from.
+// TestParallelDeterminism runs the engine with forced fan-outs repeatedly
+// on the same instances: the goroutine interleavings of the fan-out tasks
+// and the map iteration order underneath the appliers vary run to run, and
+// none of it may show in the result — fanOut's task-order merge and the
+// total-order tie-breaks are the only places ordering can come from.
 func TestParallelDeterminism(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
+	opts.forceFanOut = true
 	for seed := int64(0); seed < 20; seed++ {
 		in := genInstance(seed)
 		first := Run(in.relation(nil), nil, in.rules, opts)
@@ -79,7 +74,7 @@ func TestHTargetTieBreakDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		opts.SeqCutoff = -1
+		opts.forceFanOut = true
 		for rep := 0; rep < 30; rep++ {
 			// Master-support tie-break: k1 and k2 tie on confidence and
 			// count; the master value reachable through the MD blocking
@@ -121,8 +116,8 @@ func TestResolveGroupTieBreakDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelOuterFixpoint reruns the outer-fixpoint regression with the
-// pool on: a possible fix whose derived confidence reaches eta enables a
+// TestParallelOuterFixpoint reruns the outer-fixpoint regression with
+// forced fan-outs: a possible fix whose derived confidence reaches eta enables a
 // deterministic rule on a later pass, and the parallel engine must follow
 // the same pass structure (the budget and freeze state span passes).
 func TestParallelOuterFixpoint(t *testing.T) {
@@ -145,26 +140,25 @@ func TestParallelOuterFixpoint(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
+	opts.forceFanOut = true
 	seq := Run(mk(), nil, rules, DefaultOptions())
 	par := Run(mk(), nil, rules, opts)
 	if d := diffParallel(par, seq); d != "" {
-		t.Fatalf("outer fixpoint diverges under the pool: %s", d)
+		t.Fatalf("outer fixpoint diverges under forced fan-outs: %s", d)
 	}
 	if len(par.Unresolved) != 0 {
 		t.Fatalf("pipeline left rules unresolved: %v", fmt.Sprint(par.Unresolved))
 	}
 }
 
-// TestParallelStealHeavySweep is the adversarial determinism sweep for the
-// work-stealing queues: gen's HotZipRate knob packs more than a third of
-// the tuples into one zip, so the variable CFDs carry one giant LHS-equal
-// group next to hundreds of tiny ones — the shape where the old chunk
-// cursor stranded whole chunks behind the giant group and where stealing
-// traffic is now maximal. Every worker count must still produce results
-// byte-identical to the sequential engine, including the certified Report
-// and all work counters; run under -race this also audits the queue
-// transfer protocol itself.
+// TestParallelStealHeavySweep is the adversarial determinism sweep for
+// skewed fan-outs: gen's HotZipRate knob packs more than a third of the
+// tuples into one zip, so the variable CFDs carry one giant LHS-equal group
+// next to hundreds of tiny ones, and eRepair's re-key batches and the
+// certification shards are as uneven as they get. Every worker count must
+// still produce results byte-identical to the sequential engine, including
+// the certified Report and all work counters; run under -race this also
+// audits that the fan-out tasks share nothing but read-only state.
 func TestParallelStealHeavySweep(t *testing.T) {
 	inst := gen.Generate(gen.Config{
 		Tuples: 2000, MasterSize: 200, ErrorRate: 0.05,
@@ -187,7 +181,7 @@ func TestParallelStealHeavySweep(t *testing.T) {
 	for _, workers := range []int{2, 3, 4, 8} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		opts.SeqCutoff = -1
+		opts.forceFanOut = true
 		par := Run(inst.Data, inst.Master, inst.Rules, opts)
 		if d := diffParallel(par, seq); d != "" {
 			t.Fatalf("%d workers on the steal-heavy workload: %s", workers, d)
@@ -197,21 +191,20 @@ func TestParallelStealHeavySweep(t *testing.T) {
 
 // benchmarkTinyRounds measures the whole pipeline on a tiny instance, the
 // regime where fan-out overhead used to dominate. The pinned comparison is
-// Workers4 against Workers1: with the sequential fast path every worklist
-// runs inline, so the two must be within noise of each other, while
-// Workers4Forced (cutoff disabled) shows what the fan-outs cost when they
-// are forced onto work this small.
-func benchmarkTinyRounds(b *testing.B, workers, cutoff int) {
+// Workers4 against Workers1: under seqCutoff every fan-out runs inline, so
+// the two must be within noise of each other, while Workers4Forced shows
+// what the fan-outs cost when they are forced onto work this small.
+func benchmarkTinyRounds(b *testing.B, workers int, forced bool) {
 	in := genInstance(3)
 	opts := DefaultOptions()
 	opts.Workers = workers
-	opts.SeqCutoff = cutoff
+	opts.forceFanOut = forced
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Run(in.relation(nil), nil, in.rules, opts)
 	}
 }
 
-func BenchmarkTinyRoundsWorkers1(b *testing.B)       { benchmarkTinyRounds(b, 1, 0) }
-func BenchmarkTinyRoundsWorkers4(b *testing.B)       { benchmarkTinyRounds(b, 4, 0) }
-func BenchmarkTinyRoundsWorkers4Forced(b *testing.B) { benchmarkTinyRounds(b, 4, -1) }
+func BenchmarkTinyRoundsWorkers1(b *testing.B)       { benchmarkTinyRounds(b, 1, false) }
+func BenchmarkTinyRoundsWorkers4(b *testing.B)       { benchmarkTinyRounds(b, 4, false) }
+func BenchmarkTinyRoundsWorkers4Forced(b *testing.B) { benchmarkTinyRounds(b, 4, true) }

@@ -32,10 +32,10 @@ import (
 //
 // The one reuse across updates lives where it cannot bend the output: the
 // MD blocking indexes (equality buckets, suffix array) are built once over
-// master by the initial run and reused by every later sub-run instead of
-// rebuilt; the copies share the immutable index structures and carry fresh
+// master by the initial run and handed to every later sub-run instead of
+// rebuilt; each sub-run probes them through fresh matchers with zeroed
 // statistics, so counters still come out identical to a cold build. They
-// also share the matchers' lookup memo, so an update looks up only the
+// also share the indexes' lookup memo, so an update looks up only the
 // values the stream has never seen.
 //
 // Deletes are tombstones: every cell of the tuple becomes Null with zero
@@ -60,10 +60,9 @@ import (
 // shares tuples with base but never writes them, and nothing of the stream
 // is written before the sub-run has succeeded.
 
-// stream is the committed state of a streaming engine. The shell engine
-// returned by NewStream and every update's sub-run share it; sub-runs only
-// read it (the index prototypes), and only commit writes it, after a
-// sub-run has succeeded.
+// stream is the committed state of a streaming engine, held by the shell
+// engine NewStream returns. Sub-runs get only its indexes, and only commit
+// writes it, after a sub-run has succeeded.
 type stream struct {
 	// base is the raw input plus every committed update: the instance a
 	// from-scratch run would be handed. Its tuples are never written — a
@@ -71,11 +70,11 @@ type stream struct {
 	// tuple — so a failed candidate leaves base untouched.
 	base    *relation.Relation
 	deleted map[int]bool // tombstoned tuple ids
-	// protos holds the master blocking indexes built by the initial run,
-	// which every later sub-run reuses instead of rebuilding, and the
-	// lookup memo those sub-runs keep filling; nil until the initial run
-	// commits.
-	protos []*matcher
+	// indexes holds the master blocking indexes built by the initial run
+	// (parallel to the ordered rules), which every later sub-run reuses
+	// instead of rebuilding, with the lookup memo those sub-runs keep
+	// filling; nil until the initial run commits.
+	indexes []*mdIndex
 }
 
 // NewStream builds a streaming engine: it runs the full pipeline over data
@@ -94,7 +93,7 @@ func NewStream(data, master *relation.Relation, rules []rule.Rule, opts Options)
 // The returned shell holds only the options, the ordered rules, master,
 // the stream state and the current Result: the initial clean runs on a
 // sub-engine through the same rebase path as every update, with freshly
-// built matchers, which become the prototypes. The phase methods (CRepair,
+// built indexes, which every later update reuses. The phase methods (CRepair,
 // ERepair, HRepair, Finish) belong to batch engines and are not for use on
 // the shell.
 func NewStreamContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Engine, error) {
@@ -211,19 +210,18 @@ func (st *stream) with(id int, values []string, conf []float64) *relation.Relati
 
 // rebase runs a fresh sub-engine over base and, on success, commits base
 // and its Result to the stream. The sub-engine inherits the shell's options
-// and ordered rules and reuses the prototype blocking indexes and lookup
-// memo instead of rebuilding them. On the initial run there are no
-// prototypes yet: the sub-engine builds its matchers, and they become the
-// prototypes.
+// and ordered rules and reuses the stream's blocking indexes and lookup
+// memo instead of rebuilding them. On the initial run there are no indexes
+// yet: the sub-engine builds them, and the stream keeps them.
 func (e *Engine) rebase(ctx context.Context, base *relation.Relation) (*Result, error) {
 	st := e.stream
-	s := newEngine(ctx, base, e.master, e.rules, st, e.opts)
+	s := newEngine(ctx, base, e.master, e.rules, st.indexes, e.opts)
 	res, err := s.runAll()
 	if err != nil {
 		return nil, err
 	}
-	if st.protos == nil {
-		st.protos = s.matchers
+	if st.indexes == nil {
+		st.indexes = s.indexes
 	}
 	st.base = base
 	e.res = res

@@ -447,12 +447,12 @@ func TestStreamCapRetruncation(t *testing.T) {
 // TestStreamWithMaster runs the streaming layer over the paper's Figure 1
 // workload — MD rules, blocking indexes, master data — under the pooled
 // engine: upserts and a delete must stay on the from-scratch oracle, with
-// the forked prototype indexes reproducing a cold build's match counters.
+// the shared indexes reproducing a cold build's match counters.
 func TestStreamWithMaster(t *testing.T) {
 	data, master, rules := figure1(t)
 	opts := DefaultOptions()
 	opts.Workers = 4
-	opts.SeqCutoff = -1
+	opts.forceFanOut = true
 	e, err := NewStream(data.Clone(), master, rules, opts)
 	if err != nil {
 		t.Fatalf("NewStream: %v", err)

@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Relation is an instance of a schema: an ordered collection of tuples.
 type Relation struct {
@@ -49,24 +46,6 @@ func (r *Relation) Clone() *Relation {
 		copy(c.Marks, t.Marks)
 		out.Tuples[i] = c
 	}
-	return out
-}
-
-// ActiveDomain returns the sorted distinct non-null values of attribute a.
-func (r *Relation) ActiveDomain(a int) []string {
-	seen := make(map[string]struct{})
-	for _, t := range r.Tuples {
-		v := t.Values[a]
-		if IsNull(v) {
-			continue
-		}
-		seen[v] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -98,12 +98,9 @@ func TestRelationCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestProjectAndKey(t *testing.T) {
+func TestKeyDeterministic(t *testing.T) {
 	r := New(NewSchema("r", "A", "B", "C"))
 	tup := r.Append("1", "2", "3")
-	if got := tup.Project([]int{2, 0}); !reflect.DeepEqual(got, []string{"3", "1"}) {
-		t.Errorf("Project = %v", got)
-	}
 	k1 := tup.Key([]int{0, 1})
 	k2 := tup.Key([]int{0, 1})
 	if k1 != k2 {
@@ -118,17 +115,6 @@ func TestKeyCollisionResistance(t *testing.T) {
 	t2 := r.Append("a", "\x1fb")
 	if t1.Key([]int{0, 1}) == t2.Key([]int{0, 1}) {
 		t.Error("Key collides on separator-containing values")
-	}
-}
-
-func TestActiveDomain(t *testing.T) {
-	r := New(NewSchema("r", "A"))
-	r.Append("b")
-	r.Append("a")
-	r.Append("b")
-	r.Append(Null)
-	if got := r.ActiveDomain(0); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("ActiveDomain = %v", got)
 	}
 }
 

@@ -68,15 +68,6 @@ func (t *Tuple) Clone() *Tuple {
 	}
 }
 
-// Project returns the values of t at the given attribute positions.
-func (t *Tuple) Project(attrs []int) []string {
-	out := make([]string, len(attrs))
-	for i, a := range attrs {
-		out[i] = t.Values[a]
-	}
-	return out
-}
-
 // Key returns a canonical string key for the projection of t on attrs,
 // suitable for map indexing. The encoding is injective: fields are joined by
 // an ASCII unit separator, and occurrences of the separator or the escape

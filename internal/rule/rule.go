@@ -94,19 +94,3 @@ func Derive(sigma []*cfd.CFD, gamma []*md.MD) []Rule {
 	}
 	return out
 }
-
-// MinConf returns the fuzzy-logic confidence of a fix derived from premise
-// confidences: the minimum (Section 3.1 uses min rather than product,
-// following fuzzy set membership). Premises tested by non-exact similarity
-// predicates do not contribute, matching the paper's "d is the minimum
-// t[Aj].cf for all j in [1,k] if ≈j is '='"; if no premise contributes, the
-// result is 1 (the fix is backed entirely by similarity to clean data).
-func MinConf(confs []float64) float64 {
-	m := 1.0
-	for _, c := range confs {
-		if c < m {
-			m = c
-		}
-	}
-	return m
-}

@@ -172,15 +172,6 @@ func TestOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMinConf(t *testing.T) {
-	if got := MinConf([]float64{0.9, 0.5, 0.7}); got != 0.5 { //det:ok floateq exact return-value check: the minimum is selected, not computed
-		t.Errorf("MinConf = %g", got)
-	}
-	if got := MinConf(nil); got != 1 { //det:ok floateq exact return-value check of the documented empty-case constant
-		t.Errorf("MinConf(nil) = %g", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if ConstantCFD.String() != "constantCFD" || VariableCFD.String() != "variableCFD" ||
 		MatchMD.String() != "matchMD" || Kind(9).String() != "unknown" {
