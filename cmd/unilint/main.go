@@ -13,11 +13,10 @@
 // suppression is itself a finding, and a suppression that no longer
 // suppresses anything is one too (detokstale).
 //
-// -json renders the findings as one JSON object, -sarif as a SARIF 2.1.0
-// log for CI annotation (GitHub code scanning); the two are mutually
-// exclusive, and both relativize paths to the module root. The exit status
-// is the same in every output mode: 0 clean, 1 findings, 2 usage or load
-// error.
+// -sarif renders the findings as a SARIF 2.1.0 log for CI annotation
+// (GitHub code scanning), with paths relative to the module root. The exit
+// status is the same in both output modes: 0 clean, 1 findings, 2 usage or
+// load error.
 package main
 
 import (
@@ -38,18 +37,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("dir", ".", "directory whose module is analyzed")
-	asJSON := fs.Bool("json", false, "print findings as JSON")
 	asSARIF := fs.Bool("sarif", false, "print findings as a SARIF 2.1.0 log")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: unilint [-dir root] [-json|-sarif] [packages]\n\nAnalyzes the module's packages (default ./...) and exits nonzero on findings.\n\n")
+		fmt.Fprintf(stderr, "usage: unilint [-dir root] [-sarif] [packages]\n\nAnalyzes the module's packages (default ./...) and exits nonzero on findings.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "unilint: -json and -sarif are mutually exclusive")
-		fs.Usage()
 		return 2
 	}
 	analyzers := lint.All()
@@ -69,25 +62,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings := lint.RunAll(analyzers, pkgs)
-	switch {
-	case *asJSON, *asSARIF:
+	if *asSARIF {
 		// Load succeeded, so the module root resolves; relativized paths
-		// keep machine-readable output stable across checkouts.
+		// keep the log stable across checkouts.
 		root, err := lint.ModuleRoot(*dir)
-		if err != nil {
-			fmt.Fprintf(stderr, "unilint: %v\n", err)
-			return 2
-		}
-		if *asJSON {
-			err = writeJSON(stdout, root, findings)
-		} else {
+		if err == nil {
 			err = writeSARIF(stdout, root, analyzers, findings)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "unilint: %v\n", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}

@@ -47,7 +47,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, name := range []string{"maporder", "poolonly", "sinkwrite", "floateq", "ctxflow", "errcontract", "detokstale"} {
+	for _, name := range []string{"maporder", "poolonly", "sinkwrite", "floateq", "detokstale"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout.String())
 		}

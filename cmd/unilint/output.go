@@ -1,7 +1,7 @@
-// Machine-readable output: -json for scripting, -sarif for CI annotation
-// (SARIF 2.1.0, the format GitHub code scanning ingests). Both render the
-// same sorted finding list the plain-text mode prints, with paths
-// relativized to the module root so output is stable across checkouts.
+// Machine-readable output: -sarif for CI annotation (SARIF 2.1.0, the
+// format GitHub code scanning ingests). It renders the same sorted finding
+// list the plain-text mode prints, with paths relativized to the module
+// root so output is stable across checkouts.
 package main
 
 import (
@@ -22,35 +22,6 @@ func relPath(root, file string) string {
 		}
 	}
 	return filepath.ToSlash(file)
-}
-
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON renders findings as one indented JSON object. The findings
-// array is always present (empty on a clean run), in RunAll's sorted order.
-func writeJSON(w io.Writer, root string, findings []lint.Finding) error {
-	out := struct {
-		Findings []jsonFinding `json:"findings"`
-		Count    int           `json:"count"`
-	}{Findings: []jsonFinding{}, Count: len(findings)}
-	for _, f := range findings {
-		out.Findings = append(out.Findings, jsonFinding{
-			File:     relPath(root, f.Pos.Filename),
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // The subset of SARIF 2.1.0 the GitHub upload-sarif action consumes.

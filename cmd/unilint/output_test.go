@@ -4,22 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"strings"
 	"testing"
 )
 
-// TestGoldenOutput pins the machine-readable formats byte-for-byte over the
-// dirty fixture module: the finding order is RunAll's position sort, the
-// paths are module-root-relative, and any change to either shape must be a
-// deliberate golden update (regenerate with
-// `go run . -json -dir testdata/dirtymod ./... > testdata/dirty.json` and
-// the -sarif sibling).
+// TestGoldenOutput pins the SARIF log byte-for-byte over the dirty fixture
+// module: the finding order is RunAll's position sort, the paths are
+// module-root-relative, and any change to the shape must be a deliberate
+// golden update (regenerate with
+// `go run . -sarif -dir testdata/dirtymod ./... > testdata/dirty.sarif`).
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		flag   string
 		golden string
 	}{
-		{"-json", "testdata/dirty.json"},
 		{"-sarif", "testdata/dirty.sarif"},
 	}
 	for _, c := range cases {
@@ -40,8 +37,8 @@ func TestGoldenOutput(t *testing.T) {
 	}
 }
 
-// TestExitCodeTable asserts the 0/1/2 contract holds identically in every
-// output format: clean module, dirty module, and usage/load errors.
+// TestExitCodeTable asserts the 0/1/2 contract holds identically in both
+// output formats: clean module, dirty module, and a load error.
 func TestExitCodeTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -49,13 +46,10 @@ func TestExitCodeTable(t *testing.T) {
 		want int
 	}{
 		{"text clean", []string{"-dir", "testdata/cleanmod", "./..."}, 0},
-		{"json clean", []string{"-json", "-dir", "testdata/cleanmod", "./..."}, 0},
 		{"sarif clean", []string{"-sarif", "-dir", "testdata/cleanmod", "./..."}, 0},
 		{"text dirty", []string{"-dir", "testdata/dirtymod", "./..."}, 1},
-		{"json dirty", []string{"-json", "-dir", "testdata/dirtymod", "./..."}, 1},
 		{"sarif dirty", []string{"-sarif", "-dir", "testdata/dirtymod", "./..."}, 1},
-		{"both formats", []string{"-json", "-sarif", "./..."}, 2},
-		{"json load error", []string{"-json", "-dir", os.TempDir(), "./..."}, 2},
+		{"sarif load error", []string{"-sarif", "-dir", os.TempDir(), "./..."}, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -64,28 +58,6 @@ func TestExitCodeTable(t *testing.T) {
 				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, c.want, stdout.String(), stderr.String())
 			}
 		})
-	}
-}
-
-// TestCleanJSONShape: a clean run still prints a complete document — an
-// empty findings array, not null, so consumers need no special case.
-func TestCleanJSONShape(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "-dir", "testdata/cleanmod", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, stderr.String())
-	}
-	var doc struct {
-		Findings []any `json:"findings"`
-		Count    int   `json:"count"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &doc); err != nil {
-		t.Fatalf("clean -json output is not valid JSON: %v\n%s", err, stdout.String())
-	}
-	if doc.Findings == nil || len(doc.Findings) != 0 || doc.Count != 0 {
-		t.Errorf("clean run: findings=%v count=%d, want empty array and 0", doc.Findings, doc.Count)
-	}
-	if !strings.Contains(stdout.String(), `"findings": []`) {
-		t.Errorf("findings must serialize as [] on a clean run:\n%s", stdout.String())
 	}
 }
 
@@ -114,7 +86,7 @@ func TestCleanSARIFShape(t *testing.T) {
 	for _, r := range run0.Tool.Driver.Rules {
 		names[r.ID] = true
 	}
-	for _, want := range []string{"maporder", "poolonly", "sinkwrite", "floateq", "panicfree", "ctxflow", "errcontract", "detokstale", "detok"} {
+	for _, want := range []string{"maporder", "poolonly", "sinkwrite", "floateq", "panicfree", "detokstale", "detok"} {
 		if !names[want] {
 			t.Errorf("rule table missing %q", want)
 		}

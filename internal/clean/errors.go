@@ -85,7 +85,7 @@ func (e *WorkerError) Error() string {
 // injector's *Injected) to errors.Is/As.
 func (e *WorkerError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
-		return err //det:ok errcontract deliberately exposes the raw panic value: *WorkerError is itself the typed wrapper, Unwrap is its errors.Is/As plumbing
+		return err
 	}
 	return nil
 }

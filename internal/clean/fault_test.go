@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,6 +311,154 @@ func TestCheckContextCanceled(t *testing.T) {
 	_, err := NewChecker(in.rules, nil).CheckContext(ctx, in.relation(nil))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestCancelStopsBetweenRules pins the per-rule cancellation checks of the
+// CRepair and HRepair rule loops: a cancel that fires inside a rule pass
+// lets that pass finish, and no later rule of the round is applied. Armed
+// to cancel at every apply hook, the injector counts each hook that ran,
+// so the count must equal the phase's first nonempty rule pass, which a
+// twin engine in the same state lists from its worklist.
+func TestCancelStopsBetweenRules(t *testing.T) {
+	phases := []struct {
+		name  string
+		phase int
+		prep  func(*Engine) // brings a fresh engine to the phase
+		run   func(*Engine)
+	}{
+		{"cRepair", phaseC, func(*Engine) {}, (*Engine).CRepair},
+		{"hRepair", phaseH, func(e *Engine) { e.CRepair(); e.ERepair() }, (*Engine).HRepair},
+	}
+	opts := DefaultOptions()
+	opts.Workers = 1
+	for _, ph := range phases {
+		t.Run(ph.name, func(t *testing.T) {
+			checked := 0
+			for seed := int64(0); seed < 60; seed++ {
+				in := genInstance(seed)
+				twin := New(in.relation(nil), nil, in.rules, opts)
+				ph.prep(twin)
+				var passes []int // nonempty rule passes of the first round
+				for ri, r := range twin.rules {
+					n := 0
+					if r.Kind == rule.VariableCFD {
+						gs, _ := twin.work.groups(ph.phase, ri)
+						n = len(gs)
+					} else {
+						n = len(twin.work.tuples(ph.phase, ri))
+					}
+					if n > 0 {
+						passes = append(passes, n)
+					}
+				}
+				if len(passes) < 2 {
+					continue // no later rule for the check to skip
+				}
+				inj := fault.New(seed, fault.Rule{Site: fault.SiteApply, Kind: fault.Cancel, Rate: 1})
+				ctx, cancel := context.WithCancel(context.Background())
+				inj.OnCancel(cancel)
+				e := NewContext(ctx, in.relation(nil), nil, in.rules, opts)
+				ph.prep(e)
+				e.fj = inj
+				ph.run(e)
+				cancel()
+				if !errors.Is(e.fail, ErrCanceled) {
+					t.Fatalf("seed %d: fail = %v, want ErrCanceled", seed, e.fail)
+				}
+				if got := inj.Fired(fault.Cancel); got != int64(passes[0]) {
+					t.Fatalf("seed %d: %d apply hooks ran, want %d (the pass the cancel fired in; later passes %v)",
+						seed, got, passes[0], passes[1:])
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatal("no seed has two nonempty rule passes")
+			}
+		})
+	}
+}
+
+// TestERepairStopsBetweenResolutions pins the check between eRepair's
+// resolutions: once a resolution spends the MaxFixes budget, no further
+// group is resolved. The corpus's confidences sit below η, so cRepair
+// writes nothing and every fix comes from eRepair.
+func TestERepairStopsBetweenResolutions(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 60; seed++ {
+		in := genInstance(seed)
+		free := New(in.relation(nil), nil, in.rules, DefaultOptions())
+		free.CRepair()
+		free.ERepair()
+		if free.res.GroupsResolved < 2 {
+			continue // nothing left for the check to stop
+		}
+		opts := DefaultOptions()
+		opts.MaxFixes = 1
+		e := New(in.relation(nil), nil, in.rules, opts)
+		e.CRepair()
+		if len(e.res.Fixes) != 0 {
+			t.Fatalf("seed %d: cRepair wrote %d fixes under η", seed, len(e.res.Fixes))
+		}
+		e.ERepair()
+		if e.res.GroupsResolved != 1 || e.degraded != "max-fixes" {
+			t.Fatalf("seed %d: %d groups resolved (degraded %q), want 1 and max-fixes; the fault-free run resolves %d",
+				seed, e.res.GroupsResolved, e.degraded, free.res.GroupsResolved)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no seed resolves two groups")
+	}
+}
+
+// TestFanOutStopsClaimingOnCancel pins fanOut's per-claim cancellation
+// check: task 0 cancels, every other task waits for the cancel, so each
+// worker holds at most one task when it lands and then claims no more.
+func TestFanOutStopsClaimingOnCancel(t *testing.T) {
+	const tasks = 64
+	for w := 1; w <= 8; w++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int64
+		got, err := fanOut(ctx, nil, "test", w, tasks, func(task int) int {
+			ran.Add(1)
+			if task == 0 {
+				cancel()
+			}
+			<-ctx.Done()
+			return task
+		})
+		cancel()
+		if got != nil || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("workers %d: fanOut = %v, %v; want nil, ErrCanceled", w, got, err)
+		}
+		if n := ran.Load(); n > int64(w) {
+			t.Fatalf("workers %d: %d tasks ran, want at most one per worker once task 0 canceled", w, n)
+		}
+	}
+}
+
+// panicWorklist is a worklist whose group listing panics: a panic on the
+// engine goroutine outside any rule pass or fan-out.
+type panicWorklist struct{ worklist }
+
+func (panicWorklist) groups(int, int) ([][]int, bool) { panic("worklist broke") }
+
+// TestRunPhasePanicIsWorkerError pins runAll's containment of last resort:
+// a panic that neither a rule pass's recover nor a fan-out task's catches
+// comes back as a *WorkerError of phase "run" carrying the panic value,
+// not as an untyped error.
+func TestRunPhasePanicIsWorkerError(t *testing.T) {
+	in := genInstance(3) // every corpus instance has a variable CFD
+	e := New(in.relation(nil), nil, in.rules, DefaultOptions())
+	e.work = panicWorklist{e.work}
+	res, err := e.runAll()
+	var we *WorkerError
+	if res != nil || !errors.As(err, &we) {
+		t.Fatalf("runAll = %v, %v; want nil and a *WorkerError", res, err)
+	}
+	if we.Phase != "run" || we.Rule != "" || we.Item != -1 || we.Value != "worklist broke" {
+		t.Fatalf("WorkerError = %+v, want phase run, no rule, item -1, the panic value", we)
 	}
 }
 

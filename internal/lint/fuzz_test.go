@@ -26,14 +26,14 @@ func FuzzDetOkGrammar(f *testing.F) {
 		"//det:ok maporder",
 		"//det:ok",
 		"//det:ok ",
-		"//det:ok\tctxflow tab-separated reason",
-		"//det:ok  errcontract   extra   spacing  ",
+		"//det:ok\tmaporder tab-separated reason",
+		"//det:ok  sinkwrite   extra   spacing  ",
 		"//det:okay prose that merely starts the same way",
 		"//det:okpoolonly no separator",
 		"// det:ok spaced out, not a machine comment",
 		"//nolint:all",
 		"/* det:ok block */",
-		"//det:ok errcontract reason with \"quotes\" and // slashes",
+		"//det:ok panicfree reason with \"quotes\" and // slashes",
 		"//det:ok floateq non-breaking space is not a separator",
 		"//det:ok\vdetok vertical tab is not a separator",
 		"//",

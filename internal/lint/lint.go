@@ -2,7 +2,10 @@
 // the repo's determinism and concurrency invariants: the guarantees that the
 // sequential and parallel engines produce Fixes and Reports byte-identical
 // to each other and to the test-only rescan reference are encoded as
-// analyzers that fail CI instead of relying on reviewer vigilance.
+// analyzers that fail CI instead of relying on reviewer vigilance. The suite
+// keeps only checks that a test does not already back: the cancellation
+// and typed-error contracts are pinned at run time by internal/clean's
+// fault suite instead (docs/determinism.md lists which test guards what).
 //
 // The framework deliberately does not depend on golang.org/x/tools: packages
 // are parsed with go/parser and type-checked with go/types using the source

@@ -1,7 +1,6 @@
 // Package similarity implements the string similarity predicates used by
-// matching dependencies (Section 2.2 of the paper) and the normalized
-// distance used by the repair cost model (Section 3.1): edit distance, Jaro
-// and Jaro-Winkler similarity, q-gram Jaccard similarity, and longest common
+// matching dependencies (Section 2.2 of the paper): edit distance, Jaro and
+// Jaro-Winkler similarity, q-gram Jaccard similarity, and longest common
 // substring length.
 package similarity
 
@@ -116,22 +115,6 @@ func Within(a, b string, k int) bool {
 	}
 	d := len(b) - len(a) + k
 	return d >= 0 && d < width && prev[d] <= k
-}
-
-// NormalizedDistance returns dis(a,b)/max(|a|,|b|), the quantity used by the
-// cost model of Section 3.1. It is 0 for equal strings and at most 1.
-func NormalizedDistance(a, b string) float64 {
-	if a == b {
-		return 0
-	}
-	m := len(a)
-	if len(b) > m {
-		m = len(b)
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(Levenshtein(a, b)) / float64(m)
 }
 
 // Jaro returns the Jaro similarity of a and b in [0,1].

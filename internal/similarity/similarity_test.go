@@ -147,25 +147,6 @@ func TestWithinNegativeK(t *testing.T) {
 	}
 }
 
-func TestNormalizedDistance(t *testing.T) {
-	if got := NormalizedDistance("abc", "abc"); got != 0 {
-		t.Errorf("equal strings: %g", got)
-	}
-	if got := NormalizedDistance("", ""); got != 0 {
-		t.Errorf("empty strings: %g", got)
-	}
-	if got := NormalizedDistance("abcd", ""); got != 1 {
-		t.Errorf("vs empty: %g", got)
-	}
-	// 1-char difference on longer strings is closer than on shorter ones
-	// (the paper's motivation for the normalization).
-	long := NormalizedDistance("abcdefghij", "abcdefghix")
-	short := NormalizedDistance("ab", "ax")
-	if long >= short {
-		t.Errorf("long %g should be < short %g", long, short)
-	}
-}
-
 func TestJaroKnownValues(t *testing.T) {
 	// Classical textbook values.
 	if got := Jaro("MARTHA", "MARHTA"); !close(got, 0.944444, 1e-4) {
