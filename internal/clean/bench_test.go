@@ -234,3 +234,41 @@ func TestRescanIdentityBenchShapes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStreamUpdate measures one streaming update per iteration: an
+// upsert or delete from a generated stream over the 2,000-tuple /
+// 300-master generator instance, each a rebase that re-cleans and
+// re-certifies the candidate base against the stream's shared indexes. The
+// stream is replayed in order; when it runs out, a fresh stream engine is
+// built outside the timer and the replay starts over.
+func BenchmarkStreamUpdate(b *testing.B) {
+	cfg := gen.DefaultConfig()
+	cfg.Tuples, cfg.MasterSize = 2000, 300
+	inst := gen.Generate(cfg)
+	ops := gen.GenerateUpdates(inst, gen.UpdateConfig{
+		Updates: 300, DeleteRate: 0.15, AppendRate: 0.25, HotGroupRate: 0.2, Seed: cfg.Seed,
+	})
+	var e *Engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := ops[i%len(ops)]
+		if i%len(ops) == 0 {
+			b.StopTimer()
+			var err error
+			if e, err = NewStream(inst.Data, inst.Master, inst.Rules, DefaultOptions()); err != nil {
+				b.Fatalf("NewStream: %v", err)
+			}
+			b.StartTimer()
+		}
+		var err error
+		if u.Delete {
+			_, err = e.Delete(u.ID)
+		} else {
+			_, err = e.Upsert(u.ID, u.Values, u.Conf)
+		}
+		if err != nil {
+			b.Fatalf("update %d (%+v): %v", i%len(ops), u, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package clean
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cfd"
@@ -133,7 +134,9 @@ func (r *Report) String() string {
 // randomized instances.
 //
 // Certification never scans |D|·|Dm| when an index exists: equality-clause
-// MDs enumerate candidates from the matcher's equality buckets, and
+// MDs enumerate candidates from the matcher's equality buckets, read off a
+// premise column the checker resolves itself from the relation it
+// certifies, and
 // similarity-clause MDs from its generalized suffix array — an exact,
 // untruncated enumeration (unlike the repair path's TopL blocking) whose
 // order-preserving candidate merge streams violations in the same (T, S)
@@ -161,17 +164,21 @@ type Checker struct {
 }
 
 // NewChecker builds a checker over the given rules, including the MD
-// blocking indexes over master. master may be nil, in which case MD rules
-// are vacuously satisfied (there is nothing to match against), mirroring
-// the engine's behavior. The checker is sequential; the engine's Finish
-// fans certification out across its workers instead.
+// blocking indexes over master, one per distinct premise. master may be
+// nil, in which case MD rules are vacuously satisfied (there is nothing to
+// match against), mirroring the engine's behavior. The checker is
+// sequential; the engine's Finish fans certification out across its
+// workers instead.
 func NewChecker(rules []rule.Rule, master *relation.Relation) *Checker {
 	indexes := make([]*mdIndex, len(rules))
 	if master != nil {
 		all := masterIDs(master)
-		for i, r := range rules {
-			if r.Kind == rule.MatchMD {
-				indexes[i] = newMDIndex(r.MD, master, all)
+		for i, o := range premiseOwners(rules) {
+			switch {
+			case o == i:
+				indexes[i] = newMDIndex(rules[i].MD, master, all)
+			case o >= 0:
+				indexes[i] = indexes[o]
 			}
 		}
 	}
@@ -261,13 +268,19 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 			ix.bound(d.Len())
 		}
 	}
-	// Before a parallel fan-out, prefetch memoizes each MD rule's distinct
-	// values across the workers, so the non-storing matchers below only hit.
-	if c.workers > 1 && !c.noBlock {
-		for _, ix := range c.indexes {
-			if ix == nil {
-				continue
-			}
+	// Each distinct equality index resolves d into a premise column of the
+	// checker's own, so certification reads no engine bookkeeping. Before a
+	// parallel fan-out, prefetch memoizes each other index's distinct values
+	// across the workers, so the non-storing matchers below only hit.
+	cols := make([][]int32, len(c.indexes)) // parallel to rules, shared per index
+	for i, ix := range c.indexes {
+		switch o := slices.Index(c.indexes, ix); {
+		case ix == nil:
+		case o < i:
+			cols[i] = cols[o]
+		case ix.buckets != nil:
+			cols[i] = newPremCol(ix, d).ids
+		case c.workers > 1 && !c.noBlock:
 			if err := ix.prefetch(ctx, c.fj, c.workers, d, nil, true, 0); err != nil {
 				return nil, err
 			}
@@ -282,7 +295,7 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 		// only when the tasks run one at a time.
 		var x *matcher
 		if ix := c.indexes[t.ri]; ix != nil {
-			x = newMatcher(ix, c.workers <= 1)
+			x = newMatcher(ix, cols[t.ri], c.workers <= 1)
 		}
 		return c.checkRule(d, t.ri, t.lo, t.hi, x)
 	}
@@ -403,7 +416,7 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 func (c *Checker) visitMDViolationsRange(d *relation.Relation, m *md.MD, x *matcher, lo, hi int, visited *int, fn func(md.Violation) bool) {
 	md.VisitViolationsBlockedRange(d, c.master, m, lo, hi, func(i int, t *relation.Tuple) []int {
 		if !c.noBlock {
-			if ids, ok := x.certCandidates(t); ok {
+			if ids, ok := x.certCandidates(i, t); ok {
 				*visited += len(ids)
 				return ids
 			}

@@ -312,7 +312,7 @@ func TestCheckerLongNameIdentity(t *testing.T) {
 			t.Fatalf("seed %d: blocked certification visited %d pairs, scan only %d",
 				seed, blocked.CertVisits, naive.CertVisits)
 		}
-		x := testMatcher(in.rules[0].MD, in.master)
+		x := testMatcher(in.rules[0].MD, in.master, d)
 		for _, tp := range d.Tuples {
 			tuples++
 			if _, ok := x.tree.AppendEditCandidates(nil, tp.Values[x.simData], x.simK); ok {

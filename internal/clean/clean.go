@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/fault"
@@ -259,7 +260,7 @@ type Engine struct {
 	master   *relation.Relation
 	rules    []rule.Rule
 	opts     Options
-	indexes  []*mdIndex // parallel to rules; nil for CFD rules
+	indexes  []*mdIndex // parallel to rules; nil for CFD rules; shared per premise
 	matchers []*matcher // this run's probes of indexes, parallel to rules
 	res      *Result
 	seen     map[string]bool // conflicts already recorded
@@ -267,6 +268,7 @@ type Engine struct {
 
 	work     worklist      // what each rule pass visits (schedule.go)
 	codes    cellCodes     // the variable-CFD columns of data, dictionary-coded (codes.go)
+	premAt   [][]*premCol  // attribute -> the premise columns write re-resolves (match.go)
 	apply    []*ApplyStats // parallel to rules
 	workers  int           // fan-out width, Options.workerCount()
 	prefetch bool          // MD passes prefetch their lookups (see applyTuples)
@@ -317,12 +319,14 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 }
 
 // newEngine wires an engine from already-ordered rules. indexes is nil when
-// the engine builds its own MD blocking indexes over master. A stream update
-// passes the indexes (parallel to ordered) its initial run built instead,
-// and the engine skips the repair prefetch: the update reruns the clean over
-// a base one tuple away from the committed run's, whose lookups the shared
-// memo already holds, so the scan would find next to nothing to spread, and
-// the passes store what they miss.
+// the engine builds its own MD blocking indexes over master, one per
+// distinct premise (premiseOwners). A stream update passes the indexes
+// (parallel to ordered) its initial run built instead, and the engine skips
+// the repair prefetch: the update reruns the clean over a base one tuple
+// away from the committed run's, whose lookups the shared memo already
+// holds, so the scan would find next to nothing to spread, and the passes
+// store what they miss. Either way the engine resolves its own premise
+// columns, one per distinct equality index.
 func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, indexes []*mdIndex, opts Options) *Engine {
 	e := &Engine{
 		master:   master,
@@ -338,32 +342,47 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		fj:       opts.Fault,
 	}
 	e.apply = make([]*ApplyStats, len(e.rules))
-	var fresh []int // MD rules whose index is built here
-	if indexes == nil {
-		e.indexes = make([]*mdIndex, len(e.rules))
-	}
 	for i, r := range e.rules {
-		if indexes == nil && r.Kind == rule.MatchMD && master != nil {
-			fresh = append(fresh, i)
-		}
 		e.apply[i] = &ApplyStats{}
 		e.res.Apply[r.Name()] = e.apply[i]
 	}
+	// firsts lists the first rule of each index the engine builds, one per
+	// distinct premise, or, over reused indexes, of each equality index,
+	// the ones with a premise column to resolve.
+	owner := premiseOwners(e.rules)
+	var firsts []int
 	var all []int
-	if len(fresh) > 0 {
+	if indexes == nil {
+		e.indexes = make([]*mdIndex, len(e.rules))
+	}
+	switch {
+	case indexes != nil:
+		for i, ix := range indexes {
+			if ix != nil && ix.buckets != nil && slices.Index(indexes, ix) == i {
+				firsts = append(firsts, i)
+			}
+		}
+	case master != nil:
 		all = masterIDs(master)
+		for i, o := range owner {
+			if o == i {
+				firsts = append(firsts, i)
+			}
+		}
 	}
 	// The data clone, the cell codes with the scheduler over them, and
-	// each fresh blocking index (the suffix array above all), are
+	// each fresh blocking index (the suffix array above all) with its
+	// premise column, or each reused equality index's column, are
 	// independent pure builds: with workers they run as concurrent tasks,
-	// the two longest first. The codes and the scheduler read data, whose
-	// values the clone copies, so they need not wait for it. A panic in one
-	// propagates, as it would from the sequential build.
+	// the two longest first. The codes, the scheduler and the columns read
+	// data, whose values the clone copies, so they need not wait for it. A
+	// panic in one propagates, as it would from the sequential build.
 	type part struct {
 		clone *relation.Relation
 		codes cellCodes
 		work  worklist
 		ix    *mdIndex
+		col   *premCol
 	}
 	build := func(k int) part {
 		switch k {
@@ -373,27 +392,55 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			codes := newCellCodes(e.rules, data)
 			return part{codes: codes, work: newScheduler(e.rules, data, codes)}
 		}
-		return part{ix: newMDIndex(e.rules[fresh[k-2]].MD, master, all)}
+		ri := firsts[k-2]
+		ix := e.indexes[ri]
+		if ix == nil {
+			ix = newMDIndex(e.rules[ri].MD, master, all)
+		}
+		if ix.buckets == nil {
+			return part{ix: ix}
+		}
+		return part{ix: ix, col: newPremCol(ix, data)}
 	}
 	// No fault injector: a panic here is re-raised to the caller, outside
 	// runAll's containment.
-	parts, err := fanOut(context.Background(), nil, "new", e.width(data.Len()), len(fresh)+2, build)
+	parts, err := fanOut(context.Background(), nil, "new", e.width(data.Len()), len(firsts)+2, build)
 	if err != nil {
 		panic(err)
 	}
 	e.data, e.codes, e.work = parts[0].clone, parts[1].codes, parts[1].work
-	for k, i := range fresh {
-		e.indexes[i] = parts[k+2].ix
+	e.premAt = make([][]*premCol, data.Schema.Arity())
+	for k, p := range parts[2:] {
+		if indexes == nil {
+			e.indexes[firsts[k]] = p.ix
+		}
+		if c := p.col; c != nil {
+			for _, a := range c.ix.eqDataAttrs {
+				e.premAt[a] = append(e.premAt[a], c)
+			}
+		}
 	}
 	// Fresh matchers zero the statistics, so a stream update's matcher work
-	// counters come out identical to a cold build's.
+	// counters come out identical to a cold build's. Each reads the premise
+	// column resolved for its index.
 	e.matchers = make([]*matcher, len(e.rules))
-	for i, ix := range e.indexes {
-		if ix != nil {
-			ix.bound(data.Len())
-			e.matchers[i] = newMatcher(ix, true)
-			e.res.Match[e.rules[i].Name()] = &e.matchers[i].stats
+	for i := range e.rules {
+		if indexes == nil && owner[i] >= 0 {
+			e.indexes[i] = e.indexes[owner[i]]
 		}
+		ix := e.indexes[i]
+		if ix == nil {
+			continue
+		}
+		ix.bound(data.Len())
+		var col []int32
+		for _, p := range parts[2:] {
+			if p.ix == ix && p.col != nil {
+				col = p.col.ids
+			}
+		}
+		e.matchers[i] = newMatcher(ix, col, true)
+		e.res.Match[e.rules[i].Name()] = &e.matchers[i].stats
 	}
 	return e
 }
@@ -633,9 +680,9 @@ func (e *Engine) assert(i, a int, conf float64) int {
 // write sets cell (i, a) to value v with confidence conf and the given
 // mark, recording the Fix in the result: the one cell-write path of cRepair
 // (FixDeterministic), eRepair (FixReliable) and hRepair (FixPossible), and
-// so the one place the cell codes follow a value. The caller must have
-// checked that the cell may be written and that v differs from the current
-// value.
+// so the one place the cell codes and the premise columns follow a value.
+// The caller must have checked that the cell may be written and that v
+// differs from the current value.
 func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, ruleName string) int {
 	t := e.data.Tuples[i]
 	e.res.Fixes = append(e.res.Fixes, Fix{
@@ -646,6 +693,9 @@ func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, 
 	t.Set(a, v, conf, mark)
 	if col := e.codes[a]; col != nil {
 		col.code[i] = col.intern(v)
+	}
+	for _, c := range e.premAt[a] {
+		c.set(i, t)
 	}
 	e.noteWrite(i, a)
 	return 1

@@ -141,9 +141,10 @@ func (e *Engine) variableCFDGroup(ri int, c *cfd.CFD, members []int) int {
 
 // matchMDTuple copies master values into data tuple i when the MD premise
 // matches, per Section 3.1 rule (1). Matching goes through the blocking
-// indexes; the fix confidence is the fuzzy minimum over the
-// equality-premise cells of the data tuple (similarity-tested cells
-// contribute no confidence, and master data is clean by assumption).
+// indexes, an equality premise through its premise column; the fix
+// confidence is the fuzzy minimum over the equality-premise cells of the
+// data tuple (similarity-tested cells contribute no confidence, and master
+// data is clean by assumption).
 func (e *Engine) matchMDTuple(ri int, m *md.MD, i int) int {
 	x := e.matchers[ri]
 	if x == nil {
@@ -157,7 +158,7 @@ func (e *Engine) matchMDTuple(ri int, m *md.MD, i int) int {
 		return 0
 	}
 	progress := 0
-	for _, j := range x.candidates(t, e.opts.TopL) {
+	for _, j := range x.candidates(i, t, e.opts.TopL) {
 		s := e.master.Tuples[j]
 		for _, p := range m.RHS {
 			v := s.Values[p.MasterAttr]

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cfd"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/relation"
@@ -311,6 +312,78 @@ func TestCheckContextCanceled(t *testing.T) {
 	_, err := NewChecker(in.rules, nil).CheckContext(ctx, in.relation(nil))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestCheckContextPrefetchErrorIsTyped pins the error contract of the
+// certification prefetch: a Checker with master data, a similarity MD and
+// two workers memoizes that MD's candidates in a fan-out before its
+// certification tasks, and a cancel or a panic landing in that fan-out —
+// the first one the injector sees at rate 1 — must surface from
+// CheckContext typed: ErrCanceled for the cancel, a *WorkerError naming
+// the prefetch for the panic.
+func TestCheckContextPrefetchErrorIsTyped(t *testing.T) {
+	cfg := gen.DefaultConfig()
+	cfg.Tuples, cfg.MasterSize = 400, 80
+	inst := gen.Generate(cfg)
+	for _, kind := range []fault.Kind{fault.Cancel, fault.Panic} {
+		c := NewChecker(inst.Rules, inst.Master)
+		c.workers = 2
+		c.fj = fault.New(1, fault.Rule{Site: fault.SiteSched, Kind: kind, Rate: 1})
+		ctx, cancel := context.WithCancel(context.Background())
+		c.fj.OnCancel(cancel)
+		_, err := c.CheckContext(ctx, inst.Data)
+		cancel()
+		if c.fj.Fired(kind) == 0 {
+			t.Fatalf("%v: the injector never fired", kind)
+		}
+		var we *WorkerError
+		switch {
+		case kind == fault.Cancel && !errors.Is(err, ErrCanceled):
+			t.Fatalf("cancel in the prefetch: err = %v, want ErrCanceled", err)
+		case kind == fault.Panic && (!errors.As(err, &we) || we.Phase != "prefetch"):
+			t.Fatalf("panic in the prefetch: err = %v, want a *WorkerError from the prefetch", err)
+		}
+	}
+}
+
+// TestMaxFixesStopsCRepairRounds pins cRepair's own round-boundary budget
+// check: trusted premises let cRepair write two fixes in its first round,
+// past a MaxFixes of 1, so the run must degrade right there — one cRepair
+// round, no reliable fix for the conflicted C -> D group eRepair would
+// resolve, no possible fix.
+func TestMaxFixesStopsCRepairRounds(t *testing.T) {
+	schema := relation.NewSchema("R", "A", "B", "C", "D")
+	rules := rule.Derive([]*cfd.CFD{
+		cfd.New("constAB", schema, []string{"A"}, []string{"a"}, "B", "b"),
+		cfd.FD("fdCD", schema, []string{"C"}, "D"),
+	}, nil)
+	data := relation.New(schema)
+	for _, row := range [][]string{{"a", "x", "c", "d1"}, {"a", "y", "c", "d2"}, {"a2", "z", "c", "d1"}} {
+		tp := data.Append(row...)
+		copy(tp.Conf, []float64{0.9, 0.5, 0.5, 0.5})
+	}
+	data.Tuples[2].Conf[0] = 0.5
+	if full := Run(data, nil, rules, DefaultOptions()); full.Rounds < 2 || len(full.ReliableFixes()) == 0 {
+		t.Fatalf("unbudgeted run: %d cRepair rounds, %d reliable fixes; want >= 2 and > 0", full.Rounds, len(full.ReliableFixes()))
+	}
+	opts := DefaultOptions()
+	opts.MaxFixes = 1
+	res, err := RunContext(context.Background(), data, nil, rules, opts)
+	if err != nil {
+		t.Fatalf("degraded run must complete, got %v", err)
+	}
+	if !res.Degraded || res.DegradeReason != "max-fixes" {
+		t.Fatalf("Degraded = %v (%q), want true (max-fixes)", res.Degraded, res.DegradeReason)
+	}
+	if res.Rounds != 1 {
+		t.Fatalf("cRepair ran %d rounds past an exhausted budget, want 1", res.Rounds)
+	}
+	if n := len(res.DeterministicFixes()); n != 2 {
+		t.Fatalf("%d deterministic fixes, want the first round's 2", n)
+	}
+	if r, p := len(res.ReliableFixes()), len(res.PossibleFixes()); r+p != 0 {
+		t.Fatalf("%d reliable and %d possible fixes after the budget ran out, want none", r, p)
 	}
 }
 

@@ -232,7 +232,7 @@ func (e *Engine) masterSuggestions(a int, members []int) map[string]bool {
 				continue
 			}
 			for _, i := range members {
-				for _, j := range e.matchers[ri].probe(e.data.Tuples[i], e.opts.TopL) {
+				for _, j := range e.matchers[ri].probe(i, e.data.Tuples[i], e.opts.TopL) {
 					if v := e.master.Tuples[j].Values[p.MasterAttr]; !relation.IsNull(v) {
 						out[v] = true
 					}

@@ -136,11 +136,11 @@ func checkEngineIdentity(t *testing.T, gen func(int64) *propInstance) {
 	opts.forceFanOut = true
 	for seed := int64(0); seed < seeds; seed++ {
 		in := gen(seed)
-		inc, ref := runModes(in.relation(nil), nil, in.rules, DefaultOptions())
+		inc, ref := runModes(in.relation(nil), in.master, in.rules, DefaultOptions())
 		if d := diffResults(inc, ref); d != "" {
 			t.Fatalf("seed %d: incremental and rescan engines disagree: %s", seed, d)
 		}
-		par := Run(in.relation(nil), nil, in.rules, opts)
+		par := Run(in.relation(nil), in.master, in.rules, opts)
 		if d := diffParallel(par, inc); d != "" {
 			t.Fatalf("seed %d: parallel and sequential engines disagree: %s", seed, d)
 		}
@@ -334,7 +334,7 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 		}
 		var blocked []md.Violation
 		visited := 0
-		c.visitMDViolationsRange(data, r.MD, newMatcher(c.indexes[ri], true), 0, data.Len(), &visited, func(v md.Violation) bool {
+		c.visitMDViolationsRange(data, r.MD, newMatcher(c.indexes[ri], columnOf(c.indexes[ri], data), true), 0, data.Len(), &visited, func(v md.Violation) bool {
 			blocked = append(blocked, v)
 			return true
 		})

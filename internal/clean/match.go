@@ -2,28 +2,41 @@ package clean
 
 import (
 	"context"
+	"fmt"
 	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/md"
 	"repro/internal/relation"
+	"repro/internal/rule"
 	"repro/internal/suffixtree"
 )
 
-// mdIndex is one MD's blocking index over the master relation (Section
-// 5.2), built once: master is fixed for a whole run and, on a stream,
-// across every update, so only the lookup memo is written after
-// construction. Two indexes are available:
+// mdIndex is one MD premise's blocking index over the master relation
+// (Section 5.2), built once: master is fixed for a whole run and, on a
+// stream, across every update, so only the lookup memo is written after
+// construction. Rules with the same premise — the normalized siblings of
+// one MD above all — share one index (see premiseOwners), so its buckets,
+// its suffix array and its memo are built and filled once per premise; m
+// is the first such rule, and only its premise is read. Two indexes are
+// available:
 //
 //   - a hash index keyed on the projection of the master attributes of the
-//     equality clauses, when the MD has any;
+//     equality clauses, when the premise has any. Each distinct projection
+//     is a bucket with a dense id; a data tuple's bucket id is resolved
+//     once into a premise column (premCol) and read from there;
 //   - otherwise, a generalized suffix array over the active domain of the
 //     master attribute of the first edit-distance clause, queried with the
-//     LCS bound LCSubstring >= max(|a|,|b|)/(K+1).
+//     LCS bound LCSubstring >= |v|/(K+1) of the data value v.
 //
-// Candidates from either index are then verified against the full premise.
-// MDs with neither index (e.g. a single Jaro-Winkler clause) fall back to a
-// full scan, which the stats expose so callers can notice.
+// Suffix-array candidates, and equality buckets of premises with a
+// similarity clause too, are then verified against the full premise. An
+// all-equality premise needs no verification: relation.AppendKey's
+// escaping makes the bucket key injective, so a bucket is exactly the set
+// of master tuples on which the premise holds for every tuple resolving to
+// it — unless the shared projection holds a null, which matches nothing.
+// MDs with neither index (e.g. a single Jaro-Winkler clause) fall back to
+// a full scan, which the stats expose so callers can notice.
 //
 // Without an equality index, a lookup is a pure function of the tuple's
 // LHS values and the immutable master, so those indexes memoize it (see
@@ -38,7 +51,14 @@ type mdIndex struct {
 
 	eqDataAttrs   []int // data attrs of equality clauses
 	eqMasterAttrs []int // master attrs of equality clauses
-	eqIndex       map[string][]int
+	// The equality index, nil without equality clauses: keys maps a master
+	// projection on eqMasterAttrs to its bucket id, ids assigned in master
+	// order; buckets[id] holds the bucket's ascending master tuple indexes,
+	// and holds[id] says the premise holds on all of them for any tuple
+	// resolving to id (an all-equality premise and a null-free projection).
+	keys    map[string]int32
+	buckets [][]int
+	holds   []bool
 
 	simData   int // data attr of the blockable edit clause, -1 if none
 	simMaster int
@@ -59,18 +79,57 @@ type mdIndex struct {
 	lhsAttrs []int
 }
 
+// noBucket is the premise-column entry of a tuple whose equality
+// projection no master tuple shares.
+const noBucket = -1
+
+// premCol is an equality index's premise column over one data relation:
+// the bucket id of every tuple, so a lookup reads buckets[ids[i]] instead
+// of hashing the tuple's projection. The engine builds one per distinct
+// equality index beside its clone and keeps it exact in Engine.write, the
+// one write that changes a value; the Checker builds its own over the
+// relation it certifies.
+type premCol struct {
+	ix  *mdIndex
+	ids []int32
+	buf []byte // key scratch of set
+}
+
+// newPremCol resolves every tuple of d against ix's equality index.
+func newPremCol(ix *mdIndex, d *relation.Relation) *premCol {
+	c := &premCol{ix: ix, ids: make([]int32, d.Len())}
+	for i, t := range d.Tuples {
+		c.set(i, t)
+	}
+	return c
+}
+
+// set re-resolves tuple i, whose values are t's.
+func (c *premCol) set(i int, t *relation.Tuple) {
+	c.buf = relation.AppendKey(c.buf[:0], t, c.ix.eqDataAttrs)
+	id, ok := c.ix.keys[string(c.buf)]
+	if !ok {
+		id = noBucket
+	}
+	c.ids[i] = id
+}
+
 // matcher is one probe of an mdIndex: the index plus the lookup scratch
-// and statistics of one caller. Scratch is reused across probes so the hot
-// path does not allocate per tuple: idsBuf backs the candidate list, keyBuf
-// backs the equality-index key and the memo key (probed as string(keyBuf),
-// which allocates nothing), seen/seenGen dedupe candidates produced by
-// several blocking keys (first occurrence wins, preserving the verification
-// order) so no master tuple is verified twice for one probe, topBuf and
-// sidBuf receive the suffix-array hits of block and certCandidates. store
+// and statistics of one caller, and col, the ids of the caller's premise
+// column when the index has equality clauses. Probes name a tuple by its
+// index i in that column's relation as well as by its values t. Scratch is
+// reused across probes so the hot path does not allocate per tuple: idsBuf
+// backs the candidate list, keyBuf backs the memo key (probed as
+// string(keyBuf), which allocates nothing), seen/seenGen dedupe candidates
+// produced by several blocking keys (first occurrence wins, preserving the
+// verification order) so no master tuple is verified twice for one probe,
+// topBuf and sidBuf receive the suffix-array hits of block and
+// certCandidates. store
 // says whether a memo miss is stored: true for a matcher that runs alone,
 // false for one that runs beside others on a fanOut worker.
 type matcher struct {
 	*mdIndex
+	col   []int32
 	store bool
 
 	idsBuf  []int
@@ -83,11 +142,12 @@ type matcher struct {
 	stats MatchStats
 }
 
-// newMatcher returns a probe of ix with fresh scratch and zeroed
-// statistics, so its work counters come out identical whether ix was just
-// built or has served earlier runs.
-func newMatcher(ix *mdIndex, store bool) *matcher {
-	return &matcher{mdIndex: ix, store: store, stats: MatchStats{MasterSize: ix.master.Len()}}
+// newMatcher returns a probe of ix reading the premise column ids col (nil
+// without an equality index) with fresh scratch and zeroed statistics, so
+// its work counters come out identical whether ix was just built or has
+// served earlier runs.
+func newMatcher(ix *mdIndex, col []int32, store bool) *matcher {
+	return &matcher{mdIndex: ix, col: col, store: store, stats: MatchStats{MasterSize: ix.master.Len()}}
 }
 
 // memo holds an index's pure lookups. Entries are shared and read-only
@@ -165,10 +225,11 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 		return nil
 	}
 	var keys []string
-	var todo []*relation.Tuple
+	var todo []int
 	var buf []byte
 	pending := make(map[string]bool)
-	visit := func(t *relation.Tuple) {
+	visit := func(i int) {
+		t := d.Tuples[i]
 		var key string
 		if cert {
 			v := t.Values[ix.simData]
@@ -188,15 +249,15 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 		}
 		pending[key] = true
 		keys = append(keys, key)
-		todo = append(todo, t)
+		todo = append(todo, i)
 	}
 	if ids == nil {
-		for _, t := range d.Tuples {
-			visit(t)
+		for i := range d.Tuples {
+			visit(i)
 		}
 	} else {
 		for _, i := range ids {
-			visit(d.Tuples[i])
+			visit(i)
 		}
 	}
 	// Each task returns the entries of its own contiguous chunk of todo, so
@@ -204,15 +265,15 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 	// ids.
 	n := min(len(todo), workers)
 	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) []lookup {
-		f := newMatcher(ix, false)
+		f := newMatcher(ix, nil, false)
 		part := todo[c*len(todo)/n : (c+1)*len(todo)/n]
 		out := make([]lookup, 0, len(part))
-		for _, t := range part {
+		for _, i := range part {
 			if cert {
-				ids, _ := f.certCandidates(t)
+				ids, _ := f.certCandidates(i, d.Tuples[i])
 				out = append(out, lookup{ids: ids})
 			} else {
-				out = append(out, f.lookup(t, topL))
+				out = append(out, f.lookup(i, d.Tuples[i], topL))
 			}
 		}
 		return out
@@ -256,16 +317,50 @@ func eqClauses(m *md.MD) (data, master []int) {
 	return data, master
 }
 
-// buildEqIndex indexes the master relation by its projection on attrs. The
+// buildEqIndex buckets the master relation by its projection on
+// eqMasterAttrs, numbering the buckets in order of first appearance. The
 // buckets hold ascending tuple indexes, which blocked enumerations rely on
 // to preserve the (T, S) order of a nested scan.
-func buildEqIndex(master *relation.Relation, attrs []int) map[string][]int {
-	idx := make(map[string][]int, master.Len())
-	for j, s := range master.Tuples {
-		key := s.Key(attrs)
-		idx[key] = append(idx[key], j)
+func (ix *mdIndex) buildEqIndex() {
+	exact := len(ix.eqMasterAttrs) == len(ix.m.LHS)
+	ix.keys = make(map[string]int32, ix.master.Len())
+	for j, s := range ix.master.Tuples {
+		key := s.Key(ix.eqMasterAttrs)
+		id, ok := ix.keys[key]
+		if !ok {
+			id = int32(len(ix.buckets))
+			ix.keys[key] = id
+			ix.buckets = append(ix.buckets, nil)
+			ix.holds = append(ix.holds, exact && !slices.ContainsFunc(ix.eqMasterAttrs, func(a int) bool {
+				return relation.IsNull(s.Values[a])
+			}))
+		}
+		ix.buckets[id] = append(ix.buckets[id], j)
 	}
-	return idx
+}
+
+// premiseOwners maps every MD rule of rules to the first rule with the same
+// premise, clause for clause by data attribute, master attribute and
+// predicate name, and every CFD rule to -1: rules that share an owner share
+// its index.
+func premiseOwners(rules []rule.Rule) []int {
+	owner := make([]int, len(rules))
+	first := make(map[string]int)
+	for i, r := range rules {
+		owner[i] = -1
+		if r.Kind != rule.MatchMD {
+			continue
+		}
+		var key []byte
+		for _, cl := range r.MD.LHS {
+			key = fmt.Appendf(key, "%d\x00%d\x00%s\x00", cl.DataAttr, cl.MasterAttr, cl.Pred.Name)
+		}
+		if _, ok := first[string(key)]; !ok {
+			first[string(key)] = i
+		}
+		owner[i] = first[string(key)]
+	}
+	return owner
 }
 
 // masterIDs returns the identity list 0..|Dm|-1 that every index over
@@ -289,7 +384,7 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 		}
 	}
 	if len(ix.eqDataAttrs) > 0 {
-		ix.eqIndex = buildEqIndex(master, ix.eqMasterAttrs)
+		ix.buildEqIndex()
 		return ix
 	}
 	for _, cl := range m.LHS {
@@ -323,11 +418,12 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 }
 
 // candidates returns the master tuple indexes on which the full MD premise
-// holds for t, going through the blocking indexes when available, and counts
-// the query in the matcher's statistics. The slice may be shared with the
-// memo: callers must not modify it.
-func (x *matcher) candidates(t *relation.Tuple, topL int) []int {
-	en := x.lookup(t, topL)
+// holds for tuple i, whose values are t, going through the blocking indexes
+// when available, and counts the query in the matcher's statistics. The
+// slice may be shared with the memo or the equality index: callers must not
+// modify it.
+func (x *matcher) candidates(i int, t *relation.Tuple, topL int) []int {
+	en := x.lookup(i, t, topL)
 	x.stats.Lookups++
 	if en.scanned {
 		x.stats.FullScans++
@@ -340,13 +436,26 @@ func (x *matcher) candidates(t *relation.Tuple, topL int) []int {
 // probe is candidates without the statistics. hRepair's master-data
 // tie-breaking uses it so the per-MD stats keep measuring matching work
 // only, one lookup per tuple per round.
-func (x *matcher) probe(t *relation.Tuple, topL int) []int {
-	return x.lookup(t, topL).ids
+func (x *matcher) probe(i int, t *relation.Tuple, topL int) []int {
+	return x.lookup(i, t, topL).ids
 }
 
-// lookup blocks and verifies t, or returns the memoized outcome of an
-// earlier lookup with the same LHS projection.
-func (x *matcher) lookup(t *relation.Tuple, topL int) lookup {
+// lookup reads tuple i's equality bucket off the premise column, verifying
+// it only when the bucket does not hold, or blocks and verifies t, or
+// returns the memoized outcome of an earlier lookup with the same LHS
+// projection.
+func (x *matcher) lookup(i int, t *relation.Tuple, topL int) lookup {
+	if x.buckets != nil {
+		id := x.col[i]
+		if id == noBucket {
+			return lookup{}
+		}
+		ids := x.buckets[id]
+		if x.holds[id] {
+			return lookup{ids: ids, block: len(ids)}
+		}
+		return lookup{ids: x.verify(t, ids), block: len(ids)}
+	}
 	if x.memo == nil {
 		ids, scanned := x.block(t, topL)
 		return lookup{ids: x.verify(t, ids), block: len(ids), scanned: scanned}
@@ -363,18 +472,14 @@ func (x *matcher) lookup(t *relation.Tuple, topL int) lookup {
 	return en
 }
 
-// block returns the raw candidate ids for t from the blocking indexes, and
+// block returns the raw candidate ids for t from the suffix array, and
 // whether it had to fall back to a full scan of the master relation. The
 // returned slice is scratch, only valid until the next block call: the
-// equality path aliases the index bucket, the suffix-array path reuses the
-// matcher's candidate buffer, and the fallback returns a shared identity
-// list built once. Nothing derived from it is memoized without a copy:
-// lookup memoizes verify's fresh output.
+// suffix-array path reuses the matcher's candidate buffer, and the fallback
+// returns a shared identity list built once. Nothing derived from it is
+// memoized without a copy: lookup memoizes verify's fresh output.
 func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) {
 	switch {
-	case x.eqIndex != nil:
-		x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.eqDataAttrs)
-		return x.eqIndex[string(x.keyBuf)], false
 	case x.tree != nil:
 		v := t.Values[x.simData]
 		if relation.IsNull(v) {
@@ -406,7 +511,8 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 }
 
 // certCandidates returns, in ascending master-tuple order, an exact blocking
-// superset of the master tuples on which x's MD premise can hold for t:
+// superset of the master tuples on which x's MD premise can hold for tuple
+// i, whose values are t:
 // every (t, s) pair with s outside the returned set fails at least one
 // premise clause. On the suffix-array path that set is the count filter's
 // (suffixtree.AppendEditCandidates): master values holding 2 of v's K+3
@@ -422,16 +528,18 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 // candidate list only costs recall, while certCandidates serves the Checker,
 // where a dropped candidate would falsify the certified Report. On the
 // suffix-array path the merged list is memoized under v and shared: callers
-// must not modify it. The equality path aliases an index bucket, equally
-// read-only. The matcher's statistics are untouched (certification must not
-// count as matching work).
-func (x *matcher) certCandidates(t *relation.Tuple) (ids []int, ok bool) {
+// must not modify it. The equality path returns tuple i's bucket off the
+// premise column, equally read-only. The matcher's statistics are untouched
+// (certification must not count as matching work).
+func (x *matcher) certCandidates(i int, t *relation.Tuple) (ids []int, ok bool) {
 	switch {
-	case x.eqIndex != nil:
+	case x.buckets != nil:
 		// Exact: a master tuple outside the bucket differs on an equality
 		// clause's projection. Buckets hold ascending indexes.
-		x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.eqDataAttrs)
-		return x.eqIndex[string(x.keyBuf)], true
+		if id := x.col[i]; id != noBucket {
+			return x.buckets[id], true
+		}
+		return nil, true
 	case x.tree != nil:
 		v := t.Values[x.simData]
 		if relation.IsNull(v) {

@@ -15,10 +15,25 @@ import (
 )
 
 // uncachedLookup is the reference for candidates and probe: a fresh block
-// and verify, never consulting a memo.
+// and verify, never consulting a memo or a premise column. The equality
+// bucket is found by hashing t's projection and always verified.
 func uncachedLookup(y *matcher, t *relation.Tuple, topL int) lookup {
-	ids, scanned := y.block(t, topL)
+	var ids []int
+	var scanned bool
+	if y.buckets != nil {
+		ids = eqBucket(y, t)
+	} else {
+		ids, scanned = y.block(t, topL)
+	}
 	return lookup{ids: y.verify(t, ids), block: len(ids), scanned: scanned}
+}
+
+// eqBucket is t's equality bucket, found by hashing its projection.
+func eqBucket(y *matcher, t *relation.Tuple) []int {
+	if id, ok := y.keys[t.Key(y.eqDataAttrs)]; ok {
+		return y.buckets[id]
+	}
+	return nil
 }
 
 // uncachedCert is the reference for certCandidates: the suffix array's
@@ -27,8 +42,8 @@ func uncachedLookup(y *matcher, t *relation.Tuple, topL int) lookup {
 // equality bucket.
 func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	switch {
-	case y.eqIndex != nil:
-		return y.eqIndex[t.Key(y.eqDataAttrs)], true
+	case y.buckets != nil:
+		return eqBucket(y, t), true
 	case y.tree == nil:
 		return nil, false
 	}
@@ -83,6 +98,14 @@ func memoCases() []memoCase {
 				cases = append(cases, memoCase{r.Name(), in.data(), in.master, r.MD})
 			}
 		}
+		// Equality premises over nulls in data and master: null buckets,
+		// and a mixed premise whose buckets are verified.
+		pin := genPremiseInstance(seed)
+		for _, r := range pin.rules {
+			if r.Kind == rule.MatchMD {
+				cases = append(cases, memoCase{r.Name(), pin.relation(nil), pin.master, r.MD})
+			}
+		}
 	}
 	return cases
 }
@@ -95,7 +118,7 @@ func checkAgainstUncached(t *testing.T, label string, x, y *matcher, d *relation
 	for i, tp := range d.Tuples {
 		want := uncachedLookup(y, tp, topL)
 		before := x.stats
-		got := x.candidates(tp, topL)
+		got := x.candidates(i, tp, topL)
 		if !slices.Equal(got, want.ids) {
 			t.Fatalf("%s: t%d: candidates = %v, want %v", label, i, got, want.ids)
 		}
@@ -111,20 +134,31 @@ func checkAgainstUncached(t *testing.T, label string, x, y *matcher, d *relation
 		if delta != wantDelta {
 			t.Fatalf("%s: t%d: stats delta = %+v, want %+v", label, i, delta, wantDelta)
 		}
-		if got := x.probe(tp, topL); !slices.Equal(got, want.ids) {
+		if got := x.probe(i, tp, topL); !slices.Equal(got, want.ids) {
 			t.Fatalf("%s: t%d: probe = %v, want %v", label, i, got, want.ids)
 		}
 		wantCert, wantOK := uncachedCert(y, tp)
-		gotCert, gotOK := x.certCandidates(tp)
+		gotCert, gotOK := x.certCandidates(i, tp)
 		if gotOK != wantOK || !slices.Equal(gotCert, wantCert) {
 			t.Fatalf("%s: t%d: certCandidates = %v, %v, want %v, %v", label, i, gotCert, gotOK, wantCert, wantOK)
 		}
 	}
 }
 
-// testMatcher returns a storing matcher over a freshly built index of m.
-func testMatcher(m *md.MD, master *relation.Relation) *matcher {
-	return newMatcher(newMDIndex(m, master, masterIDs(master)), true)
+// testMatcher returns a storing matcher over a freshly built index of m,
+// reading a premise column over d.
+func testMatcher(m *md.MD, master, d *relation.Relation) *matcher {
+	ix := newMDIndex(m, master, masterIDs(master))
+	return newMatcher(ix, columnOf(ix, d), true)
+}
+
+// columnOf returns the ids of ix's premise column over d, or nil when ix
+// has no equality index.
+func columnOf(ix *mdIndex, d *relation.Relation) []int32 {
+	if ix.buckets == nil {
+		return nil
+	}
+	return newPremCol(ix, d).ids
 }
 
 func memoSize(m *memo) int {
@@ -140,21 +174,21 @@ func memoSize(m *memo) int {
 func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 	topL := DefaultOptions().TopL
 	for _, c := range memoCases() {
-		y := testMatcher(c.m, c.master)
-		x := testMatcher(c.m, c.master)
+		y := testMatcher(c.m, c.master, c.data)
+		x := testMatcher(c.m, c.master, c.data)
 		x.bound(c.data.Len())
 		checkAgainstUncached(t, c.name+" base cold", x, y, c.data, topL)
 		checkAgainstUncached(t, c.name+" base warm", x, y, c.data, topL)
-		if x.eqIndex != nil {
+		if x.buckets != nil {
 			if x.memo != nil {
 				t.Fatalf("%s: an equality-index matcher must not memoize", c.name)
 			}
 			continue
 		}
 
-		z := testMatcher(c.m, c.master)
+		z := testMatcher(c.m, c.master, c.data)
 		z.bound(c.data.Len())
-		checkAgainstUncached(t, c.name+" non-storing before prefetch", newMatcher(z.mdIndex, false), y, c.data, topL)
+		checkAgainstUncached(t, c.name+" non-storing before prefetch", newMatcher(z.mdIndex, nil, false), y, c.data, topL)
 		if n := memoSize(z.memo); n != 0 {
 			t.Fatalf("%s: a non-storing matcher wrote %d entries into the shared memo", c.name, n)
 		}
@@ -176,7 +210,7 @@ func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 			}
 		}
 		n := memoSize(z.memo)
-		checkAgainstUncached(t, c.name+" non-storing after prefetch", newMatcher(z.mdIndex, false), y, c.data, topL)
+		checkAgainstUncached(t, c.name+" non-storing after prefetch", newMatcher(z.mdIndex, nil, false), y, c.data, topL)
 		if memoSize(z.memo) != n {
 			t.Fatalf("%s: a non-storing matcher after prefetch changed the memo", c.name)
 		}
@@ -193,7 +227,7 @@ func TestMemoBound(t *testing.T) {
 			break
 		}
 	}
-	x, y := testMatcher(c.m, c.master), testMatcher(c.m, c.master)
+	x, y := testMatcher(c.m, c.master, c.data), testMatcher(c.m, c.master, c.data)
 	x.bound(c.data.Len())
 	if want := 2 * (c.data.Len() + c.master.Len()); x.memo.limit != want {
 		t.Fatalf("limit = %d, want 2(|D|+|Dm|) = %d", x.memo.limit, want)
@@ -209,7 +243,7 @@ func TestMemoBound(t *testing.T) {
 
 	// A prefetch whose keys would take the map past its limit clears it
 	// first, so every key it stores survives for its pass.
-	z := testMatcher(c.m, c.master)
+	z := testMatcher(c.m, c.master, c.data)
 	distinct := make(map[string]bool)
 	for _, tp := range c.data.Tuples {
 		distinct[tp.Key(z.lhsAttrs)] = true
@@ -259,16 +293,16 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	e := New(data, inst.Master, inst.Rules, opts)
 	ri := simRule(t, e.rules)
 	x := e.matchers[ri]
-	want := uncachedLookup(testMatcher(e.rules[ri].MD, inst.Master), data.Tuples[0], opts.TopL)
+	want := uncachedLookup(testMatcher(e.rules[ri].MD, inst.Master, data), data.Tuples[0], opts.TopL)
 
 	phase := func(label string) {
 		t.Helper()
 		n := data.Len()
-		probes := []*matcher{newMatcher(x.mdIndex, false), newMatcher(x.mdIndex, false)}
+		probes := []*matcher{newMatcher(x.mdIndex, nil, false), newMatcher(x.mdIndex, nil, false)}
 		chunks, err := fanOut(context.Background(), nil, "test", len(probes), len(probes), func(w int) [][]int {
 			var got [][]int
 			for i := w * n / len(probes); i < (w+1)*n/len(probes); i++ {
-				got = append(got, probes[w].candidates(e.data.Tuples[i], opts.TopL))
+				got = append(got, probes[w].candidates(i, e.data.Tuples[i], opts.TopL))
 			}
 			return got
 		})

@@ -15,12 +15,14 @@ import (
 // attribute domains plus a CFD rule set. Confidences stay below eta, so no
 // cell ever freezes and the tri-level pipeline is obliged to reach a fully
 // consistent instance (hRepair's retraction fallback is always available).
+// master is nil except in genPremiseInstance's corpus, which adds MDs.
 type propInstance struct {
 	seed   int64
 	schema *relation.Schema
 	rows   [][]string
 	confs  [][]float64
 	rules  []rule.Rule
+	master *relation.Relation
 }
 
 // genInstance derives a dirty instance deterministically from seed.
