@@ -127,7 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	defaultConf := fs.Float64("defaultconf", 0, "cell confidence assumed when -conf is not given")
 	certify := fs.Bool("certify", false, "print the checker's violation report when the output is still dirty")
 	verbose := fs.Bool("v", false, "list every fix in the report")
-	workers := fs.Int("workers", 0, "workers for index builds, lookup prefetch, eRepair entropy re-keying and certification (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
+	workers := fs.Int("workers", 0, "workers for index builds, lookup prefetch and certification (0 = GOMAXPROCS, 1 = sequential); any value yields identical fixes, repaired output and -certify report")
 	timeout := fs.Duration("timeout", 0, "hard wall-clock limit; on expiry the run aborts with exit status 3 and writes no output (0 = none)")
 	deadline := fs.Duration("deadline", 0, "soft wall-clock budget; on expiry the engine stops proposing fixes and reports a degraded but truthful result (0 = none)")
 	maxFixes := fs.Int("maxfixes", 0, "soft fix budget; reaching it degrades the run like -deadline (0 = none)")

@@ -172,7 +172,7 @@ type Checker struct {
 func NewChecker(rules []rule.Rule, master *relation.Relation) *Checker {
 	indexes := make([]*mdIndex, len(rules))
 	if master != nil {
-		all := masterIDs(master)
+		all := identity(master.Len())
 		for i, o := range premiseOwners(rules) {
 			switch {
 			case o == i:
@@ -192,56 +192,15 @@ func newChecker(rules []rule.Rule, master *relation.Relation, indexes []*mdIndex
 	return &Checker{rules: rules, master: master, indexes: indexes, workers: workers}
 }
 
-// ruleReport is one certification task's outcome — a whole rule, or one
-// sub-range of an MD rule's scan — produced independently, possibly on a
-// fanOut worker, and merged into the Report in (rule, range) order. Each task
-// stores at most maxStoredPerRule violations; the merge re-applies the cap
-// per rule after concatenation, which reproduces the sequential prefix
-// exactly (every task keeps its earliest violations, and the global first
-// maxStoredPerRule are the earliest of the in-order concatenation).
+// ruleReport is one rule's certification outcome, produced independently,
+// possibly on a fanOut worker, and merged into the Report in rule order.
+// It stores at most maxStoredPerRule violations, the earliest ones, and
+// tallies the rest in truncated.
 type ruleReport struct {
 	violations []Violation
 	count      int // exact violations, including beyond the cap
 	truncated  int
 	visits     int // (t, s) premise verifications (MD rules only)
-}
-
-// certShardMin is the smallest data-tuple range worth its own certification
-// task: below it the per-task matcher costs more than the scan.
-const certShardMin = 256
-
-// certTask is one unit of the certification fan-out: rule ri restricted to
-// data tuples [lo, hi). CFD rules are always one whole-relation task — their
-// group scan is cheap — while an MD rule's blocked scan, the dominant
-// certify cost, is sub-sharded into tuple ranges so one huge similarity MD
-// no longer serializes the round behind a single worker. fanOut hands tasks
-// out in index order, so the expensive MD shards start spread across the
-// workers rather than queued behind one another.
-type certTask struct {
-	ri     int
-	lo, hi int
-}
-
-// certTasks builds the certification task list in (rule, lo) order — the
-// merge order of CheckContext.
-func (c *Checker) certTasks(d *relation.Relation) []certTask {
-	tasks := make([]certTask, 0, len(c.rules))
-	for ri, r := range c.rules {
-		if c.workers > 1 && r.Kind == rule.MatchMD && c.master != nil {
-			n := d.Len() / certShardMin
-			if lim := c.workers * 4; n > lim {
-				n = lim
-			}
-			if n > 1 {
-				for k := 0; k < n; k++ {
-					tasks = append(tasks, certTask{ri: ri, lo: k * d.Len() / n, hi: (k + 1) * d.Len() / n})
-				}
-				continue
-			}
-		}
-		tasks = append(tasks, certTask{ri: ri, lo: 0, hi: d.Len()})
-	}
-	return tasks
 }
 
 // Check certifies d against every rule and returns the violation report.
@@ -262,7 +221,6 @@ func (c *Checker) Check(d *relation.Relation) *Report {
 // contained and returned as a *WorkerError. Certification never mutates d,
 // so there is nothing to roll back.
 func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Report, error) {
-	tasks := c.certTasks(d)
 	for _, ix := range c.indexes {
 		if ix != nil {
 			ix.bound(d.Len())
@@ -286,43 +244,27 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 			}
 		}
 	}
-	run := func(ti int) ruleReport {
-		t := tasks[ti]
-		c.fj.At(fault.SiteCertify, t.ri, t.lo)
+	run := func(ri int) ruleReport {
+		c.fj.At(fault.SiteCertify, ri, 0)
 		// Certification is read-only, so a task needs nothing but the
 		// ruleReport it returns and a matcher of its own (private scratch
 		// over the shared index and memo), which stores its memo misses
 		// only when the tasks run one at a time.
 		var x *matcher
-		if ix := c.indexes[t.ri]; ix != nil {
-			x = newMatcher(ix, cols[t.ri], c.workers <= 1)
+		if ix := c.indexes[ri]; ix != nil {
+			x = newMatcher(ix, cols[ri], c.workers <= 1)
 		}
-		return c.checkRule(d, t.ri, t.lo, t.hi, x)
+		return c.checkRule(d, ri, x)
 	}
-	subs, err := fanOut(ctx, c.fj, "certify", c.workers, len(tasks), run)
+	rrs, err := fanOut(ctx, c.fj, "certify", c.workers, len(c.rules), run)
 	if err != nil {
 		return nil, err
 	}
 
-	// Ordered merge: rule order, ascending-lo concatenation within a rule
-	// (which reconstructs the sequential (T, S) violation stream), the
-	// per-rule cap re-applied over the concatenation, order-independent
-	// sums — byte-identical to the sequential pass for any worker count.
+	// Ordered merge: rule order and order-independent sums, so the Report
+	// is byte-identical to the sequential pass for any worker count.
 	rep := &Report{byRule: make(map[string]int, len(c.rules))}
-	ti := 0
-	for ri := range c.rules {
-		var rr ruleReport
-		for ; ti < len(tasks) && tasks[ti].ri == ri; ti++ {
-			s := &subs[ti]
-			rr.count += s.count
-			rr.visits += s.visits
-			rr.violations = append(rr.violations, s.violations...)
-		}
-		if len(rr.violations) > maxStoredPerRule {
-			rr.violations = rr.violations[:maxStoredPerRule]
-		}
-		rr.truncated = rr.count - len(rr.violations)
-
+	for ri, rr := range rrs {
 		name := c.rules[ri].Name()
 		rep.byRule[name] += rr.count // creates the entry even at zero: "checked"
 		if c.rules[ri].Kind == rule.MatchMD {
@@ -337,11 +279,9 @@ func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Repo
 	return rep, nil
 }
 
-// checkRule certifies d against rule ri over the data tuples in [lo, hi) —
-// the full relation for CFD rules, possibly one sub-shard for MD rules —
-// enumerating MD candidates through x (nil only when master data is absent,
-// making the MD vacuous).
-func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ruleReport {
+// checkRule certifies d against rule ri, enumerating MD candidates through
+// x (nil only when master data is absent, making the MD vacuous).
+func (c *Checker) checkRule(d *relation.Relation, ri int, x *matcher) ruleReport {
 	r := c.rules[ri]
 	var rr ruleReport
 	switch r.Kind {
@@ -350,7 +290,7 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 			return rr // vacuously satisfied, still recorded as checked
 		}
 		name := r.Name()
-		c.visitMDViolationsRange(d, r.MD, x, lo, hi, &rr.visits, func(v md.Violation) bool {
+		c.visitMDViolations(d, r.MD, x, &rr.visits, func(v md.Violation) bool {
 			rr.count++
 			if len(rr.violations) >= maxStoredPerRule {
 				// Beyond the cap: tally without formatting the detail.
@@ -400,21 +340,18 @@ func (c *Checker) checkRule(d *relation.Relation, ri, lo, hi int, x *matcher) ru
 	return rr
 }
 
-// visitMDViolationsRange streams the violating (t, s) pairs of m whose data
-// tuple lies in [lo, hi), in (T, S) order, counting every examined pair into
-// visited. Candidates come from the matcher's exact certification
-// enumeration (equality buckets or the untruncated suffix-array merge, both
-// ascending) instead of the O(|D|·|Dm|) nested scan of md.VisitViolations.
-// The enumeration is exact: a pair outside the candidate set fails a
-// premise clause, and candidates arrive ascending per tuple, so the same
-// violations appear in the same order as the scan. Tuples no index covers
-// exactly — a value shorter than the LCS bound allows, or an MD with no
-// indexable clause at all — fall back to scanning Dm for that tuple only.
-// Candidate enumeration is per data tuple, so a range visits exactly the
-// pairs a full pass visits for those tuples, and ranges concatenated in
-// ascending-lo order — the certify sub-shards — reproduce the full stream.
-func (c *Checker) visitMDViolationsRange(d *relation.Relation, m *md.MD, x *matcher, lo, hi int, visited *int, fn func(md.Violation) bool) {
-	md.VisitViolationsBlockedRange(d, c.master, m, lo, hi, func(i int, t *relation.Tuple) []int {
+// visitMDViolations streams the violating (t, s) pairs of m in (T, S)
+// order, counting every examined pair into visited. Candidates come from
+// the matcher's exact certification enumeration (equality buckets or the
+// untruncated suffix-array merge, both ascending) instead of the
+// O(|D|·|Dm|) nested scan of md.VisitViolations. The enumeration is exact:
+// a pair outside the candidate set fails a premise clause, and candidates
+// arrive ascending per tuple, so the same violations appear in the same
+// order as the scan. Tuples no index covers exactly — a value shorter than
+// the LCS bound allows, or an MD with no indexable clause at all — fall
+// back to scanning Dm for that tuple only.
+func (c *Checker) visitMDViolations(d *relation.Relation, m *md.MD, x *matcher, visited *int, fn func(md.Violation) bool) {
+	md.VisitViolationsBlocked(d, c.master, m, func(i int, t *relation.Tuple) []int {
 		if !c.noBlock {
 			if ids, ok := x.certCandidates(i, t); ok {
 				*visited += len(ids)

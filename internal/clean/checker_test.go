@@ -185,6 +185,9 @@ func diffReports(got, want *Report) string {
 // scan fallback) must produce a Report byte-identical to the naive
 // |D|·|Dm| nested scan — same violations in the same (T, S) order, same
 // details, same Truncated — while verifying no more pairs than the scan.
+// A parallel leg certifies each instance again with 4 workers and must
+// produce a Report deeply identical to the sequential one: each rule's
+// task applies the per-rule cap itself, and the merge only concatenates.
 // The corpus must cross the per-rule cap (truncation boundary) and include
 // bound-defeating short names, or the pin is vacuous there.
 func TestCheckerBlockedOrderIdentity(t *testing.T) {
@@ -195,6 +198,12 @@ func TestCheckerBlockedOrderIdentity(t *testing.T) {
 		d := in.data()
 		c := NewChecker(in.rules, in.master)
 		blocked := c.Check(d)
+		pc := NewChecker(in.rules, in.master)
+		pc.workers = 4
+		if par := pc.Check(d); !reflect.DeepEqual(par, blocked) {
+			t.Fatalf("seed %d: 4-worker certification differs from sequential: %s (visits %d vs %d)",
+				seed, diffReports(par, blocked), par.CertVisits, blocked.CertVisits)
+		}
 		c.noBlock = true
 		naive := c.Check(d)
 		if diff := diffReports(blocked, naive); diff != "" {

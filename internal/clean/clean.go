@@ -53,9 +53,9 @@ type Options struct {
 	// 0 means DefaultHBudget.
 	HBudget int
 	// Workers bounds the engine's fan-outs, which run its pure work
-	// concurrently: building the indexes, an MD pass's lookup prefetch,
-	// eRepair's entropy re-keying and certification. Rule passes
-	// themselves always run inline on the engine goroutine (see
+	// concurrently: building the indexes, an MD pass's lookup prefetch and
+	// certification, one task per rule. Rule passes and eRepair's entropy
+	// re-keying always run inline on the engine goroutine (see
 	// parallel.go), and so does a fan-out too small to pay for its
 	// goroutines (see Engine.width). Any Workers value produces
 	// fix-for-fix identical Results — same Fixes order, Asserts, Conflicts,
@@ -101,12 +101,12 @@ type Options struct {
 const seqCutoff = 128
 
 // width returns how many goroutines a fan-out over work estimated tuple
-// visits runs on — tuples for the index builds, an MD pass's prefetch and
-// certification, total members for an eRepair re-key batch — where 1 means
-// inline on the engine goroutine. It is the resolved Workers, except 1 when
-// Workers is 1, when a single P cannot overlap any work, or when work is
-// under seqCutoff. The choice cannot change any output: a fan-out's tasks
-// return their results, merged in task order.
+// visits runs on — the relation's tuples for the index builds and
+// certification, the pass's tuples for an MD pass's prefetch — where 1
+// means inline on the engine goroutine. It is the resolved Workers, except
+// 1 when Workers is 1, when a single P cannot overlap any work, or when
+// work is under seqCutoff. The choice cannot change any output: a
+// fan-out's tasks return their results, merged in task order.
 func (e *Engine) width(work int) int {
 	if e.workers <= 1 || work == 0 {
 		return 1
@@ -363,7 +363,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			}
 		}
 	case master != nil:
-		all = masterIDs(master)
+		all = identity(master.Len())
 		for i, o := range owner {
 			if o == i {
 				firsts = append(firsts, i)

@@ -56,7 +56,7 @@ func codesDrift(e *Engine) string {
 // TestCellCodesStayExact checks the dictionary against the live relation
 // after every phase of every outer pass over both property corpora — under
 // the delta scheduler, the rescan reference and forced fan-outs, where
-// eRepair's re-keying reads the columns from several workers — and after
+// the build fan-out codes the columns on its workers — and after
 // every accepted stream update. The rescan reference and the delta engine
 // share groupEntropy and the group appliers' counting, so a stale code
 // would otherwise pass every identity suite.

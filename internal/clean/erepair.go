@@ -94,62 +94,27 @@ func (e *Engine) ERepair() {
 	// stale, and, unless the group is done, dissolved, or conflict-free, a
 	// fresh entry is pushed. The tie-break id is the raw
 	// "<ordinal>|<LHS key>" string under both worklists, so they resolve
-	// ties in the same order. The entropies only read the batch's member
-	// snapshots and the live relation, which nothing writes meanwhile, so
-	// fanOut computes them as per-item results, as wide as Engine.width
-	// allows for the batch's members; the queue is then updated in batch
-	// order. That merge is order-independent anyway: the heap orders by
-	// (entropy, id) and ETuples is a sum.
-	rekey := func(batch []keyedGroup) bool {
-		type slot struct {
-			entropy  float64
-			distinct int
-		}
-		ids := make([]string, len(batch))
-		work := 0
+	// ties in the same order.
+	rekey := func(batch []keyedGroup) {
 		for k, g := range batch {
-			ids[k] = ordinal[g.ri] + "|" + g.key
-			if !done[ids[k]] {
-				work += len(g.members)
-			}
-		}
-		entropy := func(k int) slot {
 			e.fj.At(fault.SiteSeed, k, 0)
-			var s slot
-			if g := batch[k]; len(g.members) > 0 && !done[ids[k]] {
-				s.entropy, s.distinct = groupEntropy(e.codes[e.rules[g.ri].CFD.RHS], g.members)
-			}
-			return s
-		}
-		slots, err := fanOut(e.ctx, e.fj, "eRepair", e.width(work), len(batch), entropy)
-		if err != nil {
-			// The tasks write nothing but their results, so poisoning the
-			// engine before the merge is a consistent stop.
-			if e.fail == nil {
-				e.fail = err
-			}
-			return false
-		}
-		for k, g := range batch {
-			id, s := ids[k], slots[k]
+			id := ordinal[g.ri] + "|" + g.key
 			delete(keyed, id)
 			if done[id] || len(g.members) == 0 {
 				continue
 			}
 			e.apply[g.ri].ETuples += len(g.members)
-			if s.distinct < 2 {
+			h, distinct := groupEntropy(e.codes[e.rules[g.ri].CFD.RHS], g.members)
+			if distinct < 2 {
 				continue // already conflict-free
 			}
-			eg := &egroup{keyedGroup: g, id: id, entropy: s.entropy}
+			eg := &egroup{keyedGroup: g, id: id, entropy: h}
 			keyed[id] = eg
 			heap.Push(&queue, eg)
 		}
-		return true
 	}
 
-	if !rekey(e.work.regroup(true)) {
-		return
-	}
+	rekey(e.work.regroup(true))
 	for queue.Len() > 0 {
 		g := heap.Pop(&queue).(*egroup)
 		if keyed[g.id] != g {
@@ -168,9 +133,7 @@ func (e *Engine) ERepair() {
 			continue
 		}
 		e.res.GroupsResolved++
-		if !rekey(e.work.regroup(false)) {
-			return
-		}
+		rekey(e.work.regroup(false))
 	}
 }
 

@@ -48,17 +48,18 @@ func ctxErr(err error) error {
 // which is deterministic for a deterministic fault source.
 type WorkerError struct {
 	// Phase is the pipeline phase that panicked: "cRepair", "eRepair",
-	// "hRepair", "certify", "prefetch" (a matcher's memo prefetch), "new"
-	// (engine construction, re-panicked to the caller), or "run" for
-	// panics outside any fan-out.
+	// "hRepair" (a rule pass), "certify", "prefetch" (a matcher's memo
+	// prefetch), "new" (engine construction, re-panicked to the caller), or
+	// "run" for panics on the engine goroutine outside any rule pass, such
+	// as eRepair's re-keying.
 	Phase string
 	// Rule is the name of the rule being applied, "" when not attributable.
 	Rule string
 	// Shard is the fan-out worker index, -1 for inline execution on the
 	// engine goroutine (every rule pass).
 	Shard int
-	// Item is the worklist index of the work item being processed, -1 when
-	// the panic fired between items (scheduling, an eRepair re-key batch).
+	// Item is the worklist index of the work item being processed, or a
+	// fan-out task's index; -1 when the panic fired outside both.
 	Item int
 	// Value is the recovered panic value.
 	Value any

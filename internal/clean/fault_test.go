@@ -40,8 +40,8 @@ func snapshot(d *relation.Relation) [][]cellSnap {
 
 // faultMode is one engine configuration the fault sweep runs under: the
 // sequential default, and the forced-fan-out configuration that sends every
-// nonempty index build, prefetch, eRepair re-key and certification through
-// fanOut's workers, so fanOut's containment is actually on the hook.
+// nonempty index build, prefetch and certification through fanOut's
+// workers, so fanOut's containment is actually on the hook.
 type faultMode struct {
 	name string
 	opts Options
@@ -520,7 +520,8 @@ func (panicWorklist) groups(int, int) ([][]int, bool) { panic("worklist broke") 
 // TestRunPhasePanicIsWorkerError pins runAll's containment of last resort:
 // a panic that neither a rule pass's recover nor a fan-out task's catches
 // comes back as a *WorkerError of phase "run" carrying the panic value,
-// not as an untyped error.
+// not as an untyped error. eRepair re-keys inline, so a panic injected at
+// its seed site takes the same path at any worker count.
 func TestRunPhasePanicIsWorkerError(t *testing.T) {
 	in := genInstance(3) // every corpus instance has a variable CFD
 	e := New(in.relation(nil), nil, in.rules, DefaultOptions())
@@ -532,6 +533,16 @@ func TestRunPhasePanicIsWorkerError(t *testing.T) {
 	}
 	if we.Phase != "run" || we.Rule != "" || we.Item != -1 || we.Value != "worklist broke" {
 		t.Fatalf("WorkerError = %+v, want phase run, no rule, item -1, the panic value", we)
+	}
+
+	opts := DefaultOptions()
+	opts.Workers = 4
+	opts.forceFanOut = true
+	opts.Fault = fault.New(3, fault.Rule{Site: fault.SiteSeed, Kind: fault.Panic, Rate: 1})
+	_, err = RunContext(context.Background(), in.relation(nil), nil, in.rules, opts)
+	var inj *fault.Injected
+	if !errors.As(err, &we) || we.Phase != "run" || we.Shard != -1 || !errors.As(err, &inj) {
+		t.Fatalf("seed-site panic: err = %v, want a *WorkerError of phase run on the engine goroutine", err)
 	}
 }
 

@@ -110,8 +110,8 @@ func statsDump(m map[string]*ApplyStats) string {
 // resolutions, round counts, certified Report, and final cell state — and
 // the parallel engine (four workers) must match the sequential incremental
 // engine down to the work counters. Run it under -race: the fan-outs
-// (index builds, lookup prefetch, eRepair re-keying, certification) are
-// the engine's only concurrency.
+// (index builds, lookup prefetch, certification) are the engine's only
+// concurrency.
 func TestPropertyIncrementalEquivalence(t *testing.T) {
 	checkEngineIdentity(t, genInstance)
 }
@@ -334,7 +334,7 @@ func TestCheckerMDBlockingIsExact(t *testing.T) {
 		}
 		var blocked []md.Violation
 		visited := 0
-		c.visitMDViolationsRange(data, r.MD, newMatcher(c.indexes[ri], columnOf(c.indexes[ri], data), true), 0, data.Len(), &visited, func(v md.Violation) bool {
+		c.visitMDViolations(data, r.MD, newMatcher(c.indexes[ri], columnOf(c.indexes[ri], data), true), &visited, func(v md.Violation) bool {
 			blocked = append(blocked, v)
 			return true
 		})

@@ -120,24 +120,19 @@ func (c *premCol) set(i int, t *relation.Tuple) {
 // index i in that column's relation as well as by its values t. Scratch is
 // reused across probes so the hot path does not allocate per tuple: idsBuf
 // backs the candidate list, keyBuf backs the memo key (probed as
-// string(keyBuf), which allocates nothing), seen/seenGen dedupe candidates
-// produced by several blocking keys (first occurrence wins, preserving the
-// verification order) so no master tuple is verified twice for one probe,
-// topBuf and sidBuf receive the suffix-array hits of block and
-// certCandidates. store
-// says whether a memo miss is stored: true for a matcher that runs alone,
-// false for one that runs beside others on a fanOut worker.
+// string(keyBuf), which allocates nothing), topBuf and sidBuf receive the
+// suffix-array hits of block and certCandidates. store says whether a memo
+// miss is stored: true for a matcher that runs alone, false for one that
+// runs beside others on a fanOut worker.
 type matcher struct {
 	*mdIndex
 	col   []int32
 	store bool
 
-	idsBuf  []int
-	keyBuf  []byte
-	seen    []uint64
-	seenGen uint64
-	topBuf  []suffixtree.Match
-	sidBuf  []int32
+	idsBuf []int
+	keyBuf []byte
+	topBuf []suffixtree.Match
+	sidBuf []int32
 
 	stats MatchStats
 }
@@ -363,18 +358,8 @@ func premiseOwners(rules []rule.Rule) []int {
 	return owner
 }
 
-// masterIDs returns the identity list 0..|Dm|-1 that every index over
-// master shares (mdIndex.all).
-func masterIDs(master *relation.Relation) []int {
-	all := make([]int, master.Len())
-	for j := range all {
-		all[j] = j
-	}
-	return all
-}
-
 // newMDIndex builds m's blocking index over master; all is
-// masterIDs(master).
+// identity(master.Len()), shared by every index over master.
 func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 	ix := &mdIndex{m: m, master: master, simData: -1, all: all}
 	ix.eqDataAttrs, ix.eqMasterAttrs = eqClauses(m)
@@ -474,10 +459,12 @@ func (x *matcher) lookup(i int, t *relation.Tuple, topL int) lookup {
 
 // block returns the raw candidate ids for t from the suffix array, and
 // whether it had to fall back to a full scan of the master relation. The
-// returned slice is scratch, only valid until the next block call: the
-// suffix-array path reuses the matcher's candidate buffer, and the fallback
-// returns a shared identity list built once. Nothing derived from it is
-// memoized without a copy: lookup memoizes verify's fresh output.
+// ids are distinct: AppendTopL returns each value once, and each master
+// tuple is listed under its one value. The returned slice is scratch, only
+// valid until the next block call: the suffix-array path reuses the
+// matcher's candidate buffer, and the fallback returns a shared identity
+// list built once. Nothing derived from it is memoized without a copy:
+// lookup memoizes verify's fresh output.
 func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) {
 	switch {
 	case x.tree != nil:
@@ -485,10 +472,6 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 		if relation.IsNull(v) {
 			return nil, false
 		}
-		if x.seen == nil {
-			x.seen = make([]uint64, x.master.Len())
-		}
-		x.seenGen++
 		ids = x.idsBuf[:0]
 		// Partition v into K+1 contiguous pieces: at most K edits touch at
 		// most K pieces, so edit(u, v) <= K implies u contains one piece
@@ -496,12 +479,7 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 		minLen := len(v) / (x.simK + 1)
 		x.topBuf = x.tree.AppendTopL(x.topBuf[:0], v, topL, minLen)
 		for _, mt := range x.topBuf {
-			for _, j := range x.treeIDs[mt.ID] {
-				if x.seen[j] != x.seenGen {
-					x.seen[j] = x.seenGen
-					ids = append(ids, j)
-				}
-			}
+			ids = append(ids, x.treeIDs[mt.ID]...)
 		}
 		x.idsBuf = ids
 		return ids, false

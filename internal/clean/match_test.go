@@ -117,6 +117,18 @@ func checkAgainstUncached(t *testing.T, label string, x, y *matcher, d *relation
 	t.Helper()
 	for i, tp := range d.Tuples {
 		want := uncachedLookup(y, tp, topL)
+		// block does not dedupe: its ids are distinct only because
+		// AppendTopL returns each value once and each master tuple is
+		// listed under its one value.
+		if ids, _ := y.block(tp, topL); len(ids) > 1 {
+			seen := make(map[int]bool, len(ids))
+			for _, j := range ids {
+				if seen[j] {
+					t.Fatalf("%s: t%d: block returned master tuple %d twice: %v", label, i, j, ids)
+				}
+				seen[j] = true
+			}
+		}
 		before := x.stats
 		got := x.candidates(i, tp, topL)
 		if !slices.Equal(got, want.ids) {
@@ -148,7 +160,7 @@ func checkAgainstUncached(t *testing.T, label string, x, y *matcher, d *relation
 // testMatcher returns a storing matcher over a freshly built index of m,
 // reading a premise column over d.
 func testMatcher(m *md.MD, master, d *relation.Relation) *matcher {
-	ix := newMDIndex(m, master, masterIDs(master))
+	ix := newMDIndex(m, master, identity(master.Len()))
 	return newMatcher(ix, columnOf(ix, d), true)
 }
 

@@ -13,9 +13,9 @@ import (
 // goroutine, one item after another in worklist order (ascending tuple id /
 // first group member), and every write goes straight through the engine's
 // write path (assert/write, conflictf, spend), so the scheduler, the fix
-// trace and hRepair's budget see one order of events. fanOut runs the
-// engine's pure work concurrently: index builds, an MD pass's lookup
-// prefetch, eRepair's entropy re-keying and certification.
+// trace and hRepair's budget see one order of events; so does eRepair's
+// entropy re-keying. fanOut runs the engine's pure work concurrently:
+// index builds, an MD pass's lookup prefetch and certification.
 
 // fanOut runs fn(task) for every task in [0, tasks) across up to workers
 // goroutines pulling task indexes from an atomic cursor, and returns the

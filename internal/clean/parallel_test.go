@@ -154,11 +154,11 @@ func TestParallelOuterFixpoint(t *testing.T) {
 // TestParallelStealHeavySweep is the adversarial determinism sweep for
 // skewed fan-outs: gen's HotZipRate knob packs more than a third of the
 // tuples into one zip, so the variable CFDs carry one giant LHS-equal group
-// next to hundreds of tiny ones, and eRepair's re-key batches and the
-// certification shards are as uneven as they get. Every worker count must
-// still produce results byte-identical to the sequential engine, including
-// the certified Report and all work counters; run under -race this also
-// audits that the fan-out tasks share nothing but read-only state.
+// next to hundreds of tiny ones, and the per-rule certification tasks are
+// as uneven as they get. Every worker count must still produce results
+// byte-identical to the sequential engine, including the certified Report
+// and all work counters; run under -race this also audits that the fan-out
+// tasks share nothing but read-only state.
 func TestParallelStealHeavySweep(t *testing.T) {
 	inst := gen.Generate(gen.Config{
 		Tuples: 2000, MasterSize: 200, ErrorRate: 0.05,

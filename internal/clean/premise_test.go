@@ -217,7 +217,7 @@ func TestPropertyIncrementalEquivalencePremiseWrites(t *testing.T) {
 // rules, as the engine did before rules with one premise shared an index.
 func unsharedIndexes(e *Engine) []*mdIndex {
 	out := make([]*mdIndex, len(e.rules))
-	all := masterIDs(e.master)
+	all := identity(e.master.Len())
 	for i, r := range e.rules {
 		if r.Kind == rule.MatchMD {
 			out[i] = newMDIndex(r.MD, e.master, all)

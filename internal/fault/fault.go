@@ -35,10 +35,11 @@ const (
 	// (0, task index).
 	SiteSched Site = "sched"
 	// SiteSeed fires per item of an eRepair re-key batch — the batch that
-	// seeds a call's entropy tree and the one after every resolution:
-	// (item index in the batch, 0).
+	// seeds a call's queue and the one after every resolution — on the
+	// engine goroutine: (item index in the batch, 0).
 	SiteSeed Site = "seed"
-	// SiteCertify fires per Checker certification task: (rule index, shard lo).
+	// SiteCertify fires per Checker certification task, one per rule:
+	// (rule index, 0).
 	SiteCertify Site = "certify"
 )
 

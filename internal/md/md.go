@@ -187,23 +187,18 @@ func VisitViolations(d, dm *relation.Relation, m *MD, fn func(Violation) bool) {
 	}
 }
 
-// VisitViolationsBlockedRange streams the violating (t, s) pairs of m for
-// the data tuples in [lo, hi) like VisitViolations, but restricts each data
-// tuple's inner loop to the master indexes produced by a blocking candidate
-// enumerator. candidates(i, t) must return master tuple indexes in
-// ascending order, and the returned set must be exact for certification —
-// a superset of every s on which m's premise can hold for t (pairs outside
-// it must fail the premise) — so the streamed violations are precisely
-// those of the nested scan, in the same (T, S) order. The returned slice is
-// only borrowed: it may be reused by the next candidates call. Ranges let a
-// caller split one rule's certification scan across workers and
-// re-concatenate the per-range outputs in ascending-lo order, which
-// reproduces the full stream exactly: the outer loop visits data tuples in
-// index order, so range outputs never interleave.
-func VisitViolationsBlockedRange(d, dm *relation.Relation, m *MD, lo, hi int,
+// VisitViolationsBlocked streams the violating (t, s) pairs of m like
+// VisitViolations, but restricts each data tuple's inner loop to the master
+// indexes produced by a blocking candidate enumerator. candidates(i, t)
+// must return master tuple indexes in ascending order, and the returned set
+// must be exact for certification — a superset of every s on which m's
+// premise can hold for t (pairs outside it must fail the premise) — so the
+// streamed violations are precisely those of the nested scan, in the same
+// (T, S) order. The returned slice is only borrowed: it may be reused by
+// the next candidates call.
+func VisitViolationsBlocked(d, dm *relation.Relation, m *MD,
 	candidates func(i int, t *relation.Tuple) []int, fn func(Violation) bool) {
-	for i := lo; i < hi; i++ {
-		t := d.Tuples[i]
+	for i, t := range d.Tuples {
 		for _, j := range candidates(i, t) {
 			s := dm.Tuples[j]
 			if m.MatchLHS(t, s) && !m.RHSHolds(t, s) {

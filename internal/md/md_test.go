@@ -125,9 +125,8 @@ func TestStringRendering(t *testing.T) {
 
 // TestVisitViolationsBlockedMatchesScan pins the blocked streaming contract:
 // with an exact candidate enumerator (here: all master indexes, and a
-// premise-filtered subset), VisitViolationsBlockedRange over [0, d.Len())
-// must produce exactly the violations of the nested scan, in the same (T, S)
-// order.
+// premise-filtered subset), VisitViolationsBlocked must produce exactly
+// the violations of the nested scan, in the same (T, S) order.
 func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 	ds, ms := schemas()
 	dm := masterData(ms)
@@ -146,7 +145,7 @@ func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 		all[j] = j
 	}
 	var got []Violation
-	VisitViolationsBlockedRange(d, dm, m, 0, d.Len(), func(int, *relation.Tuple) []int { return all },
+	VisitViolationsBlocked(d, dm, m, func(int, *relation.Tuple) []int { return all },
 		func(v Violation) bool { got = append(got, v); return true })
 	if len(got) != len(want) {
 		t.Fatalf("blocked found %d violations, scan %d", len(got), len(want))
@@ -160,7 +159,7 @@ func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 	// A candidate enumerator may prune pairs that fail the premise without
 	// changing the stream.
 	got = got[:0]
-	VisitViolationsBlockedRange(d, dm, m, 0, d.Len(), func(_ int, tp *relation.Tuple) []int {
+	VisitViolationsBlocked(d, dm, m, func(_ int, tp *relation.Tuple) []int {
 		var ids []int
 		for j, s := range dm.Tuples {
 			if m.MatchLHS(tp, s) {
@@ -174,7 +173,7 @@ func TestVisitViolationsBlockedMatchesScan(t *testing.T) {
 	}
 	// Early exit must stop the stream.
 	n := 0
-	VisitViolationsBlockedRange(d, dm, m, 0, d.Len(), func(int, *relation.Tuple) []int { return all },
+	VisitViolationsBlocked(d, dm, m, func(int, *relation.Tuple) []int { return all },
 		func(Violation) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early-exit visitor called %d times, want 1", n)

@@ -299,9 +299,10 @@ type Match struct {
 // TopL returns up to l indexed strings ranked by LCS length with v
 // (descending, ties broken by id), considering only common substrings of
 // length at least minLen. minLen implements the blocking bound of Section
-// 5.2: strings within edit distance K of v share a common substring of
-// length at least max(|u|,|v|)/(K+1), so candidates below that bound can be
-// skipped. A minLen < 1 is treated as 1.
+// 5.2, which callers pass as |v|/(K+1) of the query value alone: cut v into
+// K+1 pieces, and K edits leave at least one piece intact, so every string
+// within edit distance K of v shares a common substring of that length
+// with it. A minLen < 1 is treated as 1.
 func (t *Tree) TopL(v string, l, minLen int) []Match {
 	return t.AppendTopL(nil, v, l, minLen)
 }
