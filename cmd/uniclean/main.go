@@ -122,7 +122,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	rulesPath := fs.String("rules", "", "cleaning rules file (required)")
 	outPath := fs.String("out", "-", "repaired relation CSV output, '-' for stdout")
 	eta := fs.Float64("eta", 0.8, "confidence threshold for deterministic fixes")
-	topL := fs.Int("topl", 32, "blocking candidates per suffix-array lookup")
+	topL := fs.Int("topl", 32, "master values kept per edit-distance lookup, closest first")
 	hBudget := fs.Int("hbudget", clean.DefaultHBudget, "per-cell change budget of hRepair")
 	defaultConf := fs.Float64("defaultconf", 0, "cell confidence assumed when -conf is not given")
 	certify := fs.Bool("certify", false, "print the checker's violation report when the output is still dirty")

@@ -1,6 +1,7 @@
 package cfd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -188,4 +189,39 @@ func TestNewPanicsOnArityMismatch(t *testing.T) {
 		}
 	}()
 	New("bad", s, []string{"AC", "city"}, []string{"131"}, "city", "Edi")
+}
+
+// TestViolationsAllocsFlatInTuples pins the grouping scans' key handling:
+// each tuple's LHS key is built in one reused buffer and probed as
+// string(buf), so at a fixed number of groups and violations the
+// allocations of Violations and Satisfies do not grow with |D|. (Groups
+// shares the scan, but its member lists grow with |D| by design.)
+func TestViolationsAllocsFlatInTuples(t *testing.T) {
+	const groups = 16
+	s := relation.NewSchema("R", "zip", "city")
+	fd := FD("zip_city", s, []string{"zip"}, "city")
+	instance := func(n int) *relation.Relation {
+		d := relation.New(s)
+		for i := range n {
+			g := fmt.Sprintf("z%02d", i%groups)
+			d.Append(g, "city-"+g)
+		}
+		d.Tuples[n-1].Values[1] = "other" // one violation
+		return d
+	}
+	small, large := instance(200), instance(4000)
+	for _, c := range []struct {
+		name string
+		run  func(d *relation.Relation)
+	}{
+		{"Violations", func(d *relation.Relation) { Violations(d, fd) }},
+		{"Satisfies", func(d *relation.Relation) { Satisfies(d, fd) }},
+	} {
+		a := testing.AllocsPerRun(20, func() { c.run(small) })
+		b := testing.AllocsPerRun(20, func() { c.run(large) })
+		if b > a {
+			t.Errorf("%s: %.0f allocs over %d tuples, %.0f over %d: a key is allocated per tuple",
+				c.name, b, large.Len(), a, small.Len())
+		}
+	}
 }

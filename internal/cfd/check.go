@@ -44,18 +44,19 @@ func Satisfies(d *relation.Relation, c *CFD) bool {
 		return true
 	}
 	groups := make(map[string]string)
+	var buf []byte
 	for _, t := range d.Tuples {
 		if !c.MatchLHS(t) {
 			continue
 		}
 		v := t.Values[c.RHS]
-		key := t.Key(c.LHS)
-		if prev, ok := groups[key]; ok {
+		buf = relation.AppendKey(buf[:0], t, c.LHS)
+		if prev, ok := groups[string(buf)]; ok {
 			if prev != v {
 				return false
 			}
 		} else {
-			groups[key] = v
+			groups[string(buf)] = v
 		}
 	}
 	return true
@@ -89,14 +90,15 @@ func Violations(d *relation.Relation, c *CFD) []Violation {
 		return out
 	}
 	first := make(map[string]int) // LHS key -> first tuple index
+	var buf []byte
 	for i, t := range d.Tuples {
 		if !c.MatchLHS(t) {
 			continue
 		}
-		key := t.Key(c.LHS)
-		j, ok := first[key]
+		buf = relation.AppendKey(buf[:0], t, c.LHS)
+		j, ok := first[string(buf)]
 		if !ok {
-			first[key] = i
+			first[string(buf)] = i
 			continue
 		}
 		if d.Tuples[j].Values[c.RHS] != t.Values[c.RHS] {
@@ -127,13 +129,15 @@ func Groups(d *relation.Relation, c *CFD) []Group {
 	}
 	byKey := make(map[string]*Group)
 	var order []string
+	var buf []byte
 	for i, t := range d.Tuples {
 		if !c.MatchLHS(t) {
 			continue
 		}
-		key := t.Key(c.LHS)
-		g, ok := byKey[key]
+		buf = relation.AppendKey(buf[:0], t, c.LHS)
+		g, ok := byKey[string(buf)]
 		if !ok {
+			key := string(buf)
 			g = &Group{CFD: c, Key: key}
 			byKey[key] = g
 			order = append(order, key)

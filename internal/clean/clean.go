@@ -44,8 +44,10 @@ type Options struct {
 	// fixes whose propagated confidence reaches Eta, and cells at or above
 	// Eta written by cRepair become immutable.
 	Eta float64
-	// TopL bounds the number of blocking candidates returned per
-	// suffix-array lookup during MD matching (the constant l of Section 5.2).
+	// TopL is the number of master values kept per edit-distance lookup
+	// during MD matching, closest first (the constant l of Section 5.2):
+	// the l distinct values nearest the data value among those within the
+	// clause's K, each expanded to its master tuples.
 	TopL int
 	// HBudget is the per-cell change budget of hRepair: how many times the
 	// heuristic phase may rewrite one cell before falling back to

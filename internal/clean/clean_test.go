@@ -242,6 +242,46 @@ func TestSuffixTreeBlocking(t *testing.T) {
 	}
 }
 
+// TestBlockingKeepsClosestValues pins repair blocking's ranking: the l
+// master values kept for a data value are the closest by edit distance
+// among those within K, not the ones sharing the longest substring with
+// it. The data value abcdefghij shares 8 bytes with a far value (8 edits)
+// or a 2-edit value listed first, and only 5 with abcdeXghij (1 edit).
+func TestBlockingKeepsClosestValues(t *testing.T) {
+	dschema := relation.NewSchema("R", "name", "code")
+	mschema := relation.NewSchema("M", "name", "code")
+	m := md.New("psi", dschema, mschema,
+		[]md.ClauseSpec{md.Sim("name", "name", similarity.EditWithin(2))},
+		[]md.PairSpec{{Data: "code", Master: "code"}})
+	for _, c := range []struct {
+		name   string
+		topL   int
+		master [][2]string
+	}{
+		// The LCS ranking's only value is 8 edits away and fails
+		// verification, leaving the tuple unmatched.
+		{"topl-1", 1, [][2]string{{"abcdefghXXXXXXXX", "far"}, {"abcdeXghij", "right"}}},
+		// Both values are within K; the LCS ranking put the 2-edit one
+		// first.
+		{"default-topl", DefaultOptions().TopL, [][2]string{{"XbcdefghiX", "two-edits"}, {"abcdeXghij", "right"}}},
+	} {
+		master := relation.New(mschema)
+		for _, r := range c.master {
+			master.Append(r[0], r[1])
+		}
+		master.SetAllConf(1)
+		data := relation.New(dschema)
+		data.Append("abcdefghij", "unknown")
+		data.SetAllConf(0.9)
+		opts := DefaultOptions()
+		opts.TopL = c.topL
+		res := Run(data, master, rule.Derive(nil, []*md.MD{m}), opts)
+		if got := res.Data.Tuples[0].Values[1]; got != "right" {
+			t.Errorf("%s: code = %q, want %q from the 1-edit master value", c.name, got, "right")
+		}
+	}
+}
+
 // TestSuffixTreeBlockingIsSound checks the blocking bound against its worst
 // case: k edits spread evenly across the string leave only pieces of length
 // floor(|v|/(k+1)) intact, and such matches must still be found.

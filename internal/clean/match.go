@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/md"
 	"repro/internal/relation"
 	"repro/internal/rule"
+	"repro/internal/similarity"
 	"repro/internal/suffixtree"
 )
 
@@ -26,8 +28,11 @@ import (
 //     is a bucket with a dense id; a data tuple's bucket id is resolved
 //     once into a premise column (premCol) and read from there;
 //   - otherwise, a generalized suffix array over the active domain of the
-//     master attribute of the first edit-distance clause, queried with the
-//     LCS bound LCSubstring >= |v|/(K+1) of the data value v.
+//     master attribute of the first edit-distance clause. One query per
+//     distinct data value v — certification's exact count filter (see
+//     editCandidates) — yields every master value that may lie within edit
+//     distance K of v; repair keeps the l of them closest to v (see block),
+//     certification all of them.
 //
 // Suffix-array candidates, and equality buckets of premises with a
 // similarity clause too, are then verified against the full premise. An
@@ -65,6 +70,7 @@ type mdIndex struct {
 	simK      int
 	tree      *suffixtree.Tree
 	treeIDs   [][]int // suffix-array string id -> master tuple indexes
+	sidOf     []int32 // master tuple index -> string id, for non-null values
 
 	// all is the identity list 0..|Dm|-1 the full-scan fallbacks return,
 	// one list shared by every index over master and the Checker.
@@ -120,21 +126,38 @@ func (c *premCol) set(i int, t *relation.Tuple) {
 // index i in that column's relation as well as by its values t. Scratch is
 // reused across probes so the hot path does not allocate per tuple: idsBuf
 // backs the candidate list, keyBuf backs the memo key (probed as
-// string(keyBuf), which allocates nothing), topBuf and sidBuf receive the
-// suffix-array hits of block and certCandidates. store says whether a memo
-// miss is stored: true for a matcher that runs alone, false for one that
-// runs beside others on a fanOut worker.
+// string(keyBuf), which allocates nothing), sidBuf receives the suffix-array
+// hits of editCandidates and nearBuf the master values block keeps. store
+// says whether a memo miss is stored: true for a matcher that runs alone,
+// false for one that runs beside others on a fanOut worker. A non-storing
+// matcher instead collects the candidate lists it computes in fresh, which
+// prefetch's store step keeps; other non-storing matchers live for one
+// task and drop theirs with it.
 type matcher struct {
 	*mdIndex
 	col   []int32
 	store bool
+	fresh []candList
 
-	idsBuf []int
-	keyBuf []byte
-	topBuf []suffixtree.Match
-	sidBuf []int32
+	idsBuf  []int
+	keyBuf  []byte
+	sidBuf  []int32
+	nearBuf []near
 
 	stats MatchStats
+}
+
+// candList is editCandidates' answer for one similarity value.
+type candList struct {
+	v   string
+	ids []int
+}
+
+// near is a master value within edit distance K of a probed value: its
+// suffix-array string id and its distance.
+type near struct {
+	sid  int32
+	dist int
 }
 
 // newMatcher returns a probe of ix reading the premise column ids col (nil
@@ -160,7 +183,9 @@ type memo struct {
 	// lookups maps a tuple's projection on lhsAttrs to its verified
 	// candidates, for candidates and probe.
 	lookups map[string]lookup
-	// cert maps a similarity value to certCandidates' merged ascending list.
+	// cert maps a similarity value to editCandidates' merged ascending
+	// list: one entry per distinct value, computed once and read by both
+	// repair's block and certCandidates.
 	cert  map[string][]int
 	limit int
 }
@@ -212,9 +237,11 @@ func (ix *mdIndex) bound(n int) {
 // results are stored in the order their keys first appear. The pass then
 // only hits; certification's non-storing matchers would otherwise recompute
 // every miss. cert selects certCandidates' entries, else lookup's under
-// topL. Like any memo write it changes no output. It runs at a sequential
-// point; on an error, fanOut's, nothing is stored. fj arms fanOut's
-// scheduling hook.
+// topL; either way the candidate lists the matchers computed are stored
+// too, so a repair prefetch leaves certification nothing to recompute.
+// Like any memo write it changes no output. It runs at a sequential point;
+// on an error, fanOut's, nothing is stored. fj arms fanOut's scheduling
+// hook.
 func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int, d *relation.Relation, ids []int, cert bool, topL int) error {
 	if ix.memo == nil || (cert && ix.tree == nil) {
 		return nil
@@ -255,31 +282,39 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 			visit(i)
 		}
 	}
-	// Each task returns the entries of its own contiguous chunk of todo, so
-	// the chunks concatenate to key order. A certification entry holds only
-	// ids.
+	// Each task returns the lookups of its own contiguous chunk of todo, so
+	// the chunks concatenate to key order, and the candidate lists its
+	// matcher computed on the way, in the order it computed them.
+	type fetched struct {
+		lookups []lookup
+		cands   []candList
+	}
 	n := min(len(todo), workers)
-	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) []lookup {
+	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) fetched {
 		f := newMatcher(ix, nil, false)
 		part := todo[c*len(todo)/n : (c+1)*len(todo)/n]
-		out := make([]lookup, 0, len(part))
+		var out fetched
 		for _, i := range part {
 			if cert {
-				ids, _ := f.certCandidates(i, d.Tuples[i])
-				out = append(out, lookup{ids: ids})
+				f.certCandidates(i, d.Tuples[i])
 			} else {
-				out = append(out, f.lookup(i, d.Tuples[i], topL))
+				out.lookups = append(out.lookups, f.lookup(i, d.Tuples[i], topL))
 			}
 		}
+		out.cands = f.fresh
 		return out
 	})
 	if err != nil {
 		return err
 	}
-	// Clear up front when the keys would take the map past the bound, so
+	// Clear up front when the entries would take a map past the bound, so
 	// no entry stored here is shed before the pass reads it.
 	m := ix.memo
-	if cert && len(m.cert)+len(keys) > m.limit {
+	cands := 0
+	for _, c := range chunks {
+		cands += len(c.cands)
+	}
+	if len(m.cert)+cands > m.limit {
 		clear(m.cert)
 	}
 	if !cert && len(m.lookups)+len(keys) > m.limit {
@@ -287,13 +322,12 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 	}
 	k := 0
 	for _, c := range chunks {
-		for _, l := range c {
-			if cert {
-				m.putCert(keys[k], l.ids)
-			} else {
-				m.putLookup(keys[k], l)
-			}
+		for _, l := range c.lookups {
+			m.putLookup(keys[k], l)
 			k++
+		}
+		for _, cl := range c.cands {
+			m.putCert(cl.v, cl.ids)
 		}
 	}
 	return nil
@@ -380,8 +414,9 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 	if ix.simData < 0 {
 		return ix // no usable index: every lookup scans Dm
 	}
-	byValue := make(map[string]int)
+	byValue := make(map[string]int32)
 	var names []string
+	ix.sidOf = make([]int32, master.Len())
 	for j, s := range master.Tuples {
 		v := s.Values[ix.simMaster]
 		if relation.IsNull(v) {
@@ -389,12 +424,13 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 		}
 		id, ok := byValue[v]
 		if !ok {
-			id = len(names)
+			id = int32(len(names))
 			byValue[v] = id
 			names = append(names, v)
 			ix.treeIDs = append(ix.treeIDs, nil)
 		}
 		ix.treeIDs[id] = append(ix.treeIDs[id], j)
+		ix.sidOf[j] = id
 	}
 	// Index every name here, before any matcher shares the array, so
 	// fanOut workers only ever read it.
@@ -457,58 +493,76 @@ func (x *matcher) lookup(i int, t *relation.Tuple, topL int) lookup {
 	return en
 }
 
-// block returns the raw candidate ids for t from the suffix array, and
-// whether it had to fall back to a full scan of the master relation. The
-// ids are distinct: AppendTopL returns each value once, and each master
+// block returns the raw candidate ids for t, and whether it had to fall
+// back to a full scan of the master relation. On the suffix-array path
+// they are the tuples of the l = topL master values closest to t's value v
+// among those within edit distance K of it, ordered by (distance, first
+// appearance in master) and each expanded to its master tuples in
+// ascending order. The values within K are found from editCandidates'
+// exact list, the one a certification of v reads too, or, when v is too
+// short for any piece bound (len(v) <= K), by measuring every master
+// value, which counts as a full scan. The ids are distinct: each master
 // tuple is listed under its one value. The returned slice is scratch, only
 // valid until the next block call: the suffix-array path reuses the
 // matcher's candidate buffer, and the fallback returns a shared identity
 // list built once. Nothing derived from it is memoized without a copy:
 // lookup memoizes verify's fresh output.
 func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) {
-	switch {
-	case x.tree != nil:
-		v := t.Values[x.simData]
-		if relation.IsNull(v) {
-			return nil, false
-		}
-		ids = x.idsBuf[:0]
-		// Partition v into K+1 contiguous pieces: at most K edits touch at
-		// most K pieces, so edit(u, v) <= K implies u contains one piece
-		// unchanged — a common substring of length >= floor(|v|/(K+1)).
-		minLen := len(v) / (x.simK + 1)
-		x.topBuf = x.tree.AppendTopL(x.topBuf[:0], v, topL, minLen)
-		for _, mt := range x.topBuf {
-			ids = append(ids, x.treeIDs[mt.ID]...)
-		}
-		x.idsBuf = ids
-		return ids, false
-	default:
+	if x.tree == nil {
 		return x.all, true
 	}
+	v := t.Values[x.simData]
+	if relation.IsNull(v) {
+		return nil, false
+	}
+	x.nearBuf = x.nearBuf[:0]
+	measure := func(sid int32) {
+		if d, ok := similarity.LevenshteinWithin(v, x.tree.String(int(sid)), x.simK); ok {
+			x.nearBuf = append(x.nearBuf, near{sid, d})
+		}
+	}
+	if cands, ok := x.editCandidates(v); ok {
+		// The list holds every tuple of each candidate value in ascending
+		// order, so each value is measured once, at its first tuple.
+		for _, j := range cands {
+			if sid := x.sidOf[j]; x.treeIDs[sid][0] == j {
+				measure(sid)
+			}
+		}
+	} else {
+		fullScan = true
+		for sid := range x.treeIDs {
+			measure(int32(sid))
+		}
+	}
+	slices.SortFunc(x.nearBuf, func(a, b near) int {
+		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.sid, b.sid))
+	})
+	ids = x.idsBuf[:0]
+	for _, n := range x.nearBuf[:min(topL, len(x.nearBuf))] {
+		ids = append(ids, x.treeIDs[n.sid]...)
+	}
+	x.idsBuf = ids
+	return ids, fullScan
 }
 
 // certCandidates returns, in ascending master-tuple order, an exact blocking
 // superset of the master tuples on which x's MD premise can hold for tuple
 // i, whose values are t:
 // every (t, s) pair with s outside the returned set fails at least one
-// premise clause. On the suffix-array path that set is the count filter's
-// (suffixtree.AppendEditCandidates): master values holding 2 of v's K+3
-// pieces within K of their places. Values too short for it take every
-// value sharing one of v's K+1 pieces. ok is false when no index yields an
-// exact superset for this tuple — the MD has no equality clause and either
-// no suffix array was built (no edit-distance clause) or t's value is too
-// short for either bound to hold (len(v) <= K, where v can be edited into
-// anything without leaving a piece intact) — and the caller must fall back
-// to scanning Dm for this tuple.
+// premise clause. On the suffix-array path that set is editCandidates'.
+// ok is false when no index yields an exact superset for this tuple — the
+// MD has no equality clause and either no suffix array was built (no
+// edit-distance clause) or t's value is too short for either bound to hold
+// — and the caller must fall back to scanning Dm for this tuple.
 //
 // Unlike block it never truncates: block serves repair, where TopL capping a
 // candidate list only costs recall, while certCandidates serves the Checker,
-// where a dropped candidate would falsify the certified Report. On the
-// suffix-array path the merged list is memoized under v and shared: callers
+// where a dropped candidate would falsify the certified Report. The
+// returned list is shared with the memo or the equality index: callers
 // must not modify it. The equality path returns tuple i's bucket off the
-// premise column, equally read-only. The matcher's statistics are untouched
-// (certification must not count as matching work).
+// premise column. The matcher's statistics are untouched (certification
+// must not count as matching work).
 func (x *matcher) certCandidates(i int, t *relation.Tuple) (ids []int, ok bool) {
 	switch {
 	case x.buckets != nil:
@@ -523,51 +577,61 @@ func (x *matcher) certCandidates(i int, t *relation.Tuple) (ids []int, ok bool) 
 		if relation.IsNull(v) {
 			return nil, true // the edit clause never matches null
 		}
-		if ids, ok := x.memo.cert[v]; ok {
-			return ids, true
-		}
-		// Both enumerations are exact supersets of the master values within
-		// edit distance K of v: K edits leave 2 of the filter's K+2 kept
-		// pieces intact and near their places, and 1 of the K+1. The count
-		// filter does not let a piece every value shares (a common prefix)
-		// make a candidate on its own. Each matched string id maps to the
-		// ascending list of master tuples holding that value; the lists are
-		// pairwise disjoint (one value per tuple), so sorting their union
-		// restores the single ascending order a nested scan would visit.
-		var filtered bool
-		x.sidBuf, filtered = x.tree.AppendEditCandidates(x.sidBuf[:0], v, x.simK)
-		if !filtered {
-			minLen := len(v) / (x.simK + 1)
-			if minLen < 1 {
-				return nil, false // bound vacuous: K edits can consume all of v
-			}
-			x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
-		}
-		var one []int
-		matched, n := 0, 0
-		for _, sid := range x.sidBuf {
-			if l := x.treeIDs[sid]; len(l) > 0 {
-				one = l
-				matched++
-				n += len(l)
-			}
-		}
-		if matched == 1 {
-			ids = one // an immutable index list: share it, no copy
-		} else {
-			ids = make([]int, 0, n)
-			for _, sid := range x.sidBuf {
-				ids = append(ids, x.treeIDs[sid]...)
-			}
-			slices.Sort(ids)
-		}
-		if x.store {
-			x.memo.putCert(v, ids)
-		}
-		return ids, true
+		return x.editCandidates(v)
 	default:
 		return nil, false // no usable index (e.g. a lone Jaro clause)
 	}
+}
+
+// editCandidates returns, in ascending order, the master tuples of every
+// value that may lie within edit distance K of the non-null value v, from
+// the memo when an earlier query stored it. A miss asks the suffix array
+// for the count filter's values (suffixtree.AppendEditCandidates): master
+// values holding 2 of v's K+3 pieces within K of their places. Values too
+// short for it take every value sharing one of v's K+1 pieces. ok is false
+// when v is too short for either bound (len(v) <= K, where v can be edited
+// into anything without leaving a piece intact). A storing matcher
+// memoizes the list under v; a non-storing one appends it to fresh.
+func (x *matcher) editCandidates(v string) (ids []int, ok bool) {
+	if ids, ok := x.memo.cert[v]; ok {
+		return ids, true
+	}
+	// Both enumerations are exact supersets of the master values within
+	// edit distance K of v: K edits leave 2 of the filter's K+2 kept
+	// pieces intact and near their places, and 1 of the K+1. The count
+	// filter does not let a piece every value shares (a common prefix)
+	// make a candidate on its own. Each matched string id maps to the
+	// ascending list of master tuples holding that value; the lists are
+	// pairwise disjoint (one value per tuple), so sorting their union
+	// restores the single ascending order a nested scan would visit.
+	var filtered bool
+	x.sidBuf, filtered = x.tree.AppendEditCandidates(x.sidBuf[:0], v, x.simK)
+	if !filtered {
+		minLen := len(v) / (x.simK + 1)
+		if minLen < 1 {
+			return nil, false // bound vacuous: K edits can consume all of v
+		}
+		x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
+	}
+	if len(x.sidBuf) == 1 {
+		ids = x.treeIDs[x.sidBuf[0]] // an immutable index list: share it, no copy
+	} else {
+		n := 0
+		for _, sid := range x.sidBuf {
+			n += len(x.treeIDs[sid])
+		}
+		ids = make([]int, 0, n)
+		for _, sid := range x.sidBuf {
+			ids = append(ids, x.treeIDs[sid]...)
+		}
+		slices.Sort(ids)
+	}
+	if x.store {
+		x.memo.putCert(v, ids)
+	} else {
+		x.fresh = append(x.fresh, candList{v, ids})
+	}
+	return ids, true
 }
 
 // verify filters candidate ids down to those on which the full premise

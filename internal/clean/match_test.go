@@ -2,6 +2,7 @@ package clean
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -16,16 +17,58 @@ import (
 
 // uncachedLookup is the reference for candidates and probe: a fresh block
 // and verify, never consulting a memo or a premise column. The equality
-// bucket is found by hashing t's projection and always verified.
+// bucket is found by hashing t's projection and always verified. On the
+// suffix-array path, blocking is computed from the master relation alone
+// (closestValues), never from the suffix array.
 func uncachedLookup(y *matcher, t *relation.Tuple, topL int) lookup {
 	var ids []int
 	var scanned bool
-	if y.buckets != nil {
+	switch {
+	case y.buckets != nil:
 		ids = eqBucket(y, t)
-	} else {
-		ids, scanned = y.block(t, topL)
+	case y.tree != nil:
+		ids, scanned = closestValues(y.master, y.simMaster, y.simK, t.Values[y.simData], topL)
+	default:
+		ids, scanned = identity(y.master.Len()), true
 	}
 	return lookup{ids: y.verify(t, ids), block: len(ids), scanned: scanned}
+}
+
+// closestValues is repair blocking as docs/semantics.md states it, by a
+// scan of every master value: keep the distinct non-null values of master
+// attribute a within edit distance k of v, order them by distance and then
+// first appearance in master, and expand the first topL to their master
+// tuples in ascending order. A null v blocks nothing; a v of length <= k,
+// which no piece bound covers, counts as a full scan.
+func closestValues(master *relation.Relation, a, k int, v string, topL int) (ids []int, scanned bool) {
+	if relation.IsNull(v) {
+		return nil, false
+	}
+	type value struct {
+		dist   int
+		tuples []int
+	}
+	var values []*value // in first appearance order
+	byName := make(map[string]*value)
+	for j, s := range master.Tuples {
+		u := s.Values[a]
+		if relation.IsNull(u) {
+			continue
+		}
+		x, ok := byName[u]
+		if !ok {
+			x = &value{dist: similarity.Levenshtein(v, u)}
+			byName[u] = x
+			values = append(values, x)
+		}
+		x.tuples = append(x.tuples, j)
+	}
+	values = slices.DeleteFunc(values, func(x *value) bool { return x.dist > k })
+	slices.SortStableFunc(values, func(x, y *value) int { return x.dist - y.dist })
+	for _, x := range values[:min(topL, len(values))] {
+		ids = append(ids, x.tuples...)
+	}
+	return ids, len(v)/(k+1) < 1
 }
 
 // eqBucket is t's equality bucket, found by hashing its projection.
@@ -65,6 +108,45 @@ func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	}
 	slices.Sort(ids)
 	return ids, true
+}
+
+// FuzzRepairBlocking checks repair blocking against its index-free
+// reference (closestValues) on arbitrary short master values: packed holds
+// the master names, each a length byte followed by that many bytes, and v
+// is the probed data value. The suffix-array candidates, the count filter
+// or the piece-bound fallback behind them, and the full scan of a value too
+// short for either, must keep exactly the l closest values within K, with
+// the same statistics, cold and then from the memo.
+func FuzzRepairBlocking(f *testing.F) {
+	f.Add("\x10abcdefghXXXXXXXX\x0aabcdeXghij", "abcdefghij", uint8(2), uint8(0))
+	f.Add("\x0aXbcdefghiX\x0aabcdeXghij\x0aabcdefghij", "abcdefghij", uint8(2), uint8(31))
+	f.Add("\x02ab\x02ba\x01a\x00\x02ab", "ab", uint8(3), uint8(1))
+	f.Add("\x05aaaaa\x04aaaa\x06aaaaaa\x03aaa", "aaaaa", uint8(1), uint8(1))
+	f.Add("\x03abc\x03abd\x03abe", "", uint8(1), uint8(2))
+	f.Add("\x0cnm-abcdefghi\x0cnm-abcdefghj\x0cnm-zzzzzzzzz", "nm-abcdefgh", uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, packed, v string, k, l uint8) {
+		if len(packed) > 512 || len(v) > 32 {
+			t.Skip()
+		}
+		dschema := relation.NewSchema("R", "name", "code")
+		mschema := relation.NewSchema("M", "name", "code")
+		master := relation.New(mschema)
+		for len(packed) > 0 {
+			n := min(int(packed[0]), len(packed)-1)
+			master.Append(packed[1:1+n], fmt.Sprint(master.Len()))
+			packed = packed[1+n:]
+		}
+		data := relation.New(dschema)
+		data.Append(v, "")
+		m := md.New("psi", dschema, mschema,
+			[]md.ClauseSpec{md.Sim("name", "name", similarity.EditWithin(int(k%4)))},
+			[]md.PairSpec{{Data: "code", Master: "code"}})
+		x, y := testMatcher(m, master, data), testMatcher(m, master, data)
+		x.bound(data.Len())
+		topL := int(l%8) + 1
+		checkAgainstUncached(t, "cold", x, y, data, topL)
+		checkAgainstUncached(t, "warm", x, y, data, topL)
+	})
 }
 
 // memoCase is one MD over one instance for the memo equivalence checks.
@@ -117,8 +199,8 @@ func checkAgainstUncached(t *testing.T, label string, x, y *matcher, d *relation
 	t.Helper()
 	for i, tp := range d.Tuples {
 		want := uncachedLookup(y, tp, topL)
-		// block does not dedupe: its ids are distinct only because
-		// AppendTopL returns each value once and each master tuple is
+		// block does not dedupe: its ids are distinct only because it
+		// measures each candidate value once and each master tuple is
 		// listed under its one value.
 		if ids, _ := y.block(tp, topL); len(ids) > 1 {
 			seen := make(map[int]bool, len(ids))
@@ -268,6 +350,50 @@ func TestMemoBound(t *testing.T) {
 	}
 	if n := len(z.memo.lookups); n != len(distinct) {
 		t.Fatalf("memo holds %d lookups after an overflowing prefetch, want its %d keys", n, len(distinct))
+	}
+}
+
+// TestRepairPrefetchSharesCandidateLists pins one candidate query per
+// distinct value: a repair prefetch stores, beside its lookups, the
+// candidate list it blocked each similarity value from, so the
+// certification prefetch that follows finds every list memoized and
+// computes none.
+func TestRepairPrefetchSharesCandidateLists(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range memoCases() {
+		z := testMatcher(c.m, c.master, c.data)
+		if z.tree == nil {
+			continue
+		}
+		z.bound(c.data.Len())
+		if err := z.prefetch(ctx, nil, 2, c.data, nil, false, DefaultOptions().TopL); err != nil {
+			t.Fatalf("%s: prefetch: %v", c.name, err)
+		}
+		// Mark every stored list: a list the cert prefetch recomputed
+		// would replace its mark.
+		mark := []int{-1}
+		var values []string
+		for i, tp := range c.data.Tuples {
+			if v := tp.Values[z.simData]; !relation.IsNull(v) && len(v) > z.simK {
+				if _, ok := z.memo.cert[v]; !ok {
+					t.Fatalf("%s: t%d: the repair prefetch left %q's candidate list unmemoized", c.name, i, v)
+				}
+				z.memo.cert[v] = mark
+				values = append(values, v)
+			}
+		}
+		n := len(z.memo.cert)
+		if err := z.prefetch(ctx, nil, 2, c.data, nil, true, 0); err != nil {
+			t.Fatalf("%s: cert prefetch: %v", c.name, err)
+		}
+		if len(z.memo.cert) != n {
+			t.Fatalf("%s: the cert prefetch stored %d new lists", c.name, len(z.memo.cert)-n)
+		}
+		for _, v := range values {
+			if !slices.Equal(z.memo.cert[v], mark) {
+				t.Fatalf("%s: the cert prefetch recomputed %q's candidate list", c.name, v)
+			}
+		}
 	}
 }
 

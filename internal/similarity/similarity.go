@@ -37,27 +37,35 @@ func Levenshtein(a, b string) int {
 	return prev[len(b)]
 }
 
-// bandOnStack is the largest pair of band rows Within keeps in a stack
-// array: two rows of width 2k+1 fit for k <= 8, which covers the thresholds
-// MDs use, so the hot verification path allocates nothing.
+// bandOnStack is the largest pair of band rows LevenshteinWithin keeps in a
+// stack array: two rows of width 2k+1 fit for k <= 8, which covers the
+// thresholds MDs use, so the hot verification path allocates nothing.
 const bandOnStack = 34
 
-// Within reports whether the edit distance between a and b is at most k,
-// using a banded dynamic program that runs in O(k*min(|a|,|b|)) time and
-// stops at the first row whose every cell exceeds k. It is the workhorse of
-// MD similarity checking.
+// Within reports whether the edit distance between a and b is at most k.
+// It is the workhorse of MD similarity checking.
 func Within(a, b string, k int) bool {
+	_, ok := LevenshteinWithin(a, b, k)
+	return ok
+}
+
+// LevenshteinWithin returns the edit distance between a and b and true when
+// it is at most k, and false otherwise. It runs a banded dynamic program in
+// O(k*min(|a|,|b|)) time and stops at the first row whose every cell
+// exceeds k. The band's last cell is exact whenever it is at most k: an
+// alignment costing at most k strays at most k cells off the diagonal.
+func LevenshteinWithin(a, b string, k int) (d int, ok bool) {
 	if k < 0 {
-		return false
+		return 0, false
 	}
 	if len(a) > len(b) {
 		a, b = b, a
 	}
 	if len(b)-len(a) > k {
-		return false
+		return 0, false
 	}
 	if a == b {
-		return true
+		return 0, true
 	}
 	// Band of width 2k+1 around the diagonal.
 	const inf = 1 << 30
@@ -109,12 +117,15 @@ func Within(a, b string, k int) bool {
 		// Every alignment path crosses every row, and costs never decrease
 		// along a path: once a whole row exceeds k, so does the last cell.
 		if rowMin > k {
-			return false
+			return 0, false
 		}
 		prev, cur = cur, prev
 	}
-	d := len(b) - len(a) + k
-	return d >= 0 && d < width && prev[d] <= k
+	// len(b)-len(a) <= k puts the last cell inside the band.
+	if last := prev[len(b)-len(a)+k]; last <= k {
+		return last, true
+	}
+	return 0, false
 }
 
 // Jaro returns the Jaro similarity of a and b in [0,1].

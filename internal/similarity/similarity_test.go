@@ -74,8 +74,13 @@ func TestWithinAgreesWithLevenshtein(t *testing.T) {
 	}
 	check := func(a, b string, k int) {
 		t.Helper()
-		if got, d := Within(a, b, k), Levenshtein(a, b); got != (d <= k) {
+		d := Levenshtein(a, b)
+		if got := Within(a, b, k); got != (d <= k) {
 			t.Fatalf("Within(%q,%q,%d) = %v, Levenshtein = %d", a, b, k, got, d)
+		}
+		// Within's kernel returns the exact distance whenever it is at most k.
+		if got, ok := LevenshteinWithin(a, b, k); ok != (d <= k) || ok && got != d {
+			t.Fatalf("LevenshteinWithin(%q,%q,%d) = %d, %v, Levenshtein = %d", a, b, k, got, ok, d)
 		}
 	}
 	for i := 0; i < 500; i++ {

@@ -11,12 +11,16 @@
 // only inside runs of equal keys, and searches compare keys first. The
 // suffixes starting with a piece of a query string v form one contiguous
 // run, whose two ends are found by binary search (the end by galloping from
-// the start). TopL extends each hit of v's minLen-byte pieces byte by byte
-// to its exact common length; the top-l indexed strings ranked by LCS with
-// v stand in for the whole master relation, reducing the MD-matching search
-// space from |Dm| to a constant l. AppendEditCandidates counts, per string,
-// the pieces of v found near their place, for certification's exact
-// edit-distance blocking. The package keeps its historical name.
+// the start). AppendEditCandidates counts, per string, the pieces of v
+// found near their place, and AppendCommon lists the strings holding one
+// of v's minLen-byte pieces, for values too short to filter: these two
+// exact edit-distance candidate queries are all the engine calls, once per
+// distinct value, and both its repair blocking (the l closest values
+// within K) and its certification read the answer. TopL/AppendTopL extend
+// each hit of v's pieces byte by byte to its exact common length and rank
+// the indexed strings by LCS with v; no engine path calls them any more,
+// and they stay for their tests and the unibench replay. The package keeps
+// its historical name.
 package suffixtree
 
 import (
