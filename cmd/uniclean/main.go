@@ -117,7 +117,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	fs := flag.NewFlagSet("uniclean", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	dataPath := fs.String("data", "", "data relation CSV (required)")
-	confPath := fs.String("conf", "", "per-cell confidence CSV, same shape as -data (optional)")
+	confPath := fs.String("conf", "", "per-cell confidence CSV: the header and row count of -data (optional)")
 	masterPath := fs.String("master", "", "master relation CSV (optional)")
 	rulesPath := fs.String("rules", "", "cleaning rules file (required)")
 	outPath := fs.String("out", "-", "repaired relation CSV output, '-' for stdout")

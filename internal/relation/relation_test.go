@@ -2,7 +2,12 @@ package relation
 
 import (
 	"bytes"
+	"encoding/csv"
+	"errors"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -227,9 +232,108 @@ func TestReadConfCSVRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestReadCSVErrors: malformed input comes back as an error naming what is
+// wrong and where. A syntax error met after quote-free lines wraps
+// encoding/csv's *csv.ParseError with its line counted from the start of
+// the input, not from where encoding/csv took over.
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV("r", strings.NewReader("")); err == nil {
-		t.Error("empty input: want error")
+	for _, tc := range []struct {
+		name, in string
+		want     string // substring of the error text
+		parse    error  // the wrapped *csv.ParseError's Err, if any
+		line     int    // and its Line
+	}{
+		{name: "empty", in: "", want: "reading CSV header: EOF"},
+		{name: "duplicate header", in: "A,B,A\n1,2,3\n", want: `duplicate attribute "A"`},
+		{name: "ragged row", in: "A,B\n1,2\n\n3\n4,5\n", want: "row 3 has 1 fields, header has 2"},
+		{name: "unterminated quote", in: "A,B\n1,2\n\"3,4\n", parse: csv.ErrQuote, line: 3},
+		{name: "bare quote on line 7", in: "A,B\n1,2\n3,4\n\n5,6\n7,8\n9,1\"0\n", parse: csv.ErrBareQuote, line: 7},
+		{name: "bare quote after a quoted line", in: "A,B\n\"1\",2\n3,4\n5,6\"\n", parse: csv.ErrBareQuote, line: 4},
+	} {
+		_, err := ReadCSV("r", strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("%s: want error", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
+		}
+		if tc.parse == nil {
+			continue
+		}
+		var pe *csv.ParseError
+		if !errors.As(err, &pe) || !errors.Is(pe.Err, tc.parse) || pe.Line != tc.line {
+			t.Errorf("%s: error %v, want a *csv.ParseError %v on line %d", tc.name, err, tc.parse, tc.line)
+		}
+	}
+}
+
+// TestReadConfCSVHeaderMustMatchSchema: confidences are read by column
+// name, so a header that differs from the schema, order included, is an
+// error naming the first column that differs, not a silent transposition.
+func TestReadConfCSVHeaderMustMatchSchema(t *testing.T) {
+	for _, tc := range []struct{ header, want string }{
+		{"B,A", `column 1 is "B", want "A"`},
+		{"A", `lacks column 2 "B"`},
+		{"A,B,C", `column 3 "C" is not in the schema`},
+		{"A,b", `column 2 is "b", want "B"`},
+	} {
+		r := New(NewSchema("r", "A", "B"))
+		r.Append("x", "y")
+		err := ReadConfCSV(r, strings.NewReader(tc.header+"\n0.1,0.9\n"))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("header %s: error %v, want one containing %q", tc.header, err, tc.want)
+		}
+	}
+}
+
+// TestReadConfCSVRowCount: one confidence row per tuple. A row after the
+// last tuple is an error, as is a missing row; empty lines are no rows.
+func TestReadConfCSVRowCount(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"A,B\n0.1,0.9\n0.5,0.5\n0.2,0.2\n", "more rows than the 1 tuples"},
+		{"A,B\n0.1,0.9\n\"0.5\",0.5\n", "more rows than the 1 tuples"},
+		{"A,B\n0.1,0.9\n\"0.5\n", "after the last tuple"},
+		{"A,B\n\n", "row for tuple 0: EOF"},
+		{"A,B\n0.1,0.9\n\n\n", ""},
+		{"A,B\n0.1,0.9", ""},
+	} {
+		r := New(NewSchema("r", "A", "B"))
+		r.Append("x", "y")
+		err := ReadConfCSV(r, strings.NewReader(tc.in))
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%q: %v", tc.in, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%q: error %v, want one containing %q", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestParseConfMatchesParseFloat: the digits-only fast path returns
+// ParseFloat's float64 bit for bit, on every decimal of up to 15 digits it
+// takes and on the longer ones it hands back.
+func TestParseConfMatchesParseFloat(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	cases := []string{"0", "1", "0.9", "1.", ".5", "00.25", "0.1234567890123456", "999999999999999", "0.000000000000001", "1e-1", "", ".", "0x1p-2", "+0.5", "-0", "Inf", "1_0"}
+	for range 20000 {
+		digits := make([]byte, 1+rng.IntN(17))
+		for i := range digits {
+			digits[i] = byte('0' + rng.IntN(10))
+		}
+		s := string(digits)
+		if at := rng.IntN(len(digits) + 2); at <= len(digits) {
+			s = s[:at] + "." + s[at:]
+		}
+		cases = append(cases, s)
+	}
+	for _, s := range cases {
+		want, werr := strconv.ParseFloat(s, 64)
+		got, gerr := parseConf(s)
+		gotb, _ := parseConf([]byte(s))
+		if (gerr != nil) != (werr != nil) || math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotb) != math.Float64bits(want) {
+			t.Fatalf("parseConf(%q) = %v (%v), bytes %v; ParseFloat = %v (%v)", s, got, gerr, gotb, want, werr)
+		}
 	}
 }
 
