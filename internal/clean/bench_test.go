@@ -2,6 +2,7 @@ package clean
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cfd"
@@ -100,12 +101,22 @@ func benchmarkRun(b *testing.B, workers int) {
 	opts.Workers = workers
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := gcCycles()
 	var visits int
 	for i := 0; i < b.N; i++ {
 		res := Run(inst.Data, inst.Master, inst.Rules, opts)
 		visits = res.TotalVisits()
 	}
+	b.ReportMetric(float64(gcCycles()-gc)/float64(b.N), "gc-cycles/op")
 	b.ReportMetric(float64(visits), "visits/run")
+}
+
+// gcCycles returns the number of garbage collections completed so far;
+// the benchmarks report its delta per op as gc-cycles/op.
+func gcCycles() uint32 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.NumGC
 }
 
 // TestIncrementalVisitRatio is the acceptance bar of the delta-driven
@@ -251,14 +262,17 @@ func BenchmarkStreamUpdate(b *testing.B) {
 	var e *Engine
 	b.ReportAllocs()
 	b.ResetTimer()
+	gc := gcCycles()
 	for i := 0; i < b.N; i++ {
 		u := ops[i%len(ops)]
 		if i%len(ops) == 0 {
 			b.StopTimer()
+			setup := gcCycles()
 			var err error
 			if e, err = NewStream(inst.Data, inst.Master, inst.Rules, DefaultOptions()); err != nil {
 				b.Fatalf("NewStream: %v", err)
 			}
+			gc += gcCycles() - setup // the initial run's collections are not an update's
 			b.StartTimer()
 		}
 		var err error
@@ -271,4 +285,5 @@ func BenchmarkStreamUpdate(b *testing.B) {
 			b.Fatalf("update %d (%+v): %v", i%len(ops), u, err)
 		}
 	}
+	b.ReportMetric(float64(gcCycles()-gc)/float64(b.N), "gc-cycles/op")
 }

@@ -135,22 +135,25 @@ func (r *Report) String() string {
 //
 // Certification never scans |D|·|Dm| when an index exists: equality-clause
 // MDs enumerate candidates from the matcher's equality buckets, read off a
-// premise column the checker resolves itself from the relation it
-// certifies, and
-// similarity-clause MDs from its generalized suffix array — an exact,
-// untruncated enumeration (unlike the repair path's TopL blocking) whose
-// order-preserving candidate merge streams violations in the same (T, S)
-// order the nested scan would produce, so the Report is byte-identical.
-// Per-rule passes are independent and read-only; with workers > 1 they fan
-// out across fanOut's workers, each task probing the shared indexes through
-// its own non-storing matcher, and the rule-ordered report merge keeps the
+// premise column, and similarity-clause MDs from its generalized suffix
+// array — an exact, untruncated enumeration (unlike the repair path's TopL
+// blocking) whose order-preserving candidate merge streams violations in
+// the same (T, S) order the nested scan would produce, so the Report is
+// byte-identical. An engine run certifies from its own state: the premise
+// columns Engine.write keeps exact, and the candidate lists its repair
+// passes memoized. A standalone Check resolves its premise columns itself
+// from the relation it certifies, which keeps it an independent check of
+// the engine's column upkeep. Certification writes nothing: per-rule
+// passes are independent and read-only, each probing the shared indexes
+// through its own non-storing matcher, so with workers > 1 they fan out
+// across fanOut's workers, and the rule-ordered report merge keeps the
 // Report deterministic for any worker count.
 type Checker struct {
 	rules  []rule.Rule
 	master *relation.Relation
 
 	// indexes is parallel to rules: the blocking indexes MD certification
-	// enumerates candidates from. NewChecker builds them; Engine.Finish
+	// enumerates candidates from. NewChecker builds them; Engine.finish
 	// hands the checker the engine's own, so indexes are built once per run.
 	indexes []*mdIndex
 	// workers bounds the per-rule certification fan-out of Check.
@@ -159,7 +162,6 @@ type Checker struct {
 	// enumeration the blocked-vs-scan property tests compare against.
 	noBlock bool
 	// fj arms the certify fault hook; nil (the default) keeps it inert.
-	// Engine.finish copies the engine's injector here.
 	fj *fault.Injector
 }
 
@@ -182,14 +184,7 @@ func NewChecker(rules []rule.Rule, master *relation.Relation) *Checker {
 			}
 		}
 	}
-	return newChecker(rules, master, indexes, 1)
-}
-
-// newChecker wires a checker from prebuilt indexes (parallel to rules) and
-// a fan-out width — the constructor Engine.Finish uses to reuse the
-// engine's indexes and Engine.width.
-func newChecker(rules []rule.Rule, master *relation.Relation, indexes []*mdIndex, workers int) *Checker {
-	return &Checker{rules: rules, master: master, indexes: indexes, workers: workers}
+	return &Checker{rules: rules, master: master, indexes: indexes, workers: 1}
 }
 
 // ruleReport is one rule's certification outcome, produced independently,
@@ -219,40 +214,33 @@ func (c *Checker) Check(d *relation.Relation) *Report {
 // CheckContext is Check under a context: certification stops between tasks
 // on cancellation and returns ErrCanceled/ErrDeadline; a panicking task is
 // contained and returned as a *WorkerError. Certification never mutates d,
-// so there is nothing to roll back.
+// so there is nothing to roll back. Each distinct equality index resolves d
+// into a premise column of the checker's own, so certification reads no
+// engine bookkeeping.
 func (c *Checker) CheckContext(ctx context.Context, d *relation.Relation) (*Report, error) {
-	for _, ix := range c.indexes {
-		if ix != nil {
-			ix.bound(d.Len())
-		}
-	}
-	// Each distinct equality index resolves d into a premise column of the
-	// checker's own, so certification reads no engine bookkeeping. Before a
-	// parallel fan-out, prefetch memoizes each other index's distinct values
-	// across the workers, so the non-storing matchers below only hit.
 	cols := make([][]int32, len(c.indexes)) // parallel to rules, shared per index
 	for i, ix := range c.indexes {
 		switch o := slices.Index(c.indexes, ix); {
-		case ix == nil:
+		case ix == nil || ix.buckets == nil:
 		case o < i:
 			cols[i] = cols[o]
-		case ix.buckets != nil:
+		default:
 			cols[i] = newPremCol(ix, d).ids
-		case c.workers > 1 && !c.noBlock:
-			if err := ix.prefetch(ctx, c.fj, c.workers, d, nil, true, 0); err != nil {
-				return nil, err
-			}
 		}
 	}
+	return c.check(ctx, d, cols)
+}
+
+// check certifies d, reading each equality index's premise column over d
+// from cols (parallel to rules). Certification is read-only, so a task
+// needs nothing but the ruleReport it returns and a matcher of its own:
+// private scratch over the shared index and memo, storing nothing.
+func (c *Checker) check(ctx context.Context, d *relation.Relation, cols [][]int32) (*Report, error) {
 	run := func(ri int) ruleReport {
 		c.fj.At(fault.SiteCertify, ri, 0)
-		// Certification is read-only, so a task needs nothing but the
-		// ruleReport it returns and a matcher of its own (private scratch
-		// over the shared index and memo), which stores its memo misses
-		// only when the tasks run one at a time.
 		var x *matcher
 		if ix := c.indexes[ri]; ix != nil {
-			x = newMatcher(ix, cols[ri], c.workers <= 1)
+			x = newMatcher(ix, cols[ri], false)
 		}
 		return c.checkRule(d, ri, x)
 	}

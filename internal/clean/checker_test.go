@@ -419,3 +419,90 @@ func TestCertVisitsScaleFlat(t *testing.T) {
 		t.Fatalf("certification pairs per tuple grew from %.2f at 10k to %.2f at 100k, want at most 1.25x", small, large)
 	}
 }
+
+// TestCertificationWritesNoRunState pins certification from the run's own
+// state: over the 400-seed corpora with master data (the sim-MD corpus,
+// whose indexes memoize, and the premise-writing corpus, whose equality
+// indexes read premise columns) and the nil-master corpus, at workers 1, 2
+// and 4 with every fan-out forced, finish must leave every index's lookup
+// and candidate-list memo exactly as it found them — as the repair passes
+// left them, or emptied, so that every list certification reads is a
+// miss — and the
+// Report it certifies from the engine's premise columns and memo must deep
+// equal a standalone Checker's, which resolves columns of its own and
+// starts from an empty memo.
+func TestCertificationWritesNoRunState(t *testing.T) {
+	type instance struct {
+		data, master *relation.Relation
+		rules        []rule.Rule
+	}
+	corpora := []struct {
+		name string
+		gen  func(seed int64) instance
+	}{
+		{"sim", func(seed int64) instance {
+			in := genSimInstance(seed)
+			return instance{in.data(), in.master, in.rules}
+		}},
+		{"premise", func(seed int64) instance {
+			in := genPremiseInstance(seed)
+			return instance{in.relation(nil), in.master, in.rules}
+		}},
+		{"plain", func(seed int64) instance {
+			in := genInstance(seed)
+			return instance{in.relation(nil), nil, in.rules}
+		}},
+	}
+	memoed := 0
+	for _, c := range corpora {
+		name := c.name
+		for seed := int64(0); seed < 400; seed++ {
+			in := c.gen(seed)
+			for _, workers := range []int{1, 2, 4} {
+				opts := DefaultOptions()
+				opts.Workers = workers
+				opts.forceFanOut = true
+				e := New(in.data, in.master, in.rules, opts)
+				e.repair()
+				if seed%2 == 1 {
+					// Certify odd seeds from an emptied memo: every
+					// candidate list is then a miss, which a storing
+					// certification would write back.
+					for _, ix := range e.indexes {
+						if ix != nil && ix.memo != nil {
+							clear(ix.memo.lookups)
+							clear(ix.memo.cert)
+						}
+					}
+				}
+				sizes := func() (n [][2]int) {
+					for _, ix := range e.indexes {
+						if ix != nil && ix.memo != nil {
+							n = append(n, [2]int{len(ix.memo.lookups), len(ix.memo.cert)})
+						}
+					}
+					return n
+				}
+				before := sizes()
+				res, err := e.finish()
+				if err != nil {
+					t.Fatalf("%s seed %d, %d workers: %v", name, seed, workers, err)
+				}
+				if after := sizes(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("%s seed %d, %d workers: certification changed the memo sizes from %v to %v",
+						name, seed, workers, before, after)
+				}
+				if len(before) > 0 {
+					memoed++
+				}
+				if want := NewChecker(e.rules, in.master).Check(res.Data); !reflect.DeepEqual(res.Report, want) {
+					t.Fatalf("%s seed %d, %d workers: engine certification differs from a standalone check: %s",
+						name, seed, workers, diffReports(res.Report, want))
+				}
+			}
+		}
+	}
+	if memoed == 0 {
+		t.Fatal("no run had a memoizing index: the memo leg is vacuous")
+	}
+}

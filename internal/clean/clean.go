@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"time"
 
 	"repro/internal/fault"
@@ -271,6 +270,7 @@ type Engine struct {
 	work     worklist      // what each rule pass visits (schedule.go)
 	codes    cellCodes     // the variable-CFD columns of data, dictionary-coded (codes.go)
 	premAt   [][]*premCol  // attribute -> the premise columns write re-resolves (match.go)
+	cols     [][]int32     // parallel to rules: the ids of each MD rule's premise column, nil without equality clauses
 	apply    []*ApplyStats // parallel to rules
 	workers  int           // fan-out width, Options.workerCount()
 	prefetch bool          // MD passes prefetch their lookups (see applyTuples)
@@ -327,14 +327,17 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 // the repair prefetch: the update reruns the clean over a base one tuple
 // away from the committed run's, whose lookups the shared memo already
 // holds, so the scan would find next to nothing to spread, and the passes
-// store what they miss. Either way the engine resolves its own premise
-// columns, one per distinct equality index.
+// store what they miss. Either way one build task per premise owner builds
+// the owner's index when none was passed and resolves the engine's premise
+// column over data when the index has equality buckets: the one column per
+// distinct equality index that Engine.write keeps exact, the matchers read
+// and certification reads in finish.
 func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, indexes []*mdIndex, opts Options) *Engine {
 	e := &Engine{
 		master:   master,
 		rules:    ordered,
 		opts:     opts,
-		indexes:  indexes,
+		indexes:  make([]*mdIndex, len(ordered)),
 		workers:  opts.workerCount(),
 		prefetch: indexes == nil,
 		res:      &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
@@ -343,42 +346,31 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 		start:    time.Now(),
 		fj:       opts.Fault,
 	}
+	copy(e.indexes, indexes)
 	e.apply = make([]*ApplyStats, len(e.rules))
 	for i, r := range e.rules {
 		e.apply[i] = &ApplyStats{}
 		e.res.Apply[r.Name()] = e.apply[i]
 	}
-	// firsts lists the first rule of each index the engine builds, one per
-	// distinct premise, or, over reused indexes, of each equality index,
-	// the ones with a premise column to resolve.
 	owner := premiseOwners(e.rules)
-	var firsts []int
-	var all []int
-	if indexes == nil {
-		e.indexes = make([]*mdIndex, len(e.rules))
-	}
-	switch {
-	case indexes != nil:
-		for i, ix := range indexes {
-			if ix != nil && ix.buckets != nil && slices.Index(indexes, ix) == i {
-				firsts = append(firsts, i)
-			}
-		}
-	case master != nil:
-		all = identity(master.Len())
+	var owners, all []int // all: the identity list the fresh indexes share
+	if master != nil {
 		for i, o := range owner {
-			if o == i {
-				firsts = append(firsts, i)
+			if o != i {
+				continue
+			}
+			owners = append(owners, i)
+			if e.indexes[i] == nil && all == nil {
+				all = identity(master.Len())
 			}
 		}
 	}
 	// The data clone, the cell codes with the scheduler over them, and
-	// each fresh blocking index (the suffix array above all) with its
-	// premise column, or each reused equality index's column, are
-	// independent pure builds: with workers they run as concurrent tasks,
-	// the two longest first. The codes, the scheduler and the columns read
-	// data, whose values the clone copies, so they need not wait for it. A
-	// panic in one propagates, as it would from the sequential build.
+	// each premise owner's index with its premise column are independent
+	// pure builds: with workers they run as concurrent tasks, the two
+	// longest first. The codes, the scheduler and the columns read data,
+	// whose values the clone copies, so they need not wait for it. A panic
+	// in one propagates, as it would from the sequential build.
 	type part struct {
 		clone *relation.Relation
 		codes cellCodes
@@ -394,7 +386,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			codes := newCellCodes(e.rules, data)
 			return part{codes: codes, work: newScheduler(e.rules, data, codes)}
 		}
-		ri := firsts[k-2]
+		ri := owners[k-2]
 		ix := e.indexes[ri]
 		if ix == nil {
 			ix = newMDIndex(e.rules[ri].MD, master, all)
@@ -406,42 +398,34 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	}
 	// No fault injector: a panic here is re-raised to the caller, outside
 	// runAll's containment.
-	parts, err := fanOut(context.Background(), nil, "new", e.width(data.Len()), len(firsts)+2, build)
+	parts, err := fanOut(context.Background(), nil, "new", e.width(data.Len()), len(owners)+2, build)
 	if err != nil {
 		panic(err)
 	}
 	e.data, e.codes, e.work = parts[0].clone, parts[1].codes, parts[1].work
 	e.premAt = make([][]*premCol, data.Schema.Arity())
+	e.cols = make([][]int32, len(e.rules))
 	for k, p := range parts[2:] {
-		if indexes == nil {
-			e.indexes[firsts[k]] = p.ix
-		}
-		if c := p.col; c != nil {
-			for _, a := range c.ix.eqDataAttrs {
-				e.premAt[a] = append(e.premAt[a], c)
+		o := owners[k]
+		e.indexes[o] = p.ix
+		if p.col != nil {
+			e.cols[o] = p.col.ids
+			for _, a := range p.ix.eqDataAttrs {
+				e.premAt[a] = append(e.premAt[a], p.col)
 			}
 		}
 	}
 	// Fresh matchers zero the statistics, so a stream update's matcher work
-	// counters come out identical to a cold build's. Each reads the premise
-	// column resolved for its index.
+	// counters come out identical to a cold build's. Each reads its premise
+	// owner's index and column.
 	e.matchers = make([]*matcher, len(e.rules))
-	for i := range e.rules {
-		if indexes == nil && owner[i] >= 0 {
-			e.indexes[i] = e.indexes[owner[i]]
-		}
-		ix := e.indexes[i]
-		if ix == nil {
+	for i, o := range owner {
+		if o < 0 || e.indexes[o] == nil {
 			continue
 		}
-		ix.bound(data.Len())
-		var col []int32
-		for _, p := range parts[2:] {
-			if p.ix == ix && p.col != nil {
-				col = p.col.ids
-			}
-		}
-		e.matchers[i] = newMatcher(ix, col, true)
+		e.indexes[i], e.cols[i] = e.indexes[o], e.cols[o]
+		e.indexes[i].bound(data.Len())
+		e.matchers[i] = newMatcher(e.indexes[i], e.cols[i], true)
 		e.res.Match[e.rules[i].Name()] = &e.matchers[i].stats
 	}
 	return e
@@ -510,6 +494,13 @@ func (e *Engine) runAll() (res *Result, err error) {
 			res, err = nil, newWorkerError(r, "run", "", -1, -1)
 		}
 	}()
+	e.repair()
+	return e.finish()
+}
+
+// repair runs cRepair, eRepair and hRepair in turn until a pass changes
+// nothing, a failure poisons the engine or a soft budget runs out.
+func (e *Engine) repair() {
 	maxPasses := 1 + e.data.Len()*e.data.Schema.Arity()
 	for pass := 0; pass < maxPasses; pass++ {
 		before := len(e.res.Fixes) + e.res.Asserts
@@ -523,7 +514,6 @@ func (e *Engine) runAll() (res *Result, err error) {
 			break
 		}
 	}
-	return e.finish()
 }
 
 // interrupted reports whether the engine must stop: a prior failure, or the
@@ -580,13 +570,13 @@ func (e *Engine) finish() (*Result, error) {
 		return nil, e.fail
 	}
 	e.res.Data = e.data
-	// The checker reuses the engine's blocking indexes (built once per run)
+	// The checker reads the run's own state — its blocking indexes with the
+	// candidate lists the repair passes memoized, and its premise columns —
 	// and fans its per-rule passes across the engine's workers; the
 	// rule-ordered report merge keeps the Report deterministic for any
 	// worker count, so -certify output is identical whatever -workers says.
-	ck := newChecker(e.rules, e.master, e.indexes, e.width(e.data.Len()))
-	ck.fj = e.fj
-	rep, err := ck.CheckContext(e.ctx, e.data)
+	ck := &Checker{rules: e.rules, master: e.master, indexes: e.indexes, workers: e.width(e.data.Len()), fj: e.fj}
+	rep, err := ck.check(e.ctx, e.data, e.cols)
 	if err != nil {
 		return nil, err
 	}

@@ -315,14 +315,13 @@ func TestCheckContextCanceled(t *testing.T) {
 	}
 }
 
-// TestCheckContextPrefetchErrorIsTyped pins the error contract of the
-// certification prefetch: a Checker with master data, a similarity MD and
-// two workers memoizes that MD's candidates in a fan-out before its
-// certification tasks, and a cancel or a panic landing in that fan-out —
-// the first one the injector sees at rate 1 — must surface from
-// CheckContext typed: ErrCanceled for the cancel, a *WorkerError naming
-// the prefetch for the panic.
-func TestCheckContextPrefetchErrorIsTyped(t *testing.T) {
+// TestCheckContextFanOutErrorIsTyped pins the error contract of the
+// certify fan-out: a Checker with master data and two workers runs its
+// per-rule tasks on fanOut's goroutines, and a cancel or a panic landing
+// in that fan-out — the first one the injector sees at rate 1 — must
+// surface from CheckContext typed: ErrCanceled for the cancel, a
+// *WorkerError of phase "certify" for the panic.
+func TestCheckContextFanOutErrorIsTyped(t *testing.T) {
 	cfg := gen.DefaultConfig()
 	cfg.Tuples, cfg.MasterSize = 400, 80
 	inst := gen.Generate(cfg)
@@ -340,9 +339,9 @@ func TestCheckContextPrefetchErrorIsTyped(t *testing.T) {
 		var we *WorkerError
 		switch {
 		case kind == fault.Cancel && !errors.Is(err, ErrCanceled):
-			t.Fatalf("cancel in the prefetch: err = %v, want ErrCanceled", err)
-		case kind == fault.Panic && (!errors.As(err, &we) || we.Phase != "prefetch"):
-			t.Fatalf("panic in the prefetch: err = %v, want a *WorkerError from the prefetch", err)
+			t.Fatalf("cancel in the certify fan-out: err = %v, want ErrCanceled", err)
+		case kind == fault.Panic && (!errors.As(err, &we) || we.Phase != "certify"):
+			t.Fatalf("panic in the certify fan-out: err = %v, want a *WorkerError from certify", err)
 		}
 	}
 }

@@ -93,8 +93,8 @@ const noBucket = -1
 // the bucket id of every tuple, so a lookup reads buckets[ids[i]] instead
 // of hashing the tuple's projection. The engine builds one per distinct
 // equality index beside its clone and keeps it exact in Engine.write, the
-// one write that changes a value; the Checker builds its own over the
-// relation it certifies.
+// one write that changes a value, and certification at Engine.finish reads
+// it; a standalone Checker builds its own over the relation it certifies.
 type premCol struct {
 	ix  *mdIndex
 	ids []int32
@@ -131,8 +131,8 @@ func (c *premCol) set(i int, t *relation.Tuple) {
 // says whether a memo miss is stored: true for a matcher that runs alone,
 // false for one that runs beside others on a fanOut worker. A non-storing
 // matcher instead collects the candidate lists it computes in fresh, which
-// prefetch's store step keeps; other non-storing matchers live for one
-// task and drop theirs with it.
+// prefetch's store step keeps; a certification task's matcher lives for
+// its task and drops them with it.
 type matcher struct {
 	*mdIndex
 	col   []int32
@@ -231,19 +231,17 @@ func (ix *mdIndex) bound(n int) {
 }
 
 // prefetch memoizes every lookup a pass over the tuples ids of d (all of d
-// when ids is nil) would miss, computing the misses in parallel: the first
-// tuple of each distinct key the memo lacks is looked up by one of up to
-// workers non-storing matchers, each taking one contiguous chunk, and the
-// results are stored in the order their keys first appear. The pass then
-// only hits; certification's non-storing matchers would otherwise recompute
-// every miss. cert selects certCandidates' entries, else lookup's under
-// topL; either way the candidate lists the matchers computed are stored
-// too, so a repair prefetch leaves certification nothing to recompute.
-// Like any memo write it changes no output. It runs at a sequential point;
-// on an error, fanOut's, nothing is stored. fj arms fanOut's scheduling
-// hook.
-func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int, d *relation.Relation, ids []int, cert bool, topL int) error {
-	if ix.memo == nil || (cert && ix.tree == nil) {
+// when ids is nil) would miss under topL, computing the misses in
+// parallel: the first tuple of each distinct key the memo lacks is looked
+// up by one of up to workers non-storing matchers, each taking one
+// contiguous chunk, and the results are stored in the order their keys
+// first appear, with the candidate lists the matchers computed on the way.
+// The pass then only hits, and certification later reads the stored
+// candidate lists. Like any memo write it changes no output. It runs at
+// a sequential point; on an error, fanOut's, nothing is stored. fj arms
+// fanOut's scheduling hook.
+func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int, d *relation.Relation, ids []int, topL int) error {
+	if ix.memo == nil {
 		return nil
 	}
 	var keys []string
@@ -251,24 +249,11 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 	var buf []byte
 	pending := make(map[string]bool)
 	visit := func(i int) {
-		t := d.Tuples[i]
-		var key string
-		if cert {
-			v := t.Values[ix.simData]
-			if relation.IsNull(v) || len(v)/(ix.simK+1) < 1 {
-				return // certCandidates answers without the index or memo
-			}
-			if _, ok := ix.memo.cert[v]; ok || pending[v] {
-				return
-			}
-			key = v
-		} else {
-			buf = relation.AppendKey(buf[:0], t, ix.lhsAttrs)
-			if _, ok := ix.memo.lookups[string(buf)]; ok || pending[string(buf)] {
-				return
-			}
-			key = string(buf)
+		buf = relation.AppendKey(buf[:0], d.Tuples[i], ix.lhsAttrs)
+		if _, ok := ix.memo.lookups[string(buf)]; ok || pending[string(buf)] {
+			return
 		}
+		key := string(buf)
 		pending[key] = true
 		keys = append(keys, key)
 		todo = append(todo, i)
@@ -292,14 +277,9 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 	n := min(len(todo), workers)
 	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) fetched {
 		f := newMatcher(ix, nil, false)
-		part := todo[c*len(todo)/n : (c+1)*len(todo)/n]
 		var out fetched
-		for _, i := range part {
-			if cert {
-				f.certCandidates(i, d.Tuples[i])
-			} else {
-				out.lookups = append(out.lookups, f.lookup(i, d.Tuples[i], topL))
-			}
+		for _, i := range todo[c*len(todo)/n : (c+1)*len(todo)/n] {
+			out.lookups = append(out.lookups, f.lookup(i, d.Tuples[i], topL))
 		}
 		out.cands = f.fresh
 		return out
@@ -317,7 +297,7 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 	if len(m.cert)+cands > m.limit {
 		clear(m.cert)
 	}
-	if !cert && len(m.lookups)+len(keys) > m.limit {
+	if len(m.lookups)+len(keys) > m.limit {
 		clear(m.lookups)
 	}
 	k := 0
@@ -410,7 +390,7 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 		ix.lhsAttrs = append(ix.lhsAttrs, cl.DataAttr)
 	}
 	ix.memo = &memo{}
-	ix.bound(0) // until an engine or checker knows |D|
+	ix.bound(0) // until an engine knows |D|
 	if ix.simData < 0 {
 		return ix // no usable index: every lookup scans Dm
 	}

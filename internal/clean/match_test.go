@@ -287,11 +287,8 @@ func TestMemoAgreesWithUncachedLookups(t *testing.T) {
 			t.Fatalf("%s: a non-storing matcher wrote %d entries into the shared memo", c.name, n)
 		}
 		ctx := context.Background()
-		if err := z.prefetch(ctx, nil, 2, c.data, nil, false, topL); err != nil {
+		if err := z.prefetch(ctx, nil, 2, c.data, nil, topL); err != nil {
 			t.Fatalf("%s: prefetch: %v", c.name, err)
-		}
-		if err := z.prefetch(ctx, nil, 2, c.data, nil, true, 0); err != nil {
-			t.Fatalf("%s: cert prefetch: %v", c.name, err)
 		}
 		for i, tp := range c.data.Tuples {
 			if _, ok := z.memo.lookups[tp.Key(z.lhsAttrs)]; !ok {
@@ -345,7 +342,7 @@ func TestMemoBound(t *testing.T) {
 	z.memo.limit = len(distinct) + 1
 	z.memo.putLookup("stale-1", lookup{})
 	z.memo.putLookup("stale-2", lookup{})
-	if err := z.prefetch(context.Background(), nil, 2, c.data, nil, false, DefaultOptions().TopL); err != nil {
+	if err := z.prefetch(context.Background(), nil, 2, c.data, nil, DefaultOptions().TopL); err != nil {
 		t.Fatalf("prefetch: %v", err)
 	}
 	if n := len(z.memo.lookups); n != len(distinct) {
@@ -356,43 +353,41 @@ func TestMemoBound(t *testing.T) {
 // TestRepairPrefetchSharesCandidateLists pins one candidate query per
 // distinct value: a repair prefetch stores, beside its lookups, the
 // candidate list it blocked each similarity value from, so the
-// certification prefetch that follows finds every list memoized and
-// computes none.
+// certification that follows reads every list from the memo, computes
+// none and stores nothing.
 func TestRepairPrefetchSharesCandidateLists(t *testing.T) {
-	ctx := context.Background()
 	for _, c := range memoCases() {
 		z := testMatcher(c.m, c.master, c.data)
 		if z.tree == nil {
 			continue
 		}
 		z.bound(c.data.Len())
-		if err := z.prefetch(ctx, nil, 2, c.data, nil, false, DefaultOptions().TopL); err != nil {
+		if err := z.prefetch(context.Background(), nil, 2, c.data, nil, DefaultOptions().TopL); err != nil {
 			t.Fatalf("%s: prefetch: %v", c.name, err)
 		}
-		// Mark every stored list: a list the cert prefetch recomputed
-		// would replace its mark.
+		// Mark every stored list: a certification that recomputed a list
+		// would return something other than its mark.
 		mark := []int{-1}
-		var values []string
 		for i, tp := range c.data.Tuples {
 			if v := tp.Values[z.simData]; !relation.IsNull(v) && len(v) > z.simK {
 				if _, ok := z.memo.cert[v]; !ok {
 					t.Fatalf("%s: t%d: the repair prefetch left %q's candidate list unmemoized", c.name, i, v)
 				}
 				z.memo.cert[v] = mark
-				values = append(values, v)
 			}
 		}
-		n := len(z.memo.cert)
-		if err := z.prefetch(ctx, nil, 2, c.data, nil, true, 0); err != nil {
-			t.Fatalf("%s: cert prefetch: %v", c.name, err)
-		}
-		if len(z.memo.cert) != n {
-			t.Fatalf("%s: the cert prefetch stored %d new lists", c.name, len(z.memo.cert)-n)
-		}
-		for _, v := range values {
-			if !slices.Equal(z.memo.cert[v], mark) {
-				t.Fatalf("%s: the cert prefetch recomputed %q's candidate list", c.name, v)
+		n := memoSize(z.memo)
+		x := newMatcher(z.mdIndex, nil, false)
+		for i, tp := range c.data.Tuples {
+			if v := tp.Values[z.simData]; !relation.IsNull(v) && len(v) > z.simK {
+				if ids, _ := x.certCandidates(i, tp); !slices.Equal(ids, mark) {
+					t.Fatalf("%s: t%d: certification recomputed %q's candidate list", c.name, i, v)
+				}
 			}
+		}
+		if len(x.fresh) != 0 || memoSize(z.memo) != n {
+			t.Fatalf("%s: certification computed %d lists and changed the memo from %d to %d entries",
+				c.name, len(x.fresh), n, memoSize(z.memo))
 		}
 	}
 }
@@ -469,7 +464,7 @@ func TestMemoConcurrentMisses(t *testing.T) {
 	if n := len(x.memo.lookups); n != 0 {
 		t.Fatalf("non-storing matchers wrote %d lookups into the shared memo", n)
 	}
-	if err := x.prefetch(context.Background(), nil, 2, e.data, nil, false, opts.TopL); err != nil {
+	if err := x.prefetch(context.Background(), nil, 2, e.data, nil, opts.TopL); err != nil {
 		t.Fatalf("prefetch: %v", err)
 	}
 	if n := len(x.memo.lookups); n != 1 {

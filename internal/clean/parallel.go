@@ -89,7 +89,7 @@ func fanOut[T any](ctx context.Context, fj *fault.Injector, phase string, worker
 func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(i int) int) (progress int) {
 	if x := e.matchers[ri]; x != nil && e.prefetch {
 		if w := e.width(len(ids)); w > 1 {
-			if err := x.prefetch(e.ctx, e.fj, w, e.data, ids, false, e.opts.TopL); err != nil && e.fail == nil {
+			if err := x.prefetch(e.ctx, e.fj, w, e.data, ids, e.opts.TopL); err != nil && e.fail == nil {
 				e.fail = err
 			}
 			if e.interrupted() {

@@ -213,15 +213,22 @@ func TestPropertyIncrementalEquivalencePremiseWrites(t *testing.T) {
 	checkEngineIdentity(t, genPremiseInstance)
 }
 
-// unsharedIndexes builds one index per MD rule of the engine's ordered
-// rules, as the engine did before rules with one premise shared an index.
-func unsharedIndexes(e *Engine) []*mdIndex {
-	out := make([]*mdIndex, len(e.rules))
-	all := identity(e.master.Len())
-	for i, r := range e.rules {
-		if r.Kind == rule.MatchMD {
-			out[i] = newMDIndex(r.MD, e.master, all)
+// unsharedRules returns the engine's ordered rules with every MD premise
+// made distinct by a per-rule predicate name, so premiseOwners gives each
+// MD rule an index of its own, as the engine did before rules with one
+// premise shared an index. A predicate's name changes nothing it matches.
+func unsharedRules(e *Engine) []rule.Rule {
+	out := slices.Clone(e.rules)
+	for i, r := range out {
+		if r.Kind != rule.MatchMD {
+			continue
 		}
+		m := *r.MD
+		m.LHS = slices.Clone(m.LHS)
+		for j := range m.LHS {
+			m.LHS[j].Pred.Name += fmt.Sprintf("#%d", i)
+		}
+		out[i].MD = &m
 	}
 	return out
 }
@@ -266,7 +273,13 @@ func TestSiblingRulesShareIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: shared run: %v", c.name, err)
 		}
-		unshared, err := newEngine(context.Background(), c.data, c.master, e.rules, unsharedIndexes(e), DefaultOptions()).runAll()
+		u := newEngine(context.Background(), c.data, c.master, unsharedRules(e), nil, DefaultOptions())
+		for i, ix := range u.indexes {
+			if ix != nil && slices.Index(u.indexes, ix) != i {
+				t.Fatalf("%s: %s shares an index in the unshared run", c.name, u.rules[i].Name())
+			}
+		}
+		unshared, err := u.runAll()
 		if err != nil {
 			t.Fatalf("%s: unshared run: %v", c.name, err)
 		}

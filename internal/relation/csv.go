@@ -81,7 +81,7 @@ func ReadCSV(name string, rd io.Reader) (*Relation, error) {
 	}
 	schema, err := NewSchemaChecked(name, header...)
 	if err != nil {
-		return nil, fmt.Errorf("relation: CSV header line 1: %w", err)
+		return nil, fmt.Errorf("relation: CSV header line %d: %w", in.line(), err)
 	}
 	r := New(schema)
 	var s slab
@@ -272,6 +272,16 @@ func (l *csvLines) header() ([]string, error) {
 		return slices.Clone(rec), nil // the next call reuses rec
 	}
 	return splitFields(nil, string(line)), nil
+}
+
+// line returns the input line the last record started on, counting from 1
+// and counting the empty lines skipped before it.
+func (l *csvLines) line() int {
+	if l.cr == nil {
+		return l.read
+	}
+	n, _ := l.cr.FieldPos(0)
+	return l.read + n
 }
 
 // next returns the next record, skipping empty lines: either a quote-free

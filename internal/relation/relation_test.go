@@ -245,6 +245,8 @@ func TestReadCSVErrors(t *testing.T) {
 	}{
 		{name: "empty", in: "", want: "reading CSV header: EOF"},
 		{name: "duplicate header", in: "A,B,A\n1,2,3\n", want: `duplicate attribute "A"`},
+		{name: "duplicate header after blank lines", in: "\n\n\nA,A\n1,2\n", want: "CSV header line 4"},
+		{name: "quoted duplicate header after a blank line", in: "\n\"A\",A\n1,2\n", want: "CSV header line 2"},
 		{name: "ragged row", in: "A,B\n1,2\n\n3\n4,5\n", want: "row 3 has 1 fields, header has 2"},
 		{name: "unterminated quote", in: "A,B\n1,2\n\"3,4\n", parse: csv.ErrQuote, line: 3},
 		{name: "bare quote on line 7", in: "A,B\n1,2\n3,4\n\n5,6\n7,8\n9,1\"0\n", parse: csv.ErrBareQuote, line: 7},
