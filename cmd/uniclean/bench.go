@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/clean"
@@ -28,7 +30,7 @@ type benchReport struct {
 	CertifyVisits     int // MD certification pairs verified; naive is |D|·|Dm| per MD rule
 	Workers           int // effective worker count of the parallel run
 	ParallelNs        int64
-	ParallelSpeedup   float64 // IncrementalNs / ParallelNs, same process and machine
+	ParallelSpeedup   float64 // IncrementalNs / ParallelNs: the median pair's ratio
 	ParallelVisits    int     // must equal IncrementalVisits
 	Fixes             int
 	Asserts           int
@@ -69,9 +71,10 @@ const pairedSpeedupSlack = 2.0
 // genuine "parallel is slower" regression lands well under it.
 const parallelWallFloor = 0.90
 
-// benchRounds is how many interleaved timing samples -bench takes of each
-// engine mode; the fastest sample is the reported duration.
-const benchRounds = 3
+// benchPairs is how many sequential/parallel timing pairs -bench takes.
+// It is odd, so the pair with the median ratio is one measured pair, whose
+// two durations the report records.
+const benchPairs = 5
 
 // ratio returns num/den, or 0 when den is zero: a zero-duration timing on a
 // coarse clock, or an empty visit counter, must not put +Inf or NaN into the
@@ -102,35 +105,37 @@ func runBench(ctx context.Context, cfg gen.Config, workers, updates int, outPath
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Each engine mode is timed benchRounds times, interleaved — sequential,
-	// parallel, then again — and the fastest sample wins. The pipeline is
-	// deterministic, so repeated runs compute identical results;
-	// interleaving matters because the jitter on shared runners (GC pauses,
-	// container CPU throttling) is epoch-correlated, and back-to-back
-	// same-mode samples used to swing the paired wall ratio ±15% and flake
-	// the wall gate.
+	// The engine modes are timed in benchPairs back-to-back pairs, the order
+	// alternating between pairs, and the report keeps the pair with the
+	// median parallel/sequential ratio. The pipeline is deterministic, so
+	// repeated runs compute identical results. Jitter on shared runners (GC
+	// pauses, CPU throttling) is epoch-correlated: a pair shares its epoch,
+	// and the median drops a pair a pause hit.
 	modes := []int{1, workers}
 	results := make([]*clean.Result, len(modes))
-	best := make([]int64, len(modes))
-	for round := 0; round < benchRounds; round++ {
-		for m, w := range modes {
+	pairs := make([][2]int64, benchPairs) // per pair: ns by mode
+	for p := range pairs {
+		for k := range modes {
+			m := k ^ p&1 // odd pairs time the parallel engine first
 			o := opts
-			o.Workers = w
+			o.Workers = modes[m]
 			t0 := time.Now()
 			res, err := clean.RunContext(ctx, inst.Data, inst.Master, inst.Rules, o)
 			if err != nil {
 				return fmt.Errorf("bench: %w", err)
 			}
-			if ns := time.Since(t0).Nanoseconds(); round == 0 || ns < best[m] {
-				best[m] = ns
-			}
-			if round == 0 {
+			pairs[p][m] = time.Since(t0).Nanoseconds()
+			if p == 0 {
 				results[m] = res
 			}
 		}
 	}
-	inc, incrementalNs := results[0], best[0]
-	par, parallelNs := results[1], best[1]
+	slices.SortFunc(pairs, func(a, b [2]int64) int {
+		return cmp.Compare(ratio(float64(a[0]), float64(a[1])), ratio(float64(b[0]), float64(b[1])))
+	})
+	median := pairs[benchPairs/2]
+	inc, incrementalNs := results[0], median[0]
+	par, parallelNs := results[1], median[1]
 
 	// The engines must agree fix-for-fix, and the parallel engine must
 	// match the sequential visit counters exactly: it shards the same

@@ -195,8 +195,8 @@ func BenchmarkGroupEntropy(b *testing.B) {
 }
 
 // BenchmarkGroupIndexWrites measures the scheduler's write path on the
-// group indexes in its most common shape, the assert: one noteWrite per
-// tuple to zip, the LHS of both FDs, and one to city, the RHS of one,
+// group indexes in the shape of a confidence-raising assert: one noteWrite
+// per tuple to zip, the LHS of both FDs, and one to city, the RHS of one,
 // over gen.DefaultConfig() — values unchanged, so no group moves and every
 // call only re-derives the tuple's symbol and marks its groups dirty.
 func BenchmarkGroupIndexWrites(b *testing.B) {
@@ -207,8 +207,8 @@ func BenchmarkGroupIndexWrites(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		for i, t := range e.data.Tuples {
-			s.noteWrite(i, zip, t)
-			s.noteWrite(i, city, t)
+			s.noteWrite(i, zip, t, false)
+			s.noteWrite(i, city, t, false)
 		}
 	}
 }
@@ -251,7 +251,8 @@ func TestRescanIdentityBenchShapes(t *testing.T) {
 // 300-master generator instance, each a rebase that re-cleans and
 // re-certifies the candidate base against the stream's shared indexes. The
 // stream is replayed in order; when it runs out, a fresh stream engine is
-// built outside the timer and the replay starts over.
+// built outside the timer and the replay starts over. visits/op is the
+// applier tuple visits of an update's re-run.
 func BenchmarkStreamUpdate(b *testing.B) {
 	cfg := gen.DefaultConfig()
 	cfg.Tuples, cfg.MasterSize = 2000, 300
@@ -260,6 +261,7 @@ func BenchmarkStreamUpdate(b *testing.B) {
 		Updates: 300, DeleteRate: 0.15, AppendRate: 0.25, HotGroupRate: 0.2, Seed: cfg.Seed,
 	})
 	var e *Engine
+	visits := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	gc := gcCycles()
@@ -275,15 +277,18 @@ func BenchmarkStreamUpdate(b *testing.B) {
 			gc += gcCycles() - setup // the initial run's collections are not an update's
 			b.StartTimer()
 		}
+		var res *Result
 		var err error
 		if u.Delete {
-			_, err = e.Delete(u.ID)
+			res, err = e.Delete(u.ID)
 		} else {
-			_, err = e.Upsert(u.ID, u.Values, u.Conf)
+			res, err = e.Upsert(u.ID, u.Values, u.Conf)
 		}
 		if err != nil {
 			b.Fatalf("update %d (%+v): %v", i%len(ops), u, err)
 		}
+		visits += res.TotalVisits()
 	}
 	b.ReportMetric(float64(gcCycles()-gc)/float64(b.N), "gc-cycles/op")
+	b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cfd"
@@ -417,6 +418,36 @@ func TestCertVisitsScaleFlat(t *testing.T) {
 	small, large := perTuple(10000), perTuple(100000)
 	if large > 1.25*small {
 		t.Fatalf("certification pairs per tuple grew from %.2f at 10k to %.2f at 100k, want at most 1.25x", small, large)
+	}
+}
+
+// TestStandaloneCheckQueriesEachValueOnce pins the non-storing matcher's
+// reuse of its own candidate lists: a standalone Checker starts from an
+// empty memo, and its md_name_sim task must still ask the suffix array once
+// per distinct name, not once per tuple, while storing nothing in the
+// shared memo.
+func TestStandaloneCheckQueriesEachValueOnce(t *testing.T) {
+	inst := gen.Generate(gen.DefaultConfig())
+	c := NewChecker(inst.Rules, inst.Master)
+	ri := slices.IndexFunc(c.rules, func(r rule.Rule) bool { return r.Name() == "md_name_sim" })
+	if ri < 0 || c.indexes[ri].tree == nil {
+		t.Fatal("gen rules have no suffix-array MD md_name_sim")
+	}
+	ix := c.indexes[ri]
+	x := newMatcher(ix, nil, false)
+	c.checkRule(inst.Data, ri, x)
+	names := make(map[string]bool)
+	for _, tu := range inst.Data.Tuples {
+		if v := tu.Values[ix.simData]; !relation.IsNull(v) {
+			names[v] = true
+		}
+	}
+	if len(x.fresh) != len(names) {
+		t.Errorf("certifying md_name_sim computed %d candidate lists for %d distinct names", len(x.fresh), len(names))
+	}
+	c.Check(inst.Data)
+	if n := len(ix.memo.cert); n != 0 {
+		t.Errorf("a standalone Check stored %d candidate lists in the shared memo, want 0", n)
 	}
 }
 

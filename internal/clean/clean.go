@@ -431,12 +431,12 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	return e
 }
 
-// noteWrite tells the worklist that cell (i, a) changed — value, confidence
-// or mark — so the rules reading a get re-enqueued. Both engine write paths,
-// write and assert, funnel through it; that is what keeps the group indexes
-// and worklists exact.
-func (e *Engine) noteWrite(i, a int) {
-	e.work.noteWrite(i, a, e.data.Tuples[i])
+// noteWrite tells the worklist that cell (i, a) changed — its value or
+// confidence, or with freeze only its mark — so the rules observing the
+// change get re-enqueued. Both engine write paths, write and assert, funnel
+// through it; that is what keeps the group indexes and worklists exact.
+func (e *Engine) noteWrite(i, a int, freeze bool) {
+	e.work.noteWrite(i, a, e.data.Tuples[i], freeze)
 }
 
 // Run executes the full tri-level pipeline — cRepair (deterministic fixes),
@@ -655,17 +655,20 @@ func minConfAt(t *relation.Tuple, attrs []int) float64 {
 // assert freezes cell (i, a): the cell keeps its value, its confidence is
 // raised to at least conf, and it is marked as a deterministic fix. It
 // reports whether anything changed (already-frozen cells are left alone).
+// An assert that raises no confidence changes only the mark, which the
+// worklist learns as a freeze.
 func (e *Engine) assert(i, a int, conf float64) int {
 	t := e.data.Tuples[i]
 	if t.Marks[a] == relation.FixDeterministic {
 		return 0
 	}
-	if conf > t.Conf[a] {
+	raise := conf > t.Conf[a]
+	if raise {
 		t.Conf[a] = conf
 	}
 	t.Marks[a] = relation.FixDeterministic
 	e.res.Asserts++
-	e.noteWrite(i, a)
+	e.noteWrite(i, a, !raise)
 	return 1
 }
 
@@ -689,6 +692,6 @@ func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, 
 	for _, c := range e.premAt[a] {
 		c.set(i, t)
 	}
-	e.noteWrite(i, a)
+	e.noteWrite(i, a, false)
 	return 1
 }

@@ -130,14 +130,15 @@ func (c *premCol) set(i int, t *relation.Tuple) {
 // hits of editCandidates and nearBuf the master values block keeps. store
 // says whether a memo miss is stored: true for a matcher that runs alone,
 // false for one that runs beside others on a fanOut worker. A non-storing
-// matcher instead collects the candidate lists it computes in fresh, which
-// prefetch's store step keeps; a certification task's matcher lives for
-// its task and drops them with it.
+// matcher instead collects the candidate lists it computes in fresh, by
+// value, and reads them back from there before querying a value again;
+// prefetch's store step keeps them, and a certification task's matcher
+// lives for its task and drops them with it.
 type matcher struct {
 	*mdIndex
 	col   []int32
 	store bool
-	fresh []candList
+	fresh map[string][]int
 
 	idsBuf  []int
 	keyBuf  []byte
@@ -145,12 +146,6 @@ type matcher struct {
 	nearBuf []near
 
 	stats MatchStats
-}
-
-// candList is editCandidates' answer for one similarity value.
-type candList struct {
-	v   string
-	ids []int
 }
 
 // near is a master value within edit distance K of a probed value: its
@@ -269,10 +264,10 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 	}
 	// Each task returns the lookups of its own contiguous chunk of todo, so
 	// the chunks concatenate to key order, and the candidate lists its
-	// matcher computed on the way, in the order it computed them.
+	// matcher computed on the way.
 	type fetched struct {
 		lookups []lookup
-		cands   []candList
+		cands   map[string][]int
 	}
 	n := min(len(todo), workers)
 	chunks, err := fanOut(ctx, fj, "prefetch", workers, n, func(c int) fetched {
@@ -306,8 +301,8 @@ func (ix *mdIndex) prefetch(ctx context.Context, fj *fault.Injector, workers int
 			m.putLookup(keys[k], l)
 			k++
 		}
-		for _, cl := range c.cands {
-			m.putCert(cl.v, cl.ids)
+		for v, ids := range c.cands { //det:ok maporder no put clears the map (see above), so the puts commute
+			m.putCert(v, ids)
 		}
 	}
 	return nil
@@ -571,9 +566,13 @@ func (x *matcher) certCandidates(i int, t *relation.Tuple) (ids []int, ok bool) 
 // short for it take every value sharing one of v's K+1 pieces. ok is false
 // when v is too short for either bound (len(v) <= K, where v can be edited
 // into anything without leaving a piece intact). A storing matcher
-// memoizes the list under v; a non-storing one appends it to fresh.
+// memoizes the list under v; a non-storing one keeps it in fresh and
+// reads it from there on its next query of v.
 func (x *matcher) editCandidates(v string) (ids []int, ok bool) {
 	if ids, ok := x.memo.cert[v]; ok {
+		return ids, true
+	}
+	if ids, ok := x.fresh[v]; ok {
 		return ids, true
 	}
 	// Both enumerations are exact supersets of the master values within
@@ -609,7 +608,10 @@ func (x *matcher) editCandidates(v string) (ids []int, ok bool) {
 	if x.store {
 		x.memo.putCert(v, ids)
 	} else {
-		x.fresh = append(x.fresh, candList{v, ids})
+		if x.fresh == nil {
+			x.fresh = make(map[string][]int)
+		}
+		x.fresh[v] = ids
 	}
 	return ids, true
 }

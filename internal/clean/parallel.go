@@ -110,16 +110,18 @@ func (e *Engine) applyTuples(phase, ri int, ids []int, fn func(i int) int) (prog
 }
 
 // applyGroups runs one variable-CFD rule over the given group snapshots
-// (ordered by first member). Group appliers run without the scheduler's
-// in-flight-tuple suppression.
+// (ordered by first member), marked active so that the scheduler can tell
+// the rule's own writes from the others' (see its activeRule field).
 func (e *Engine) applyGroups(phase, ri int, groups [][]int, fn func(members []int) int) (progress int) {
 	item := -1
 	defer e.contain(phase, ri, &item)
+	e.work.setActive(phase, ri, -1)
 	for gi, g := range groups {
 		item = gi
 		e.fj.At(fault.SiteApply, ri, gi)
 		progress += fn(g)
 	}
+	e.work.clearActive()
 	return progress
 }
 

@@ -109,7 +109,7 @@ func (r *rescan) regroup(start bool) []keyedGroup {
 
 func (r *rescan) extracted(keyedGroup) {}
 
-func (r *rescan) noteWrite(_, a int, _ *relation.Tuple) {
+func (r *rescan) noteWrite(_, a int, _ *relation.Tuple, _ bool) {
 	for _, ri := range r.readers[a] {
 		r.stale[ri] = true
 	}

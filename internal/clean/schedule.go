@@ -23,16 +23,24 @@ import (
 // per-phase worklists of dirty tuples and groups. Every worklist starts in
 // an "everything is dirty" state, so the first pass of each phase visits
 // everything as an ordinary take; afterwards a rule is handed exactly the
-// tuples/groups whose read attributes were written since the rule last saw
+// tuples/groups whose observed cells were written since the rule last saw
 // them.
 //
+// What the phases observe of a rule's cells: cRepair the premise values
+// and confidences (pattern or group key, trust test) and the conclusion
+// values, confidences and marks; eRepair a group's key and RHS cells;
+// hRepair what cRepair does, plus premise marks in retract, which skips
+// frozen LHS cells (so a freeze only takes candidates away), and for a
+// variable CFD's tie-break MD premise values through master probes
+// (attrHExtra).
+//
 // Correctness rests on a quiescence argument checked by the equivalence
-// property suite: a tuple or group none of whose read cells (value,
-// confidence or mark) changed since a rule last processed it cannot newly
-// fire that rule — re-processing it is a no-op that records nothing — so
-// skipping it leaves Fixes, Asserts, Conflicts and the certified Report
-// byte-for-byte identical to the test-only rescan reference, which hands
-// out every tuple and every cfd.Groups group on every call.
+// property suite: a tuple or group none of whose observed cells changed
+// since a rule last processed it cannot newly fire that rule —
+// re-processing it is a no-op that records nothing — so skipping it leaves
+// Fixes, Asserts, Conflicts and the certified Report byte-for-byte
+// identical to the test-only rescan reference, which hands out every tuple
+// and every cfd.Groups group on every call.
 //
 // Groups are keyed on the engine's cell codes (codes.go), not on strings:
 // a one-attribute LHS uses the cell code itself as the group symbol and a
@@ -59,11 +67,13 @@ type worklist interface {
 	regroup(start bool) []keyedGroup
 	// extracted notes that eRepair took g off its tree.
 	extracted(g keyedGroup)
-	// noteWrite learns of one cell write (i, a) — value, confidence or
-	// mark — to tuple t.
-	noteWrite(i, a int, t *relation.Tuple)
-	// setActive marks the per-tuple applier about to run on tuple i;
-	// clearActive ends it.
+	// noteWrite learns of one cell write (i, a) to tuple t: a value or
+	// confidence change, or with freeze a mark-only change (an assert that
+	// left value and confidence as they were).
+	noteWrite(i, a int, t *relation.Tuple, freeze bool)
+	// setActive marks the per-tuple applier about to run on tuple i, or
+	// with i = -1 the group applier of variable CFD ri; clearActive ends
+	// it.
 	setActive(phase, ri, i int)
 	clearActive()
 }
@@ -252,21 +262,26 @@ func (gi *groupIndex) place(i int, sym int32, t *relation.Tuple, size int) {
 	}
 	g.insert(i)
 	gi.key[i] = sym
-	gi.markDirty(sym)
+	gi.markDirty(sym, false)
 }
 
-func (gi *groupIndex) markDirty(sym int32) {
-	for _, d := range gi.dirty {
-		d.mark(int(sym))
+// markDirty marks group sym dirty for every consumer phase, or with
+// skipC for every phase but cRepair.
+func (gi *groupIndex) markDirty(sym int32, skipC bool) {
+	for p, d := range gi.dirty {
+		if p != phaseC || !skipC {
+			d.mark(int(sym))
+		}
 	}
 }
 
 // update re-derives tuple i's membership after a write to attribute a, one
 // the CFD reads, and marks the affected groups dirty for every consumer
-// phase. Confidence- and mark-only writes (asserts) keep the symbol but
-// still dirty the group, since they change premise trust and resolution
-// choices.
-func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
+// phase — but cRepair with skipC, which the scheduler passes for the
+// rule's own cRepair writes to its RHS. A write that keeps the symbol
+// still dirties the group: a value, confidence or mark the group's
+// appliers read changed (noteWrite sends here only such writes).
+func (gi *groupIndex) update(i, a int, t *relation.Tuple, skipC bool) {
 	old := gi.key[i]
 	if hasAttr(gi.c.LHS, a) {
 		sym := int32(-1)
@@ -276,7 +291,7 @@ func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
 		if sym != old {
 			if old >= 0 {
 				gi.groups[old].remove(i)
-				gi.markDirty(old)
+				gi.markDirty(old, false)
 			}
 			gi.key[i] = -1
 			if sym >= 0 {
@@ -286,7 +301,7 @@ func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
 		}
 	}
 	if old >= 0 {
-		gi.markDirty(old)
+		gi.markDirty(old, skipC)
 	}
 }
 
@@ -296,6 +311,7 @@ func (gi *groupIndex) update(i, a int, t *relation.Tuple) {
 type scheduler struct {
 	rules     []rule.Rule
 	attrRules [][]int       // attribute -> indexes of rules reading it
+	attrConcl [][]int       // attribute -> indexes of rules concluding on it: a freeze's readers
 	gidx      []*groupIndex // parallel to rules; nil unless VariableCFD
 	lhsSet    []map[int]bool
 	dirtyC    []*dirtySet // per-tuple rules: cRepair consumer worklist
@@ -310,14 +326,18 @@ type scheduler struct {
 	// re-enqueue the member's group for the hRepair consumer.
 	attrHExtra [][]int
 
-	// The per-tuple applier currently running, or activeRule < 0. A write
-	// by a per-tuple rule to a pure-conclusion attribute (one not in its own
-	// premise) of the tuple it is processing is not re-enqueued for that
-	// rule in the writing phase: the applier runs its full switch, so
-	// re-processing the tuple unchanged is a no-op — the written cell now
-	// matches the target and is frozen or budget-tracked, and conflicts are
-	// deduplicated. Writes to premise attributes, writes to other tuples,
-	// and the other phase's marks are never skipped.
+	// The applier currently running, or activeRule < 0; activeTuple is -1
+	// for a group applier. A write by a per-tuple rule to a pure-conclusion
+	// attribute (one not in its own premise) of the tuple it is processing
+	// is not re-enqueued for that rule in the writing phase: the applier
+	// runs its full switch, so re-processing the tuple unchanged is a no-op
+	// — the written cell now matches the target and is frozen or
+	// budget-tracked, and conflicts are deduplicated. Likewise a variable
+	// CFD's cRepair writes to its RHS do not re-mark its group for
+	// cRepair: re-running variableCFDGroup picks the same best value at the
+	// same confidence and only re-asserts frozen cells. Writes to premise
+	// attributes, writes to other tuples, and the other phases' marks are
+	// never skipped.
 	activePhase, activeRule, activeTuple int
 
 	// eredo lists the groups eRepair extracted from its tree during the
@@ -334,6 +354,7 @@ func newScheduler(rules []rule.Rule, d *relation.Relation, codes cellCodes) *sch
 	s := &scheduler{
 		rules:      rules,
 		attrRules:  make([][]int, d.Schema.Arity()),
+		attrConcl:  make([][]int, d.Schema.Arity()),
 		gidx:       make([]*groupIndex, len(rules)),
 		lhsSet:     make([]map[int]bool, len(rules)),
 		dirtyC:     make([]*dirtySet, len(rules)),
@@ -350,6 +371,9 @@ func newScheduler(rules []rule.Rule, d *relation.Relation, codes cellCodes) *sch
 			if in {
 				s.attrRules[a] = append(s.attrRules[a], ri)
 			}
+		}
+		for _, a := range r.RHSAttrs() {
+			s.attrConcl[a] = append(s.attrConcl[a], ri)
 		}
 		if r.Kind == rule.VariableCFD {
 			s.gidx[ri] = newGroupIndex(r.CFD, d, codes)
@@ -394,20 +418,33 @@ func (s *scheduler) setActive(phase, ri, i int) {
 
 func (s *scheduler) clearActive() { s.activeRule = -1 }
 
-// noteWrite propagates one cell write (i, a) to every rule reading a:
+// noteWrite propagates one cell write (i, a) to the rules that observe it:
 // per-tuple rules get the tuple enqueued for both the cRepair and hRepair
 // consumers; variable CFDs get their group index updated and the affected
-// groups marked dirty for all phases.
-func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
-	for _, ri := range s.attrRules[a] {
+// groups marked dirty for all phases. A freeze wakes only the rules
+// concluding on a, and no attrHExtra reader (see the file comment); a
+// constant CFD is woken only for a tuple inside its LHS pattern, as both
+// its appliers return at once outside it; and the applier running is not
+// woken by its own writes (see the activeRule field).
+func (s *scheduler) noteWrite(i, a int, t *relation.Tuple, freeze bool) {
+	readers := s.attrRules[a]
+	if freeze {
+		readers = s.attrConcl[a]
+	}
+	for _, ri := range readers {
+		r := s.rules[ri]
+		self := ri == s.activeRule && !s.lhsSet[ri][a]
 		if gi := s.gidx[ri]; gi != nil {
-			gi.update(i, a, t)
+			gi.update(i, a, t, self && s.activePhase == phaseC)
+			continue
+		}
+		if r.Kind == rule.ConstantCFD && !r.CFD.MatchLHS(t) {
 			continue
 		}
 		// hRepair only repairs CFD violations, so MD rules get no phaseH
 		// marks — HRepair would never drain them.
-		markC, markH := true, s.rules[ri].Kind == rule.ConstantCFD
-		if ri == s.activeRule && i == s.activeTuple && !s.lhsSet[ri][a] {
+		markC, markH := true, r.Kind == rule.ConstantCFD
+		if self && i == s.activeTuple {
 			// Self-write to a pure-conclusion attribute: skip only the
 			// writing phase's mark (see the activeRule field doc).
 			if s.activePhase == phaseC {
@@ -422,6 +459,9 @@ func (s *scheduler) noteWrite(i, a int, t *relation.Tuple) {
 		if markH {
 			s.dirtyH[ri].mark(i)
 		}
+	}
+	if freeze {
+		return
 	}
 	// Indirect hRepair reads: the write may flip a master tie-break for a
 	// variable CFD whose groups do not otherwise read this attribute.
