@@ -73,8 +73,24 @@ const parallelWallFloor = 0.90
 
 // benchPairs is how many sequential/parallel timing pairs -bench takes.
 // It is odd, so the pair with the median ratio is one measured pair, whose
-// two durations the report records.
+// two per-run durations the report records.
 const benchPairs = 5
+
+// benchSide is about how long each side of a timing pair runs: a side is
+// a fixed number of back-to-back runs of one engine, chosen from a warm-up
+// run so that it lasts at least this long. A 2,000-tuple engine runs for
+// a few ms, where one scheduler hiccup moves a single run's time by tens
+// of percent; summed over 50 ms such hiccups average out.
+const benchSide = 50 * time.Millisecond
+
+// sideRuns returns how many back-to-back runs of warm, one run's time,
+// last at least benchSide.
+func sideRuns(warm time.Duration) int {
+	if warm <= 0 {
+		return 1
+	}
+	return int((benchSide + warm - 1) / warm)
+}
 
 // ratio returns num/den, or 0 when den is zero: a zero-duration timing on a
 // coarse clock, or an empty visit counter, must not put +Inf or NaN into the
@@ -107,27 +123,46 @@ func runBench(ctx context.Context, cfg gen.Config, workers, updates int, outPath
 
 	// The engine modes are timed in benchPairs back-to-back pairs, the order
 	// alternating between pairs, and the report keeps the pair with the
-	// median parallel/sequential ratio. The pipeline is deterministic, so
-	// repeated runs compute identical results. Jitter on shared runners (GC
-	// pauses, CPU throttling) is epoch-correlated: a pair shares its epoch,
-	// and the median drops a pair a pause hit.
+	// median parallel/sequential ratio. Each side of a pair is sideRuns
+	// back-to-back runs, sized from a warm-up run of each mode, and is
+	// reported per run. The pipeline is deterministic, so repeated runs
+	// compute identical results; the warm-up runs' are the ones checked.
+	// Jitter on shared runners (GC pauses, CPU throttling) is
+	// epoch-correlated: a pair shares its epoch, and the median drops a
+	// pair a pause hit.
 	modes := []int{1, workers}
 	results := make([]*clean.Result, len(modes))
-	pairs := make([][2]int64, benchPairs) // per pair: ns by mode
+	runMode := func(m int) (*clean.Result, error) {
+		o := opts
+		o.Workers = modes[m]
+		res, err := clean.RunContext(ctx, inst.Data, inst.Master, inst.Rules, o)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
+		}
+		return res, nil
+	}
+	var warm time.Duration
+	for m := range modes {
+		t0 := time.Now()
+		res, err := runMode(m)
+		if err != nil {
+			return err
+		}
+		warm = max(warm, time.Since(t0))
+		results[m] = res
+	}
+	runs := sideRuns(warm)
+	pairs := make([][2]int64, benchPairs) // per pair: ns per run by mode
 	for p := range pairs {
 		for k := range modes {
 			m := k ^ p&1 // odd pairs time the parallel engine first
-			o := opts
-			o.Workers = modes[m]
 			t0 := time.Now()
-			res, err := clean.RunContext(ctx, inst.Data, inst.Master, inst.Rules, o)
-			if err != nil {
-				return fmt.Errorf("bench: %w", err)
+			for range runs {
+				if _, err := runMode(m); err != nil {
+					return err
+				}
 			}
-			pairs[p][m] = time.Since(t0).Nanoseconds()
-			if p == 0 {
-				results[m] = res
-			}
+			pairs[p][m] = time.Since(t0).Nanoseconds() / int64(runs)
 		}
 	}
 	slices.SortFunc(pairs, func(a, b [2]int64) int {
@@ -194,8 +229,8 @@ func runBench(ctx context.Context, cfg gen.Config, workers, updates int, outPath
 		workers, float64(parallelNs)/1e6, rep.ParallelVisits)
 	fmt.Fprintf(stderr, "bench: certify       %9d pairs verified (naive scan: %d per MD rule)\n",
 		rep.CertifyVisits, inst.Config.Tuples*inst.Config.MasterSize)
-	fmt.Fprintf(stderr, "bench: parallel speedup %.2fx, report written to %s\n",
-		rep.ParallelSpeedup, outPath)
+	fmt.Fprintf(stderr, "bench: parallel speedup %.2fx (median of %d pairs, %d runs a side), report written to %s\n",
+		rep.ParallelSpeedup, benchPairs, runs, outPath)
 
 	if baselinePath == "" {
 		return nil

@@ -9,7 +9,29 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
+
+// TestSideRunsLastBenchSide pins how a timing side is sized from a
+// warm-up run: enough back-to-back runs to last benchSide, and one run
+// when a single run already does or the clock read zero.
+func TestSideRunsLastBenchSide(t *testing.T) {
+	for _, c := range []struct {
+		warm time.Duration
+		want int
+	}{
+		{0, 1},
+		{5 * time.Millisecond, 10},
+		{6 * time.Millisecond, 9},
+		{49 * time.Millisecond, 2},
+		{benchSide, 1},
+		{200 * time.Millisecond, 1},
+	} {
+		if got := sideRuns(c.warm); got != c.want {
+			t.Errorf("sideRuns(%v) = %d, want %d", c.warm, got, c.want)
+		}
+	}
+}
 
 // TestRatioGuardsZeroDenominator pins the division guard: a zero denominator
 // — a zero-duration timing on a coarse clock, or an empty visit counter —

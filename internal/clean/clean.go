@@ -267,10 +267,12 @@ type Engine struct {
 	seen     map[string]bool // conflicts already recorded
 	hleft    map[[2]int]int  // hRepair's per-cell budget, shared across passes
 
-	work     worklist      // what each rule pass visits (schedule.go)
-	codes    cellCodes     // the variable-CFD columns of data, dictionary-coded (codes.go)
+	work     worklist      // what each rule pass visits: the scheduler, or the rescan reference in tests (schedule.go)
+	derived                // the codes, scheduler and premise columns derived from data
 	premAt   [][]*premCol  // attribute -> the premise columns write re-resolves (match.go)
 	cols     [][]int32     // parallel to rules: the ids of each MD rule's premise column, nil without equality clauses
+	owned    []bool        // per tuple: write has copied its Values; nil when every Values slice is the engine's own
+	spare    []string      // the unused rest of own's current chunk
 	apply    []*ApplyStats // parallel to rules
 	workers  int           // fan-out width, Options.workerCount()
 	prefetch bool          // MD passes prefetch their lookups (see applyTuples)
@@ -299,8 +301,22 @@ type Engine struct {
 
 	// stream is the committed state of a streaming engine (see stream.go),
 	// held by the shell NewStream returns. Nil on batch engines, the
-	// sub-engines a stream runs included: those get only its indexes.
+	// sub-engines a stream runs included: those get copies of its indexes
+	// and derived state.
 	stream *stream
+}
+
+// derived is what an engine derives from its data besides the clone: the
+// cell codes (codes.go), the delta scheduler over them with its group
+// indexes and identity listing (schedule.go), and, parallel to the rules,
+// each premise owner's premise column when its index has equality buckets
+// (match.go). Engine.write keeps all of it exact. newEngine builds it in
+// one fan-out with the clone; a stream keeps a copy and patches it per
+// update (stream.go).
+type derived struct {
+	codes cellCodes
+	sched *scheduler
+	prem  []*premCol
 }
 
 // New prepares an engine: it clones data, orders the rules per Section 6.2,
@@ -320,38 +336,17 @@ func NewContext(ctx context.Context, data, master *relation.Relation, rules []ru
 	return newEngine(ctx, data, master, rule.Order(rules), nil, opts)
 }
 
-// newEngine wires an engine from already-ordered rules. indexes is nil when
-// the engine builds its own MD blocking indexes over master, one per
-// distinct premise (premiseOwners). A stream update passes the indexes
-// (parallel to ordered) its initial run built instead, and the engine skips
-// the repair prefetch: the update reruns the clean over a base one tuple
-// away from the committed run's, whose lookups the shared memo already
-// holds, so the scan would find next to nothing to spread, and the passes
-// store what they miss. Either way one build task per premise owner builds
-// the owner's index when none was passed and resolves the engine's premise
-// column over data when the index has equality buckets: the one column per
-// distinct equality index that Engine.write keeps exact, the matchers read
-// and certification reads in finish.
+// newEngine wires an engine from already-ordered rules and derives its
+// state from data. indexes is nil when the engine builds its own MD
+// blocking indexes over master, one per distinct premise (premiseOwners);
+// a stream re-deriving its kept state passes the indexes (parallel to
+// ordered) its initial run built. Either way one build task per premise
+// owner builds the owner's index when none was passed and resolves the
+// engine's premise column over data when the index has equality buckets:
+// the one column per distinct equality index that Engine.write keeps
+// exact, the matchers read and certification reads in finish.
 func newEngine(ctx context.Context, data, master *relation.Relation, ordered []rule.Rule, indexes []*mdIndex, opts Options) *Engine {
-	e := &Engine{
-		master:   master,
-		rules:    ordered,
-		opts:     opts,
-		indexes:  make([]*mdIndex, len(ordered)),
-		workers:  opts.workerCount(),
-		prefetch: indexes == nil,
-		res:      &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
-		seen:     make(map[string]bool),
-		ctx:      ctx,
-		start:    time.Now(),
-		fj:       opts.Fault,
-	}
-	copy(e.indexes, indexes)
-	e.apply = make([]*ApplyStats, len(e.rules))
-	for i, r := range e.rules {
-		e.apply[i] = &ApplyStats{}
-		e.res.Apply[r.Name()] = e.apply[i]
-	}
+	e := newBareEngine(ctx, master, ordered, indexes, opts)
 	owner := premiseOwners(e.rules)
 	var owners, all []int // all: the identity list the fresh indexes share
 	if master != nil {
@@ -374,7 +369,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	type part struct {
 		clone *relation.Relation
 		codes cellCodes
-		work  worklist
+		sched *scheduler
 		ix    *mdIndex
 		col   *premCol
 	}
@@ -384,7 +379,7 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 			return part{clone: data.Clone()}
 		case 1:
 			codes := newCellCodes(e.rules, data)
-			return part{codes: codes, work: newScheduler(e.rules, data, codes)}
+			return part{codes: codes, sched: newScheduler(e.rules, data, codes)}
 		}
 		ri := owners[k-2]
 		ix := e.indexes[ri]
@@ -402,34 +397,93 @@ func newEngine(ctx context.Context, data, master *relation.Relation, ordered []r
 	if err != nil {
 		panic(err)
 	}
-	e.data, e.codes, e.work = parts[0].clone, parts[1].codes, parts[1].work
-	e.premAt = make([][]*premCol, data.Schema.Arity())
-	e.cols = make([][]int32, len(e.rules))
+	e.data = parts[0].clone
+	e.derived = derived{codes: parts[1].codes, sched: parts[1].sched, prem: make([]*premCol, len(e.rules))}
 	for k, p := range parts[2:] {
-		o := owners[k]
-		e.indexes[o] = p.ix
-		if p.col != nil {
-			e.cols[o] = p.col.ids
-			for _, a := range p.ix.eqDataAttrs {
-				e.premAt[a] = append(e.premAt[a], p.col)
+		e.indexes[owners[k]], e.prem[owners[k]] = p.ix, p.col
+	}
+	e.adopt(owner)
+	return e
+}
+
+// newBareEngine returns an engine with its options, rules, indexes (a copy
+// of indexes, parallel to ordered, nil entries to build) and empty Result,
+// for newEngine or a stream update to give data and derived state. An
+// engine handed indexes skips the repair prefetch: it is a stream update's,
+// which reruns the clean over a base one tuple away from the committed
+// run's, whose lookups the shared memo already holds, so the scan would
+// find next to nothing to spread, and the passes store what they miss.
+func newBareEngine(ctx context.Context, master *relation.Relation, ordered []rule.Rule, indexes []*mdIndex, opts Options) *Engine {
+	e := &Engine{
+		master:   master,
+		rules:    ordered,
+		opts:     opts,
+		indexes:  make([]*mdIndex, len(ordered)),
+		workers:  opts.workerCount(),
+		prefetch: indexes == nil,
+		res:      &Result{Match: make(map[string]*MatchStats), Apply: make(map[string]*ApplyStats)},
+		seen:     make(map[string]bool),
+		ctx:      ctx,
+		start:    time.Now(),
+		fj:       opts.Fault,
+	}
+	copy(e.indexes, indexes)
+	e.apply = make([]*ApplyStats, len(e.rules))
+	for i, r := range e.rules {
+		e.apply[i] = &ApplyStats{}
+		e.res.Apply[r.Name()] = e.apply[i]
+	}
+	return e
+}
+
+// adopt wires the engine's data and derived state into the worklist, the
+// premise columns write re-resolves and the matchers. Fresh matchers zero
+// the statistics, so a stream update's matcher work counters come out
+// identical to a cold build's. Each reads its premise owner's (owner,
+// premiseOwners of the rules) index and column.
+func (e *Engine) adopt(owner []int) {
+	e.work = e.sched
+	e.premAt = make([][]*premCol, e.data.Schema.Arity())
+	e.cols = make([][]int32, len(e.rules))
+	for _, c := range e.prem {
+		if c != nil {
+			for _, a := range c.ix.eqDataAttrs {
+				e.premAt[a] = append(e.premAt[a], c)
 			}
 		}
 	}
-	// Fresh matchers zero the statistics, so a stream update's matcher work
-	// counters come out identical to a cold build's. Each reads its premise
-	// owner's index and column.
 	e.matchers = make([]*matcher, len(e.rules))
 	for i, o := range owner {
 		if o < 0 || e.indexes[o] == nil {
 			continue
 		}
-		e.indexes[i], e.cols[i] = e.indexes[o], e.cols[o]
-		e.indexes[i].bound(data.Len())
+		e.indexes[i] = e.indexes[o]
+		if c := e.prem[o]; c != nil {
+			e.cols[i] = c.ids
+		}
+		e.indexes[i].bound(e.data.Len())
 		e.matchers[i] = newMatcher(e.indexes[i], e.cols[i], true)
 		e.res.Match[e.rules[i].Name()] = &e.matchers[i].stats
 	}
-	return e
 }
+
+// own gives tuple i, t, a copy of its Values, which a stream update's
+// engine shares with the stream's base until its first write to the
+// tuple. The copies are carved out of chunks of ownChunk tuples, so a run
+// that writes hundreds of tuples makes a handful of allocations.
+func (e *Engine) own(i int, t *relation.Tuple) {
+	k := len(t.Values)
+	if len(e.spare) < k {
+		e.spare = make([]string, ownChunk*k)
+	}
+	v := e.spare[:k:k]
+	e.spare = e.spare[k:]
+	copy(v, t.Values)
+	t.Values, e.owned[i] = v, true
+}
+
+// ownChunk is how many tuples' Values one allocation of Engine.own holds.
+const ownChunk = 64
 
 // noteWrite tells the worklist that cell (i, a) changed — its value or
 // confidence, or with freeze only its mark — so the rules observing the
@@ -675,11 +729,16 @@ func (e *Engine) assert(i, a int, conf float64) int {
 // write sets cell (i, a) to value v with confidence conf and the given
 // mark, recording the Fix in the result: the one cell-write path of cRepair
 // (FixDeterministic), eRepair (FixReliable) and hRepair (FixPossible), and
-// so the one place the cell codes and the premise columns follow a value.
+// so the one place the cell codes and the premise columns follow a value,
+// and the one place a stream update's engine copies a tuple's Values,
+// which it shares with the stream's base until its first write.
 // The caller must have checked that the cell may be written and that v
 // differs from the current value.
 func (e *Engine) write(i, a int, v string, conf float64, mark relation.FixMark, ruleName string) int {
 	t := e.data.Tuples[i]
+	if e.owned != nil && !e.owned[i] {
+		e.own(i, t)
+	}
 	e.res.Fixes = append(e.res.Fixes, Fix{
 		Tuple: i, Attr: a, Attribute: e.data.Schema.Attrs[a],
 		Old: t.Values[a], New: v, Conf: conf,

@@ -1,6 +1,9 @@
 package clean
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -13,7 +16,9 @@ import (
 // value is written or ordered. Codes never retire, so a code names the
 // same value for the engine's whole life. The engine builds the dictionary
 // beside its clone, and Engine.write — the only write that changes a value
-// — keeps it exact.
+// — keeps it exact. A stream keeps the dictionaries across updates
+// (stream.go), so a code's number depends on the order values were seen,
+// which no output may read: every tie-break compares strs, never codes.
 type cellCodes []*column
 
 // column is one coded attribute. Code 0 is Null in every column.
@@ -43,6 +48,44 @@ func newCellCodes(rules []rule.Rule, d *relation.Relation) cellCodes {
 		}
 	}
 	return cc
+}
+
+// copy returns codes the caller may write without touching c: per-tuple
+// codes and the value map are copied, and strs is shared with its
+// capacity clipped, so a new code's append reallocates.
+func (c cellCodes) copy() cellCodes {
+	out := make(cellCodes, len(c))
+	for a, col := range c {
+		if col != nil {
+			out[a] = &column{ids: maps.Clone(col.ids), strs: col.strs[:len(col.strs):len(col.strs)], code: slices.Clone(col.code)}
+		}
+	}
+	return out
+}
+
+// set codes tuple i's value v, appending the tuple when i is one past the
+// last.
+func (c *column) set(i int, v string) {
+	if i == len(c.code) {
+		c.code = append(c.code, 0)
+	}
+	c.code[i] = c.intern(v)
+}
+
+// sparse reports whether more codes name values no tuple holds than name
+// values some tuple does (Null counting as held): the dictionary a stream
+// keeps only grows, and past this point it is rebuilt from its base.
+func (c *column) sparse() bool {
+	held := make([]bool, len(c.strs))
+	held[nullCode] = true
+	live := 1
+	for _, k := range c.code {
+		if !held[k] {
+			held[k] = true
+			live++
+		}
+	}
+	return len(c.strs)-live > live
 }
 
 // intern returns v's code, assigning the next one on first sight.

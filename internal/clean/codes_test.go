@@ -105,9 +105,9 @@ func TestCellCodesStayExact(t *testing.T) {
 		}
 	}
 	// Streams: each update runs a sub-engine built as rebase builds it —
-	// the candidate base, the stream's MD indexes — then commits
-	// the same update through the API so the next candidate starts from
-	// the accepted base.
+	// the candidate base, the stream's MD indexes, a patched copy of its
+	// kept codes — then commits the same update through the API so the
+	// next candidate starts from the accepted base.
 	for _, m := range faultModes() {
 		for seed := int64(0); seed < seeds; seed++ {
 			in := genInstance(seed)
@@ -120,7 +120,10 @@ func TestCellCodesStayExact(t *testing.T) {
 				if u.Delete {
 					vals, conf = make([]string, in.schema.Arity()), nil
 				}
-				sub := newEngine(context.Background(), e.stream.with(u.ID, vals, conf), e.master, e.rules, e.stream.indexes, e.opts)
+				sub, err := e.subEngine(context.Background(), e.stream.with(u.ID, vals, conf), u.ID)
+				if err != nil {
+					t.Fatalf("%s seed %d op %d: subEngine: %v", m.name, seed, oi, err)
+				}
 				if _, err := sub.runAll(); err != nil {
 					t.Fatalf("%s seed %d op %d: sub-run: %v", m.name, seed, oi, err)
 				}

@@ -49,9 +49,10 @@ func ctxErr(err error) error {
 type WorkerError struct {
 	// Phase is the pipeline phase that panicked: "cRepair", "eRepair",
 	// "hRepair" (a rule pass), "certify", "prefetch" (a matcher's memo
-	// prefetch), "new" (engine construction, re-panicked to the caller), or
-	// "run" for panics on the engine goroutine outside any rule pass, such
-	// as eRepair's re-keying.
+	// prefetch), "new" (engine construction, re-panicked to the caller),
+	// "rebase" (a stream update building its engine from the kept state),
+	// or "run" for panics on the engine goroutine outside any rule pass,
+	// such as eRepair's re-keying.
 	Phase string
 	// Rule is the name of the rule being applied, "" when not attributable.
 	Rule string

@@ -182,7 +182,10 @@ func TestPremiseColumnsStayExact(t *testing.T) {
 				if u.Delete {
 					vals, conf = make([]string, in.schema.Arity()), nil
 				}
-				sub := newEngine(context.Background(), e.stream.with(u.ID, vals, conf), e.master, e.rules, e.stream.indexes, e.opts)
+				sub, err := e.subEngine(context.Background(), e.stream.with(u.ID, vals, conf), u.ID)
+				if err != nil {
+					t.Fatalf("%s seed %d op %d: subEngine: %v", m.name, seed, oi, err)
+				}
 				if d := premDrift(sub); d != "" {
 					t.Fatalf("%s seed %d op %d (%+v), built: %s", m.name, seed, oi, u, d)
 				}

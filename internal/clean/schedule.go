@@ -2,7 +2,9 @@ package clean
 
 import (
 	"encoding/binary"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/cfd"
@@ -282,27 +284,91 @@ func (gi *groupIndex) markDirty(sym int32, skipC bool) {
 // still dirties the group: a value, confidence or mark the group's
 // appliers read changed (noteWrite sends here only such writes).
 func (gi *groupIndex) update(i, a int, t *relation.Tuple, skipC bool) {
-	old := gi.key[i]
-	if hasAttr(gi.c.LHS, a) {
-		sym := int32(-1)
-		if gi.c.MatchLHS(t) {
-			sym = gi.symbol(i)
-		}
-		if sym != old {
-			if old >= 0 {
-				gi.groups[old].remove(i)
-				gi.markDirty(old, false)
-			}
-			gi.key[i] = -1
-			if sym >= 0 {
-				gi.place(i, sym, t, 0)
-			}
-			return
-		}
+	if hasAttr(gi.c.LHS, a) && gi.move(i, t) {
+		return
 	}
-	if old >= 0 {
+	if old := gi.key[i]; old >= 0 {
 		gi.markDirty(old, skipC)
 	}
+}
+
+// move re-derives tuple i's group from its current LHS codes and reports
+// whether it changed, marking the group it left and the one it joined
+// dirty for every phase.
+func (gi *groupIndex) move(i int, t *relation.Tuple) bool {
+	old, sym := gi.key[i], int32(-1)
+	if gi.c.MatchLHS(t) {
+		sym = gi.symbol(i)
+	}
+	if sym == old {
+		return false
+	}
+	if old >= 0 {
+		gi.groups[old].remove(i)
+		gi.markDirty(old, false)
+	}
+	gi.key[i] = -1
+	if sym >= 0 {
+		gi.place(i, sym, t, 0)
+	}
+	return true
+}
+
+// fork returns a copy of the index over codes, a copy of the columns gi
+// reads, with no group dirty: start puts it in the start state. Key
+// strings are shared and the member lists are carved out of one array
+// with their capacity clipped, so the first insert into a group
+// reallocates it.
+func (gi *groupIndex) fork(codes cellCodes) *groupIndex {
+	f := &groupIndex{c: gi.c, tuples: maps.Clone(gi.tuples), key: slices.Clone(gi.key), groups: make([]*igroup, len(gi.groups))}
+	for _, a := range gi.c.LHS {
+		f.lhs = append(f.lhs, codes[a])
+	}
+	for p := range f.dirty {
+		f.dirty[p] = newDirtySet(nil)
+	}
+	gs := make([]igroup, len(gi.groups))
+	members := make([]int, 0, len(gi.key))
+	for sym, g := range gi.groups {
+		if g == nil {
+			continue
+		}
+		lo := len(members)
+		members = append(members, g.members...)
+		gs[sym] = igroup{key: g.key, members: members[lo:len(members):len(members)]}
+		f.groups[sym] = &gs[sym]
+	}
+	return f
+}
+
+// start puts the index in the start state of a fresh build: every group
+// with members is dirty for every phase, and no other.
+func (gi *groupIndex) start() {
+	for p, d := range gi.dirty {
+		d.clear()
+		gi.all[p] = true
+	}
+	for sym, g := range gi.groups {
+		if g != nil && len(g.members) > 0 {
+			gi.markDirty(int32(sym), false)
+		}
+	}
+}
+
+// sparse reports whether more of the index's groups are empty than not:
+// a wider LHS's symbols only grow, like the codes under them.
+func (gi *groupIndex) sparse() bool {
+	dead, live := 0, 0
+	for _, g := range gi.groups {
+		switch {
+		case g == nil:
+		case len(g.members) == 0:
+			dead++
+		default:
+			live++
+		}
+	}
+	return dead > live
 }
 
 // scheduler is the delta worklist: the reverse dependency map and, per
@@ -316,6 +382,7 @@ type scheduler struct {
 	lhsSet    []map[int]bool
 	dirtyC    []*dirtySet // per-tuple rules: cRepair consumer worklist
 	dirtyH    []*dirtySet // per-tuple rules: hRepair consumer worklist
+	all       []int       // the identity listing 0..Len-1, every dirty tuple set's start state
 
 	// attrHExtra maps an attribute to the variable-CFD rules whose hRepair
 	// target choice reads it indirectly: hTarget breaks ties by master-data
@@ -359,9 +426,9 @@ func newScheduler(rules []rule.Rule, d *relation.Relation, codes cellCodes) *sch
 		lhsSet:     make([]map[int]bool, len(rules)),
 		dirtyC:     make([]*dirtySet, len(rules)),
 		dirtyH:     make([]*dirtySet, len(rules)),
+		all:        identity(d.Len()),
 		activeRule: -1,
 	}
-	all := identity(d.Len())
 	for ri, r := range rules {
 		s.lhsSet[ri] = make(map[int]bool)
 		for _, a := range r.LHSAttrs() {
@@ -378,8 +445,8 @@ func newScheduler(rules []rule.Rule, d *relation.Relation, codes cellCodes) *sch
 		if r.Kind == rule.VariableCFD {
 			s.gidx[ri] = newGroupIndex(r.CFD, d, codes)
 		} else {
-			s.dirtyC[ri] = newDirtySet(all)
-			s.dirtyH[ri] = newDirtySet(all)
+			s.dirtyC[ri] = newDirtySet(s.all)
+			s.dirtyH[ri] = newDirtySet(s.all)
 		}
 	}
 	s.attrHExtra = make([][]int, d.Schema.Arity())
@@ -412,6 +479,56 @@ func newScheduler(rules []rule.Rule, d *relation.Relation, codes cellCodes) *sch
 	return s
 }
 
+// fork returns a copy of s over codes, a copy of the codes s reads: it
+// shares s's dependency maps and identity listing, which no write changes,
+// and forks its group indexes, which writes move tuples between. Nothing
+// the fork does writes s. The fork has no worklists: start gives it those
+// of the start state.
+func (s *scheduler) fork(codes cellCodes) *scheduler {
+	f := *s
+	f.dirtyC, f.dirtyH, f.eredo = nil, nil, nil
+	f.gidx = make([]*groupIndex, len(s.gidx))
+	for ri, gi := range s.gidx {
+		if gi != nil {
+			f.gidx[ri] = gi.fork(codes)
+		}
+	}
+	return &f
+}
+
+// start puts s in the start state of a fresh build, over its current
+// tuples: every worklist lists everything, and no applier is running.
+func (s *scheduler) start() {
+	s.dirtyC = make([]*dirtySet, len(s.rules))
+	s.dirtyH = make([]*dirtySet, len(s.rules))
+	s.activeRule, s.eredo = -1, nil
+	for ri, gi := range s.gidx {
+		if gi != nil {
+			gi.start()
+		} else {
+			s.dirtyC[ri] = newDirtySet(s.all)
+			s.dirtyH[ri] = newDirtySet(s.all)
+		}
+	}
+}
+
+// patch moves tuple i, whose values are t's and whose codes are already
+// set, to its groups, appending it when i is one past the last tuple.
+func (s *scheduler) patch(i int, t *relation.Tuple) {
+	if i == len(s.all) {
+		s.all = append(s.all[:i:i], i)
+	}
+	for _, gi := range s.gidx {
+		if gi == nil {
+			continue
+		}
+		if i == len(gi.key) {
+			gi.key = append(gi.key, -1)
+		}
+		gi.move(i, t)
+	}
+}
+
 func (s *scheduler) setActive(phase, ri, i int) {
 	s.activePhase, s.activeRule, s.activeTuple = phase, ri, i
 }
@@ -421,17 +538,17 @@ func (s *scheduler) clearActive() { s.activeRule = -1 }
 // noteWrite propagates one cell write (i, a) to the rules that observe it:
 // per-tuple rules get the tuple enqueued for both the cRepair and hRepair
 // consumers; variable CFDs get their group index updated and the affected
-// groups marked dirty for all phases. A freeze wakes only the rules
-// concluding on a, and no attrHExtra reader (see the file comment); a
-// constant CFD is woken only for a tuple inside its LHS pattern, as both
-// its appliers return at once outside it; and the applier running is not
-// woken by its own writes (see the activeRule field).
+// groups marked dirty for all phases. A freeze marks only hRepair's group
+// of each variable CFD concluding on a (see freeze); a constant CFD is
+// woken only for a tuple inside its LHS pattern, as both its appliers
+// return at once outside it; and the applier running is not woken by its
+// own writes (see the activeRule field).
 func (s *scheduler) noteWrite(i, a int, t *relation.Tuple, freeze bool) {
-	readers := s.attrRules[a]
 	if freeze {
-		readers = s.attrConcl[a]
+		s.freeze(i, a)
+		return
 	}
-	for _, ri := range readers {
+	for _, ri := range s.attrRules[a] {
 		r := s.rules[ri]
 		self := ri == s.activeRule && !s.lhsSet[ri][a]
 		if gi := s.gidx[ri]; gi != nil {
@@ -460,13 +577,27 @@ func (s *scheduler) noteWrite(i, a int, t *relation.Tuple, freeze bool) {
 			s.dirtyH[ri].mark(i)
 		}
 	}
-	if freeze {
-		return
-	}
 	// Indirect hRepair reads: the write may flip a master tie-break for a
 	// variable CFD whose groups do not otherwise read this attribute.
 	for _, ri := range s.attrHExtra[a] {
 		if gi := s.gidx[ri]; gi.key[i] >= 0 {
+			gi.dirty[phaseH].mark(int(gi.key[i]))
+		}
+	}
+}
+
+// freeze learns of an assert on cell (i, a) that changed only its mark.
+// Only hRepair's variable-CFD group pass observes a mark it did not
+// write: its frozen tally over the group's RHS cells picks the kept
+// value. Every other pass is blind to it. A per-tuple rule and a
+// variable CFD's cRepair pass that fire on a trusted premise leave their
+// conclusion cell frozen or written, so a later freeze of it cannot
+// change their outcome, and eRepair already resolved or skipped any group
+// with two frozen values. So a freeze marks, for hRepair only, tuple i's
+// group of each variable CFD concluding on a.
+func (s *scheduler) freeze(i, a int) {
+	for _, ri := range s.attrConcl[a] {
+		if gi := s.gidx[ri]; gi != nil && gi.key[i] >= 0 {
 			gi.dirty[phaseH].mark(int(gi.key[i]))
 		}
 	}

@@ -118,9 +118,10 @@ func wakePass(e *Engine) map[string]ApplyStats {
 
 // TestFreezeWakesOnlyConclusionReaders pins the scheduler's freeze rule:
 // an assert that leaves a cell's value and confidence as they were changes
-// only its mark, so it wakes only the rules concluding on the attribute —
-// a premise cell's freeze wakes nothing — while an assert that raises the
-// confidence wakes every reader, since premise trust reads it.
+// only its mark, so it wakes only hRepair's group pass of the variable
+// CFDs concluding on the attribute — a premise cell's freeze, and a
+// constant CFD's conclusion freeze, wake nothing — while an assert that
+// raises the confidence wakes every reader, since premise trust reads it.
 func TestFreezeWakesOnlyConclusionReaders(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -130,8 +131,9 @@ func TestFreezeWakesOnlyConclusionReaders(t *testing.T) {
 		want map[string]ApplyStats
 	}{
 		{"freeze premise t0[A]", 0, "A", 0.5, map[string]ApplyStats{}},
-		{"freeze conclusion t0[B]", 0, "B", 0.5, map[string]ApplyStats{
-			"phi": {CTuples: 1, HTuples: 1},
+		{"freeze conclusion t0[B]", 0, "B", 0.5, map[string]ApplyStats{}},
+		{"freeze conclusion t0[C]", 0, "C", 0.5, map[string]ApplyStats{
+			"fd": {HTuples: 2},
 		}},
 		{"raise premise t0[A]", 0, "A", 0.6, map[string]ApplyStats{
 			"phi": {CTuples: 1, HTuples: 1},
@@ -211,8 +213,9 @@ func TestConstantCFDWakesOnPattern(t *testing.T) {
 // TestVariableCFDOwnWritesDoNotRebill pins the group self-write rule: the
 // writes a variable CFD's own cRepair group pass makes to its RHS leave
 // its groups clean for cRepair, so the fixpoint round after them visits
-// nothing, while eRepair and hRepair still see the groups dirty; a write
-// to the RHS from anywhere else re-bills the group.
+// nothing, while eRepair and hRepair still see the written group dirty; a
+// group the pass only froze is dirty for hRepair alone; a write to the RHS
+// from anywhere else re-bills the group.
 func TestVariableCFDOwnWritesDoNotRebill(t *testing.T) {
 	schema := relation.NewSchema("R", "A", "C")
 	rules := rule.Derive([]*cfd.CFD{cfd.FD("fd", schema, []string{"A"}, "C")}, nil)
@@ -237,9 +240,9 @@ func TestVariableCFDOwnWritesDoNotRebill(t *testing.T) {
 	}
 	syms := []int{int(gi.key[0]), int(gi.key[2])}
 	slices.Sort(syms)
-	for _, p := range []int{phaseE, phaseH} {
-		if got := gi.dirty[p].take(); !slices.Equal(got, syms) {
-			t.Errorf("phase %s: fd's writes left groups %v dirty, want %v", phaseName(p), got, syms)
+	for p, want := range map[int][]int{phaseE: {int(gi.key[0])}, phaseH: syms} { //det:ok maporder each phase is checked on its own
+		if got := gi.dirty[p].take(); !slices.Equal(got, want) {
+			t.Errorf("phase %s: fd's writes left groups %v dirty, want %v", phaseName(p), got, want)
 		}
 	}
 

@@ -3,7 +3,9 @@ package clean
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/fault"
 	"repro/internal/relation"
 	"repro/internal/rule"
 )
@@ -30,13 +32,28 @@ import (
 // MaxFixes-degraded update matches the from-scratch oracle because the
 // oracle degrades identically.
 //
-// The one reuse across updates lives where it cannot bend the output: the
-// MD blocking indexes (equality buckets, suffix array) are built once over
-// master by the initial run and handed to every later sub-run instead of
-// rebuilt; each sub-run probes them through fresh matchers with zeroed
-// statistics, so counters still come out identical to a cold build. They
-// also share the indexes' lookup memo, so an update looks up only the
-// values the stream has never seen.
+// What carries over between updates lives where it cannot bend the
+// output. The MD blocking indexes (equality buckets, suffix array) are
+// built once over master by the initial run and handed to every later
+// sub-run instead of rebuilt; each sub-run probes them through fresh
+// matchers with zeroed statistics, so counters still come out identical
+// to a cold build. They also share the indexes' lookup memo, so an update
+// looks up only the values the stream has never seen. And the stream keeps
+// the base's derived state (Engine.derived: cell codes, variable-CFD group
+// indexes, premise columns, identity listing), derived once by the initial
+// run's newEngine. An update copies it and patches the one replaced tuple
+// into the copy (interns its values, moves it between groups, re-resolves
+// its premise columns), which its sub-engine adopts with no build fan-out;
+// only the commit patches the kept state itself, the same way, so a failed
+// update cannot touch it. A sub-engine's data shares every tuple's Values
+// with the candidate base and owns its Conf and Marks: Engine.write copies
+// a tuple's Values on its first write, so the clone costs the flat Conf
+// and Marks arrays, not the strings. A Result.Data of a stream therefore
+// shares unwritten Values with the base and must be treated as read-only.
+// Kept dictionaries only grow, so code numbers differ from a from-scratch
+// run's, which no output reads (see cellCodes); once dead codes or groups
+// outnumber live ones, the commit re-derives the kept state from the new
+// base.
 //
 // Deletes are tombstones: every cell of the tuple becomes Null with zero
 // confidence and no fix mark, and the id is recorded in deleted. A null
@@ -54,15 +71,17 @@ import (
 //
 // Failure contract (docs/robustness.md extended to updates): a failed
 // update — invalid input, cancellation, injected fault, worker panic —
-// returns a typed error with the engine bit-unchanged: base, tombstones
-// and Result all stay exactly as the last accepted update left them. This
-// holds by construction: validation precedes the candidate, the candidate
-// shares tuples with base but never writes them, and nothing of the stream
-// is written before the sub-run has succeeded.
+// returns a typed error with the engine bit-unchanged: base, tombstones,
+// kept state and Result all stay exactly as the last accepted update left
+// them. This holds by construction: validation precedes the candidate, the
+// candidate shares tuples with base but never writes them, the sub-engine
+// copies a Values slice before writing it, the patch writes only a copy of
+// the kept state, and nothing of the stream is written before the sub-run
+// has succeeded.
 
 // stream is the committed state of a streaming engine, held by the shell
-// engine NewStream returns. Sub-runs get only its indexes, and only commit
-// writes it, after a sub-run has succeeded.
+// engine NewStream returns. Sub-runs get its indexes and a copy of its
+// kept state, and only commit writes it, after a sub-run has succeeded.
 type stream struct {
 	// base is the raw input plus every committed update: the instance a
 	// from-scratch run would be handed. Its tuples are never written — a
@@ -73,8 +92,12 @@ type stream struct {
 	// indexes holds the master blocking indexes built by the initial run
 	// (parallel to the ordered rules), which every later sub-run reuses
 	// instead of rebuilding, with the lookup memo those sub-runs keep
-	// filling; nil until the initial run commits.
+	// filling.
 	indexes []*mdIndex
+	// kept is base's derived state, as newEngine derives it up to code
+	// and group numbering. An update patches a copy for its engine; only
+	// the commit patches kept itself, the same way, or re-derives it.
+	kept derived
 }
 
 // NewStream builds a streaming engine: it runs the full pipeline over data
@@ -92,20 +115,25 @@ func NewStream(data, master *relation.Relation, rules []rule.Rule, opts Options)
 //
 // The returned shell holds only the options, the ordered rules, master,
 // the stream state and the current Result: the initial clean runs on a
-// sub-engine through the same rebase path as every update, with freshly
-// built indexes, which every later update reuses. The phase methods (CRepair,
-// ERepair, HRepair, Finish) belong to batch engines and are not for use on
-// the shell.
+// batch engine over a clone of data, whose indexes every later update
+// reuses and whose derived state, copied before the run writes it, every
+// later update patches. The phase methods (CRepair, ERepair, HRepair,
+// Finish) belong to batch engines and are not for use on the shell.
 func NewStreamContext(ctx context.Context, data, master *relation.Relation, rules []rule.Rule, opts Options) (*Engine, error) {
 	e := &Engine{
 		master: master,
 		rules:  rule.Order(rules),
 		opts:   opts,
-		stream: &stream{deleted: make(map[int]bool)},
 	}
-	if _, err := e.rebase(ctx, data.Clone()); err != nil {
+	base := data.Clone()
+	s := newEngine(ctx, base, master, e.rules, nil, opts)
+	kept := s.derived.copy()
+	res, err := s.runAll()
+	if err != nil {
 		return nil, err
 	}
+	e.stream = &stream{base: base, deleted: make(map[int]bool), indexes: s.indexes, kept: kept}
+	e.res = res
 	return e, nil
 }
 
@@ -150,7 +178,7 @@ func (e *Engine) UpsertContext(ctx context.Context, id int, values []string, con
 	if id < 0 || id > st.base.Len() {
 		return nil, fmt.Errorf("upsert t%d: id outside [0, %d]: %w", id, st.base.Len(), ErrBadUpdate)
 	}
-	res, err := e.rebase(ctx, st.with(id, values, conf))
+	res, err := e.rebase(ctx, id, values, conf)
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +210,7 @@ func (e *Engine) DeleteContext(ctx context.Context, id int) (*Result, error) {
 	for a := range nulls {
 		nulls[a] = relation.Null
 	}
-	res, err := e.rebase(ctx, st.with(id, nulls, nil))
+	res, err := e.rebase(ctx, id, nulls, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -208,22 +236,106 @@ func (st *stream) with(id int, values []string, conf []float64) *relation.Relati
 	return &relation.Relation{Schema: st.base.Schema, Tuples: tuples}
 }
 
-// rebase runs a fresh sub-engine over base and, on success, commits base
-// and its Result to the stream. The sub-engine inherits the shell's options
-// and ordered rules and reuses the stream's blocking indexes and lookup
-// memo instead of rebuilding them. On the initial run there are no indexes
-// yet: the sub-engine builds them, and the stream keeps them.
-func (e *Engine) rebase(ctx context.Context, base *relation.Relation) (*Result, error) {
+// rebase runs a fresh sub-engine over the candidate base with tuple id
+// replaced by values and conf and, on success, commits the candidate base
+// and its Result to the stream and patches the replaced tuple into the
+// kept state. The sub-engine inherits the shell's options and ordered
+// rules and reuses the stream's blocking indexes and lookup memo instead
+// of rebuilding them.
+func (e *Engine) rebase(ctx context.Context, id int, values []string, conf []float64) (*Result, error) {
 	st := e.stream
-	s := newEngine(ctx, base, e.master, e.rules, st.indexes, e.opts)
+	base := st.with(id, values, conf)
+	s, err := e.subEngine(ctx, base, id)
+	if err != nil {
+		return nil, err
+	}
 	res, err := s.runAll()
 	if err != nil {
 		return nil, err
 	}
-	if st.indexes == nil {
-		st.indexes = s.indexes
+	st.base, e.res = base, res
+	st.kept.patch(nil, id, base.Tuples[id])
+	if st.kept.sparse() {
+		st.kept = newEngine(context.Background(), base, e.master, e.rules, st.indexes, e.opts).derived
 	}
-	st.base = base
-	e.res = res
 	return res, nil
+}
+
+// subEngine builds the engine of an update whose candidate base differs
+// from the committed one in tuple id alone: it copies the kept state and
+// patches tuple id into the copy, which the engine adopts with no build
+// fan-out. The engine's data shares base's Values (see Engine.write). A
+// panic in these steps, where the fault injector's SiteRebase fires,
+// returns as a *WorkerError of phase "rebase"; the kept state is not
+// written either way, and the commit patches it the same way only once the
+// run has succeeded.
+func (e *Engine) subEngine(ctx context.Context, base *relation.Relation, id int) (s *Engine, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s, err = nil, newWorkerError(r, "rebase", "", -1, -1)
+		}
+	}()
+	fj := e.opts.Fault
+	fj.At(fault.SiteRebase, 0, 0)
+	dv := e.stream.kept.copy()
+	dv.patch(fj, id, base.Tuples[id])
+	dv.sched.start()
+	fj.At(fault.SiteRebase, 4, 0)
+	s = newBareEngine(ctx, e.master, e.rules, e.stream.indexes, e.opts)
+	s.data, s.owned, s.derived = base.CloneSharingValues(), make([]bool, base.Len()), dv
+	s.adopt(premiseOwners(e.rules))
+	return s, nil
+}
+
+// copy returns a copy of d the caller may write without touching d.
+func (d derived) copy() derived {
+	codes := d.codes.copy()
+	out := derived{codes: codes, sched: d.sched.fork(codes), prem: make([]*premCol, len(d.prem))}
+	for ri, c := range d.prem {
+		if c != nil {
+			out.prem[ri] = &premCol{ix: c.ix, ids: slices.Clone(c.ids)}
+		}
+	}
+	return out
+}
+
+// patch re-derives tuple i, now t, in d: it codes t's values, moves the
+// tuple between groups and re-resolves it in every premise column,
+// appending it when i is one past the last tuple. fj's SiteRebase fires
+// before each of the three steps; the commit passes nil.
+func (d derived) patch(fj *fault.Injector, i int, t *relation.Tuple) {
+	fj.At(fault.SiteRebase, 1, 0)
+	for a, col := range d.codes {
+		if col != nil {
+			col.set(i, t.Values[a])
+		}
+	}
+	fj.At(fault.SiteRebase, 2, 0)
+	d.sched.patch(i, t)
+	fj.At(fault.SiteRebase, 3, 0)
+	for _, c := range d.prem {
+		if c == nil {
+			continue
+		}
+		if i == len(c.ids) {
+			c.ids = append(c.ids, noBucket)
+		}
+		c.set(i, t)
+	}
+}
+
+// sparse reports whether a dictionary of d — a column's codes or a wider
+// LHS's group symbols — names more dead entries than live ones.
+func (d derived) sparse() bool {
+	for _, col := range d.codes {
+		if col != nil && col.sparse() {
+			return true
+		}
+	}
+	for _, gi := range d.sched.gidx {
+		if gi != nil && gi.sparse() {
+			return true
+		}
+	}
+	return false
 }

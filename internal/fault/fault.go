@@ -41,6 +41,11 @@ const (
 	// SiteCertify fires per Checker certification task, one per rule:
 	// (rule index, 0).
 	SiteCertify Site = "certify"
+	// SiteRebase fires before each step a stream update takes to build
+	// its engine from the stream's kept state — copy the state, patch its
+	// codes, groups and premise columns, clone the data — on the caller's
+	// goroutine: (step index, 0).
+	SiteRebase Site = "rebase"
 )
 
 // Kind is the effect an armed rule injects.

@@ -49,6 +49,26 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
+// CloneSharingValues returns a copy of the relation whose tuples share r's
+// Values slices and own fresh Conf and Marks, carved out of flat arrays: a
+// copy for a writer that replaces a tuple's Values with its own copy before
+// writing one. Writing a shared Values slice writes r.
+func (r *Relation) CloneSharingValues() *Relation {
+	n, k := len(r.Tuples), r.Schema.Arity()
+	out := &Relation{Schema: r.Schema, Tuples: make([]*Tuple, n)}
+	tuples, conf, marks := make([]Tuple, n), make([]float64, n*k), make([]FixMark, n*k)
+	for i, t := range r.Tuples {
+		c := &tuples[i]
+		c.ID, c.Values = t.ID, t.Values
+		c.Conf, conf = conf[:k:k], conf[k:]
+		c.Marks, marks = marks[:k:k], marks[k:]
+		copy(c.Conf, t.Conf)
+		copy(c.Marks, t.Marks)
+		out.Tuples[i] = c
+	}
+	return out
+}
+
 // SetAllConf assigns confidence cf to every cell of the relation.
 func (r *Relation) SetAllConf(cf float64) {
 	for _, t := range r.Tuples {

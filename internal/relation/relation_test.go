@@ -103,6 +103,33 @@ func TestRelationCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneSharingValues pins the sharing clone's contract: ids, values,
+// confidences and marks round-trip, Values slices are r's own, and
+// writes or appends to a copy's Conf and Marks reach neither r nor the
+// copy's next tuple.
+func TestCloneSharingValues(t *testing.T) {
+	r := New(NewSchema("r", "A", "B"))
+	r.Append("x", "y").Conf[1] = 0.5
+	r.Append("z", "w").Marks[0] = FixReliable
+	c := r.CloneSharingValues()
+	for i, tp := range c.Tuples {
+		src := r.Tuples[i]
+		if tp.ID != src.ID || &tp.Values[0] != &src.Values[0] || tp.Conf[1] != src.Conf[1] || tp.Marks[0] != src.Marks[0] {
+			t.Fatalf("tuple %d = %+v, want the values of %+v shared", i, tp, src)
+		}
+	}
+	c.Tuples[0].Conf[1] = 0.9
+	c.Tuples[0].Marks[0] = FixPossible
+	_ = append(c.Tuples[0].Conf, 1)
+	_ = append(c.Tuples[0].Marks, FixPossible)
+	if r.Tuples[0].Conf[1] != 0.5 || r.Tuples[0].Marks[0] != FixNone {
+		t.Errorf("writes to the copy reached r: %v %v", r.Tuples[0].Conf, r.Tuples[0].Marks)
+	}
+	if c.Tuples[1].Conf[0] != 0 || c.Tuples[1].Marks[0] != FixReliable {
+		t.Errorf("an append to t0's cells spilled into t1: %v %v", c.Tuples[1].Conf, c.Tuples[1].Marks)
+	}
+}
+
 func TestKeyDeterministic(t *testing.T) {
 	r := New(NewSchema("r", "A", "B", "C"))
 	tup := r.Append("1", "2", "3")
