@@ -135,8 +135,8 @@ func (r *Report) String() string {
 //
 // Certification never scans |D|·|Dm| when an index exists: equality-clause
 // MDs enumerate candidates from the matcher's equality buckets, read off a
-// premise column, and similarity-clause MDs from its generalized suffix
-// array — an exact, untruncated enumeration (unlike the repair path's TopL
+// premise column, and similarity-clause MDs from its positional q-gram
+// index — an exact, untruncated enumeration (unlike the repair path's TopL
 // blocking) whose order-preserving candidate merge streams violations in
 // the same (T, S) order the nested scan would produce, so the Report is
 // byte-identical. An engine run certifies from its own state: the premise
@@ -331,7 +331,7 @@ func (c *Checker) checkRule(d *relation.Relation, ri int, x *matcher) ruleReport
 // visitMDViolations streams the violating (t, s) pairs of m in (T, S)
 // order, counting every examined pair into visited. Candidates come from
 // the matcher's exact certification enumeration (equality buckets or the
-// untruncated suffix-array merge, both ascending) instead of the
+// untruncated q-gram candidate merge, both ascending) instead of the
 // O(|D|·|Dm|) nested scan of md.VisitViolations. The enumeration is exact:
 // a pair outside the candidate set fails a premise clause, and candidates
 // arrive ascending per tuple, so the same violations appear in the same

@@ -19,7 +19,7 @@ import (
 // stream, across every update, so only the lookup memo is written after
 // construction. Rules with the same premise — the normalized siblings of
 // one MD above all — share one index (see premiseOwners), so its buckets,
-// its suffix array and its memo are built and filled once per premise; m
+// its q-gram index and its memo are built and filled once per premise; m
 // is the first such rule, and only its premise is read. Two indexes are
 // available:
 //
@@ -27,14 +27,14 @@ import (
 //     equality clauses, when the premise has any. Each distinct projection
 //     is a bucket with a dense id; a data tuple's bucket id is resolved
 //     once into a premise column (premCol) and read from there;
-//   - otherwise, a generalized suffix array over the active domain of the
-//     master attribute of the first edit-distance clause. One query per
-//     distinct data value v — certification's exact count filter (see
-//     editCandidates) — yields every master value that may lie within edit
-//     distance K of v; repair keeps the l of them closest to v (see block),
-//     certification all of them.
+//   - otherwise, a positional q-gram index (package suffixtree) over the
+//     active domain of the master attribute of the first edit-distance
+//     clause. One query per distinct data value v — certification's exact
+//     count filter (see editCandidates) — yields every master value that
+//     may lie within edit distance K of v; repair keeps the l of them
+//     closest to v (see block), certification all of them.
 //
-// Suffix-array candidates, and equality buckets of premises with a
+// Q-gram candidates, and equality buckets of premises with a
 // similarity clause too, are then verified against the full premise. An
 // all-equality premise needs no verification: relation.AppendKey's
 // escaping makes the bucket key injective, so a bucket is exactly the set
@@ -68,9 +68,19 @@ type mdIndex struct {
 	simData   int // data attr of the blockable edit clause, -1 if none
 	simMaster int
 	simK      int
-	tree      *suffixtree.Tree
-	treeIDs   [][]int // suffix-array string id -> master tuple indexes
-	sidOf     []int32 // master tuple index -> string id, for non-null values
+
+	// blocked is the index in m.LHS of the clause every id block returns
+	// satisfies, -1 if none: the edit clause once the q-gram index is
+	// built, as block keeps only non-null master values it measured within
+	// K of the tuple's non-null value. verify skips it.
+	blocked int
+
+	tree  *suffixtree.Tree
+	sidOf []int32 // master tuple index -> string id of its value, -1 for null
+	// The master tuples of string id sid are
+	// valueTuples[valueStart[sid]:valueStart[sid+1]], ascending (tuplesOf).
+	valueTuples []int
+	valueStart  []int32
 
 	// all is the identity list 0..|Dm|-1 the full-scan fallbacks return,
 	// one list shared by every index over master and the Checker.
@@ -126,7 +136,7 @@ func (c *premCol) set(i int, t *relation.Tuple) {
 // index i in that column's relation as well as by its values t. Scratch is
 // reused across probes so the hot path does not allocate per tuple: idsBuf
 // backs the candidate list, keyBuf backs the memo key (probed as
-// string(keyBuf), which allocates nothing), sidBuf receives the suffix-array
+// string(keyBuf), which allocates nothing), sidBuf receives the q-gram index's
 // hits of editCandidates and nearBuf the master values block keeps. store
 // says whether a memo miss is stored: true for a matcher that runs alone,
 // false for one that runs beside others on a fanOut worker. A non-storing
@@ -149,7 +159,7 @@ type matcher struct {
 }
 
 // near is a master value within edit distance K of a probed value: its
-// suffix-array string id and its distance.
+// string id in the q-gram index and its distance.
 type near struct {
 	sid  int32
 	dist int
@@ -370,11 +380,12 @@ func premiseOwners(rules []rule.Rule) []int {
 // newMDIndex builds m's blocking index over master; all is
 // identity(master.Len()), shared by every index over master.
 func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
-	ix := &mdIndex{m: m, master: master, simData: -1, all: all}
+	ix := &mdIndex{m: m, master: master, simData: -1, blocked: -1, all: all}
 	ix.eqDataAttrs, ix.eqMasterAttrs = eqClauses(m)
-	for _, cl := range m.LHS {
+	simClause := -1
+	for c, cl := range m.LHS {
 		if k, ok := cl.Pred.EditThreshold(); ok && !cl.Pred.Exact && ix.simData < 0 {
-			ix.simData, ix.simMaster, ix.simK = cl.DataAttr, cl.MasterAttr, k
+			ix.simData, ix.simMaster, ix.simK, simClause = cl.DataAttr, cl.MasterAttr, k, c
 		}
 	}
 	if len(ix.eqDataAttrs) > 0 {
@@ -389,12 +400,13 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 	if ix.simData < 0 {
 		return ix // no usable index: every lookup scans Dm
 	}
-	byValue := make(map[string]int32)
+	byValue := make(map[string]int32, master.Len())
 	var names []string
 	ix.sidOf = make([]int32, master.Len())
 	for j, s := range master.Tuples {
 		v := s.Values[ix.simMaster]
 		if relation.IsNull(v) {
+			ix.sidOf[j] = -1
 			continue
 		}
 		id, ok := byValue[v]
@@ -402,15 +414,37 @@ func newMDIndex(m *md.MD, master *relation.Relation, all []int) *mdIndex {
 			id = int32(len(names))
 			byValue[v] = id
 			names = append(names, v)
-			ix.treeIDs = append(ix.treeIDs, nil)
 		}
-		ix.treeIDs[id] = append(ix.treeIDs[id], j)
 		ix.sidOf[j] = id
 	}
-	// Index every name here, before any matcher shares the array, so
+	// Group the tuples by value with a counting pass, ascending in each.
+	ix.valueStart = make([]int32, len(names)+1)
+	for _, sid := range ix.sidOf {
+		if sid >= 0 {
+			ix.valueStart[sid+1]++
+		}
+	}
+	for sid := range names {
+		ix.valueStart[sid+1] += ix.valueStart[sid]
+	}
+	ix.valueTuples = make([]int, ix.valueStart[len(names)])
+	next := slices.Clone(ix.valueStart[:len(names)])
+	for j, sid := range ix.sidOf {
+		if sid >= 0 {
+			ix.valueTuples[next[sid]] = j
+			next[sid]++
+		}
+	}
+	// Index every name here, before any matcher shares the index, so
 	// fanOut workers only ever read it.
-	ix.tree = suffixtree.New(names...)
+	ix.tree, ix.blocked = suffixtree.New(names...), simClause
 	return ix
+}
+
+// tuplesOf returns the ascending master tuples holding string id sid's
+// value: an immutable index list, which callers must not modify.
+func (ix *mdIndex) tuplesOf(sid int32) []int {
+	return ix.valueTuples[ix.valueStart[sid]:ix.valueStart[sid+1]]
 }
 
 // candidates returns the master tuple indexes on which the full MD premise
@@ -450,18 +484,18 @@ func (x *matcher) lookup(i int, t *relation.Tuple, topL int) lookup {
 		if x.holds[id] {
 			return lookup{ids: ids, block: len(ids)}
 		}
-		return lookup{ids: x.verify(t, ids), block: len(ids)}
+		return lookup{ids: x.verify(t, ids, -1), block: len(ids)}
 	}
 	if x.memo == nil {
 		ids, scanned := x.block(t, topL)
-		return lookup{ids: x.verify(t, ids), block: len(ids), scanned: scanned}
+		return lookup{ids: x.verify(t, ids, x.blocked), block: len(ids), scanned: scanned}
 	}
 	x.keyBuf = relation.AppendKey(x.keyBuf[:0], t, x.lhsAttrs)
 	if en, ok := x.memo.lookups[string(x.keyBuf)]; ok {
 		return en
 	}
 	ids, scanned := x.block(t, topL)
-	en := lookup{ids: x.verify(t, ids), block: len(ids), scanned: scanned}
+	en := lookup{ids: x.verify(t, ids, x.blocked), block: len(ids), scanned: scanned}
 	if x.store {
 		x.memo.putLookup(string(x.keyBuf), en)
 	}
@@ -469,19 +503,20 @@ func (x *matcher) lookup(i int, t *relation.Tuple, topL int) lookup {
 }
 
 // block returns the raw candidate ids for t, and whether it had to fall
-// back to a full scan of the master relation. On the suffix-array path
-// they are the tuples of the l = topL master values closest to t's value v
-// among those within edit distance K of it, ordered by (distance, first
+// back to a full scan of the master relation. On the q-gram path they are
+// the tuples of the l = topL master values closest to t's value v among
+// those within edit distance K of it, ordered by (distance, first
 // appearance in master) and each expanded to its master tuples in
 // ascending order. The values within K are found from editCandidates'
 // exact list, the one a certification of v reads too, or, when v is too
 // short for any piece bound (len(v) <= K), by measuring every master
-// value, which counts as a full scan. The ids are distinct: each master
-// tuple is listed under its one value. The returned slice is scratch, only
-// valid until the next block call: the suffix-array path reuses the
-// matcher's candidate buffer, and the fallback returns a shared identity
-// list built once. Nothing derived from it is memoized without a copy:
-// lookup memoizes verify's fresh output.
+// value, which counts as a full scan. Either way each kept value was
+// measured within K, so the edit clause holds on every id (see blocked).
+// The ids are distinct: each master tuple is listed under its one value.
+// The returned slice is scratch, only valid until the next block call: the
+// q-gram path reuses the matcher's candidate buffer, and the fallback
+// returns a shared identity list built once. Nothing derived from it is
+// memoized without a copy: lookup memoizes verify's fresh output.
 func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) {
 	if x.tree == nil {
 		return x.all, true
@@ -500,13 +535,13 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 		// The list holds every tuple of each candidate value in ascending
 		// order, so each value is measured once, at its first tuple.
 		for _, j := range cands {
-			if sid := x.sidOf[j]; x.treeIDs[sid][0] == j {
+			if sid := x.sidOf[j]; x.valueTuples[x.valueStart[sid]] == j {
 				measure(sid)
 			}
 		}
 	} else {
 		fullScan = true
-		for sid := range x.treeIDs {
+		for sid := range x.tree.Len() {
 			measure(int32(sid))
 		}
 	}
@@ -515,7 +550,7 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 	})
 	ids = x.idsBuf[:0]
 	for _, n := range x.nearBuf[:min(topL, len(x.nearBuf))] {
-		ids = append(ids, x.treeIDs[n.sid]...)
+		ids = append(ids, x.tuplesOf(n.sid)...)
 	}
 	x.idsBuf = ids
 	return ids, fullScan
@@ -525,9 +560,9 @@ func (x *matcher) block(t *relation.Tuple, topL int) (ids []int, fullScan bool) 
 // superset of the master tuples on which x's MD premise can hold for tuple
 // i, whose values are t:
 // every (t, s) pair with s outside the returned set fails at least one
-// premise clause. On the suffix-array path that set is editCandidates'.
+// premise clause. On the q-gram path that set is editCandidates'.
 // ok is false when no index yields an exact superset for this tuple — the
-// MD has no equality clause and either no suffix array was built (no
+// MD has no equality clause and either no q-gram index was built (no
 // edit-distance clause) or t's value is too short for either bound to hold
 // — and the caller must fall back to scanning Dm for this tuple.
 //
@@ -560,10 +595,12 @@ func (x *matcher) certCandidates(i int, t *relation.Tuple) (ids []int, ok bool) 
 
 // editCandidates returns, in ascending order, the master tuples of every
 // value that may lie within edit distance K of the non-null value v, from
-// the memo when an earlier query stored it. A miss asks the suffix array
+// the memo when an earlier query stored it. A miss asks the q-gram index
 // for the count filter's values (suffixtree.AppendEditCandidates): master
-// values holding 2 of v's K+3 pieces within K of their places. Values too
-// short for it take every value sharing one of v's K+1 pieces. ok is false
+// values holding 2 of v's K+3 pieces within K of their places, the piece
+// with the widest posting window skipped. Values too short for it take
+// every value sharing one of v's K+1 pieces (suffixtree.AppendCommon),
+// which reads pieces of 1 or 2 bytes off the index's pair table. ok is false
 // when v is too short for either bound (len(v) <= K, where v can be edited
 // into anything without leaving a piece intact). A storing matcher
 // memoizes the list under v; a non-storing one keeps it in fresh and
@@ -593,15 +630,15 @@ func (x *matcher) editCandidates(v string) (ids []int, ok bool) {
 		x.sidBuf = x.tree.AppendCommon(x.sidBuf[:0], v, minLen)
 	}
 	if len(x.sidBuf) == 1 {
-		ids = x.treeIDs[x.sidBuf[0]] // an immutable index list: share it, no copy
+		ids = x.tuplesOf(x.sidBuf[0]) // an immutable index list: share it, no copy
 	} else {
 		n := 0
 		for _, sid := range x.sidBuf {
-			n += len(x.treeIDs[sid])
+			n += len(x.tuplesOf(sid))
 		}
 		ids = make([]int, 0, n)
 		for _, sid := range x.sidBuf {
-			ids = append(ids, x.treeIDs[sid]...)
+			ids = append(ids, x.tuplesOf(sid)...)
 		}
 		slices.Sort(ids)
 	}
@@ -617,11 +654,11 @@ func (x *matcher) editCandidates(v string) (ids []int, ok bool) {
 }
 
 // verify filters candidate ids down to those on which the full premise
-// holds.
-func (x *matcher) verify(t *relation.Tuple, ids []int) []int {
+// holds, checking every clause but skip (-1 checks them all).
+func (x *matcher) verify(t *relation.Tuple, ids []int, skip int) []int {
 	var out []int
 	for _, j := range ids {
-		if x.m.MatchLHS(t, x.master.Tuples[j]) {
+		if x.m.MatchLHSExcept(t, x.master.Tuples[j], skip) {
 			out = append(out, j)
 		}
 	}

@@ -31,7 +31,7 @@ func uncachedLookup(y *matcher, t *relation.Tuple, topL int) lookup {
 	default:
 		ids, scanned = identity(y.master.Len()), true
 	}
-	return lookup{ids: y.verify(t, ids), block: len(ids), scanned: scanned}
+	return lookup{ids: y.verify(t, ids, -1), block: len(ids), scanned: scanned}
 }
 
 // closestValues is repair blocking as docs/semantics.md states it, by a
@@ -104,7 +104,7 @@ func uncachedCert(y *matcher, t *relation.Tuple) ([]int, bool) {
 	}
 	var ids []int
 	for _, sid := range sids {
-		ids = append(ids, y.treeIDs[sid]...)
+		ids = append(ids, y.tuplesOf(sid)...)
 	}
 	slices.Sort(ids)
 	return ids, true
@@ -172,6 +172,17 @@ func memoCases() []memoCase {
 			[]md.ClauseSpec{md.Sim("name", "name", similarity.JaroWinklerAtLeast(0.9))},
 			[]md.PairSpec{{Data: "phone", Master: "phone"}})
 		cases = append(cases, memoCase{jw.Name, inst.Data, inst.Master, jw})
+		// Two clauses on one attribute: verify may skip only the clause
+		// block measured (edit<=3, clause 1), not edit<=1, which gen's
+		// typo'd names (distance 2) fail.
+		two := md.New("md_name_two", inst.Data.Schema, inst.Master.Schema,
+			[]md.ClauseSpec{
+				md.Sim("name", "name", similarity.JaroWinklerAtLeast(0.5)),
+				md.Sim("name", "name", similarity.EditWithin(3)),
+				md.Sim("name", "name", similarity.EditWithin(1)),
+			},
+			[]md.PairSpec{{Data: "phone", Master: "phone"}})
+		cases = append(cases, memoCase{two.Name, inst.Data, inst.Master, two})
 	}
 	for seed := int64(0); seed < 30; seed++ {
 		in := genSimInstance(seed)

@@ -81,11 +81,12 @@ type worklist interface {
 }
 
 // keyedGroup is one group a worklist hands eRepair: rule ri's group with
-// LHS key, and a snapshot of its members — nil when the group dissolved
-// since it was last handed out, so its tree entry is dropped. Snapshots
-// matter: the index slices mutate under later writes, while a tree entry
-// must keep the membership it was keyed with until re-keyed. sym is the
-// scheduler's group symbol, -1 from the test-only rescan reference.
+// LHS key, and its members as they stood when handed out — nil when the
+// group dissolved since it was last handed out, so its tree entry is
+// dropped. A tree entry must keep the membership it was keyed with until
+// re-keyed; the scheduler's lists never change once handed out (see
+// igroup). sym is the scheduler's group symbol, -1 from the test-only
+// rescan reference.
 type keyedGroup struct {
 	ri      int
 	key     string
@@ -165,13 +166,26 @@ func (s *dirtySet) clear() {
 // igroup is one LHS-equal group of a variable CFD in the persistent index.
 // Members are tuple indexes kept sorted ascending, matching the relation
 // order that cfd.Groups produces. A dissolved group stays, empty.
+//
+// The scheduler hands out the member list itself, not a copy (groups,
+// keyed), and a holder may read it after writes that move members: hRepair
+// retracts members of the group it is iterating, and eRepair's queue keeps
+// lists across other groups' resolutions. So lent records a hand-out since
+// the list last changed, and the next insert or remove then builds a new
+// list instead of shifting the lent one in place: a handed-out list never
+// changes. Only groups that move after a hand-out pay for a copy.
 type igroup struct {
 	key     string // the LHS projection key, as cfd.Groups spells it
 	members []int
+	lent    bool
 }
 
 func (g *igroup) insert(i int) {
 	k := sort.SearchInts(g.members, i)
+	if g.lent {
+		g.members, g.lent = slices.Concat(g.members[:k], []int{i}, g.members[k:]), false
+		return
+	}
 	g.members = append(g.members, 0)
 	copy(g.members[k+1:], g.members[k:])
 	g.members[k] = i
@@ -179,9 +193,20 @@ func (g *igroup) insert(i int) {
 
 func (g *igroup) remove(i int) {
 	k := sort.SearchInts(g.members, i)
-	if k < len(g.members) && g.members[k] == i {
-		g.members = append(g.members[:k], g.members[k+1:]...)
+	if k == len(g.members) || g.members[k] != i {
+		return
 	}
+	if g.lent {
+		g.members, g.lent = slices.Concat(g.members[:k], g.members[k+1:]), false
+		return
+	}
+	g.members = append(g.members[:k], g.members[k+1:]...)
+}
+
+// lend returns the member list for a holder to keep (see igroup).
+func (g *igroup) lend() []int {
+	g.lent = true
+	return g.members
 }
 
 // groupIndex is the persistent LHS-key -> members index of one variable CFD,
@@ -613,7 +638,7 @@ func (s *scheduler) tuples(phase, ri int) []int {
 }
 
 // groups drains the dirty groups of a variable CFD for one consumer phase
-// and returns snapshots of their member lists, ordered by first member —
+// and returns their member lists, lent (see igroup), ordered by first member —
 // the order cfd.Groups yields them. Keys whose group dissolved since being
 // marked are skipped. The first take lists every group, identical to
 // cfd.Groups at that instant (TestGroupIndexStaysExact pins the index).
@@ -625,7 +650,7 @@ func (s *scheduler) groups(phase, ri int) ([][]int, bool) {
 	out := make([][]int, 0, len(keys))
 	for _, k := range keys {
 		if g := gi.groups[k]; len(g.members) > 0 {
-			out = append(out, append([]int(nil), g.members...))
+			out = append(out, g.lend())
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
@@ -655,10 +680,10 @@ func (s *scheduler) regroup(start bool) []keyedGroup {
 	return out
 }
 
-// keyed snapshots one group of variable CFD ri out of its index.
+// keyed hands out one group of variable CFD ri, its member list lent.
 func (s *scheduler) keyed(ri, sym int) keyedGroup {
 	cg := s.gidx[ri].groups[sym]
-	return keyedGroup{ri: ri, key: cg.key, sym: sym, members: append([]int(nil), cg.members...)}
+	return keyedGroup{ri: ri, key: cg.key, sym: sym, members: cg.lend()}
 }
 
 func (s *scheduler) extracted(g keyedGroup) { s.eredo = append(s.eredo, g) }

@@ -1,6 +1,7 @@
 package clean
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -268,5 +269,90 @@ func TestVariableCFDOwnWritesDoNotRebill(t *testing.T) {
 	}
 	if got, want := gi.dirty[phaseC].take(), []int{int(gi.key[0])}; !slices.Equal(got, want) {
 		t.Errorf("fd's hRepair write left groups %v dirty for cRepair, want %v", got, want)
+	}
+}
+
+// TestHandedOutListsStayPut runs the property corpus under a worklist that
+// watches every member list the scheduler hands out — a group pass's lists
+// until the pass ends, eRepair's keyed groups until its call ends — and
+// fails when a write leaves one different from what its holder got. The
+// index lends its own lists (igroup), so it must build a new list for a
+// lent group a write moves a member into or out of. The corpus has such
+// writes while lists are held: hRepair's retractions inside the group it
+// iterates, and eRepair's writes to another variable CFD's LHS while that
+// CFD's groups wait in the queue; the test counts them, so it cannot pass
+// without exercising the hazard.
+func TestHandedOutListsStayPut(t *testing.T) {
+	moved := 0
+	for seed := int64(0); seed < 200; seed++ {
+		in := genInstance(seed)
+		e := New(in.relation(nil), nil, in.rules, DefaultOptions())
+		w := &heldCheck{worklist: e.work, s: e.sched}
+		e.work = w
+		if _, err := e.runAll(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if w.err != "" {
+			t.Fatalf("seed %d: %s", seed, w.err)
+		}
+		moved += w.moved
+	}
+	if moved == 0 {
+		t.Fatal("no write moved a member of a held group: the corpus no longer exercises lent lists")
+	}
+}
+
+// heldCheck is a worklist that records each member list the scheduler s
+// hands out with a copy, and after every write compares the held lists
+// with their copies.
+type heldCheck struct {
+	worklist
+	s     *scheduler
+	pass  []*heldList // groups' lists, held until the pass's clearActive
+	queue []*heldList // regroup's lists, held until the next call's start
+	moved int         // held lists whose group a write changed in the index
+	err   string      // the first held list found changed
+}
+
+type heldList struct {
+	ri, sym    int
+	list, copy []int
+	moved      bool
+}
+
+func (w *heldCheck) groups(phase, ri int) ([][]int, bool) {
+	gs, full := w.worklist.groups(phase, ri)
+	for _, g := range gs {
+		w.pass = append(w.pass, &heldList{ri: ri, sym: int(w.s.gidx[ri].key[g[0]]), list: g, copy: slices.Clone(g)})
+	}
+	return gs, full
+}
+
+func (w *heldCheck) regroup(start bool) []keyedGroup {
+	if start {
+		w.queue = nil
+	}
+	batch := w.worklist.regroup(start)
+	for _, g := range batch {
+		w.queue = append(w.queue, &heldList{ri: g.ri, sym: g.sym, list: g.members, copy: slices.Clone(g.members)})
+	}
+	return batch
+}
+
+func (w *heldCheck) clearActive() {
+	w.worklist.clearActive()
+	w.pass = nil
+}
+
+func (w *heldCheck) noteWrite(i, a int, t *relation.Tuple, freeze bool) {
+	w.worklist.noteWrite(i, a, t, freeze)
+	for _, h := range append(w.pass[:len(w.pass):len(w.pass)], w.queue...) {
+		if !h.moved && !slices.Equal(w.s.gidx[h.ri].groups[h.sym].members, h.copy) {
+			h.moved = true
+			w.moved++
+		}
+		if w.err == "" && !slices.Equal(h.list, h.copy) {
+			w.err = fmt.Sprintf("write (%d, %d) changed a held list of rule %d group %d: %v, handed out as %v", i, a, h.ri, h.sym, h.list, h.copy)
+		}
 	}
 }

@@ -33,7 +33,7 @@ import (
 // oracle degrades identically.
 //
 // What carries over between updates lives where it cannot bend the
-// output. The MD blocking indexes (equality buckets, suffix array) are
+// output. The MD blocking indexes (equality buckets, q-gram index) are
 // built once over master by the initial run and handed to every later
 // sub-run instead of rebuilt; each sub-run probes them through fresh
 // matchers with zeroed statistics, so counters still come out identical

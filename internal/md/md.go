@@ -87,9 +87,13 @@ func Sim(data, master string, pred similarity.Predicate) ClauseSpec {
 
 // MatchLHS reports whether the premise of m holds on data tuple t and master
 // tuple s. Null values never satisfy a premise clause.
-func (m *MD) MatchLHS(t, s *relation.Tuple) bool {
-	for _, c := range m.LHS {
-		if !c.Pred.Match(t.Values[c.DataAttr], s.Values[c.MasterAttr]) {
+func (m *MD) MatchLHS(t, s *relation.Tuple) bool { return m.MatchLHSExcept(t, s, -1) }
+
+// MatchLHSExcept is MatchLHS without premise clause skip (-1 checks every
+// clause), for a caller that already knows clause skip holds on (t, s).
+func (m *MD) MatchLHSExcept(t, s *relation.Tuple, skip int) bool {
+	for i, c := range m.LHS {
+		if i != skip && !c.Pred.Match(t.Values[c.DataAttr], s.Values[c.MasterAttr]) {
 			return false
 		}
 	}

@@ -55,6 +55,26 @@ func TestGenQueryShapeAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestGenEditCandidatesAgainstReference pins the count filter on the
+// engine's shapes: gen master names queried with data names, typo'd ones
+// included, at md_name_sim's K = 2 and at K = 1 and 3, must give exactly
+// the lists the documented rule gives (editReference), on a default
+// instance and on a master-heavy one.
+func TestGenEditCandidatesAgainstReference(t *testing.T) {
+	for _, shape := range [][2]int{{10000, 1000}, {4000, 4000}} {
+		names, queries := genNames(shape[0], shape[1])
+		tr := New(names...)
+		for i, v := range queries[:300] {
+			k := 1 + i%3
+			got, ok := tr.AppendEditCandidates(nil, v, k)
+			want, wantOK := editReference(tr, names, v, k)
+			if ok != wantOK || !slices.Equal(got, want) {
+				t.Fatalf("%v: AppendEditCandidates(%q, %d) = %v, %v; want %v, %v", shape, v, k, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
 // The benchmarks run on master-heavy-shaped names: 4000 tuples over 4000
 // master rows. Queries reuse one result buffer, as the engine's matcher
 // does, and cycle through the data names; ns/op is per query.

@@ -1,58 +1,90 @@
-// Package suffixtree implements the generalized suffix array used for
-// longest-common-substring (LCS) blocking in Section 5.2 of the paper.
+// Package suffixtree implements the positional q-gram index used for
+// edit-distance blocking in Section 5.2 of the paper.
 //
 // The paper blocks similarity MDs with a generalized suffix tree over the
 // distinct strings of a master-data attribute's active domain. This package
-// answers the same queries from a flat suffix array: every suffix of every
-// indexed string, sorted, each one named by its string and offset, so
-// nothing is copied and no separator byte is needed (values may hold any
-// byte). Each entry also carries the suffix's first 8 bytes as an integer
-// key: the array is built by a radix sort on the keys, with a string sort
-// only inside runs of equal keys, and searches compare keys first. The
-// suffixes starting with a piece of a query string v form one contiguous
-// run, whose two ends are found by binary search (the end by galloping from
-// the start). AppendEditCandidates counts, per string, the pieces of v
-// found near their place, and AppendCommon lists the strings holding one
-// of v's minLen-byte pieces, for values too short to filter: these two
-// exact edit-distance candidate queries are all the engine calls, once per
+// answers the same substring queries from postings: a posting names one
+// place of an indexed string by its string id and offset, so nothing is
+// copied and values may hold any byte. Two tables file the postings:
+//
+//   - the triple table files every place with 3 bytes to go under a hash
+//     of those 3 bytes, in buckets sized to the posting count (grams that
+//     hash alike share a bucket);
+//   - the pair table files every place under the pair of bytes starting
+//     there (a string's last byte under that byte alone), one bucket per
+//     pair, and keeps the buckets of the pairs starting with one byte
+//     adjacent, so that byte's places are one range too. New builds the
+//     triple table; the first query of a 1- or 2-byte piece builds this
+//     one, which gen-shaped names never need.
+//
+// Inside a bucket, postings ascend by (offset, id), so the places within k
+// of offset o are one window, found by two binary searches. Each table is
+// built by counting passes over the bytes, with no sort.
+//
+// A piece of a query of 1 or 2 bytes reads its places off the pair table.
+// A longer piece is looked up by one of its 3-byte grams, and a posting
+// counts when the indexed string holds the whole piece there
+// (strings.HasPrefix), which also drops the grams sharing the bucket, so
+// every answer is exact for pieces of any length, a string's last byte
+// included. AppendEditCandidates counts, per string, the pieces of v found
+// near their place, and AppendCommon lists the strings holding one of v's
+// minLen-byte pieces, for values too short to filter: these two exact
+// edit-distance candidate queries are all the engine calls, once per
 // distinct value, and both its repair blocking (the l closest values
 // within K) and its certification read the answer. TopL/AppendTopL extend
-// each hit of v's pieces byte by byte to its exact common length and rank
-// the indexed strings by LCS with v; no engine path calls them any more,
-// and they stay for their tests and the unibench replay. The package keeps
-// its historical name.
+// each place of v's pieces byte by byte to its exact common length and
+// rank the indexed strings by LCS with v; no engine path calls them any
+// more, and they stay for their tests and the unibench replay. The package
+// keeps its historical name.
 package suffixtree
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 )
 
-// Tree is a generalized suffix array over a set of strings. Each entry
-// names one suffix by its string id and offset and carries the suffix's
-// first 8 bytes as an integer key, so sorting and searching compare keys
-// and touch the string bytes only where keys tie. Queries only read an
-// indexed Tree, so any number may run concurrently. Add only appends; the
-// first query after it sorts the array again, so Add and that query must
-// not race with other queries.
+// Tree is a positional q-gram index over a set of strings. Queries only
+// read an indexed Tree, apart from building the pair table on the first
+// query that needs it, which they do once and race-free, so any number
+// may run concurrently. Add only appends; the first query after it builds
+// the tables again, so Add and that query must not race with other
+// queries.
 type Tree struct {
 	strs []string
-	sa   []suffix // every suffix of every indexed string, ascending; equal suffixes ascend by id
-	n    int      // strings covered by sa; below len(strs) after an Add
+	n    int // strings covered by the tables; below len(strs) after an Add
+
+	// trips files every place with 3 bytes to go under the top tripBits
+	// bits of its gram's hash (tripBucket).
+	trips    table
+	tripBits int
+
+	// The pair table, built by the first query of a 1- or 2-byte piece.
+	// rank maps a byte to 1 + its rank among the bytes the strings hold, 0
+	// for a byte none holds; sigma counts those bytes. Pair keys are built
+	// from ranks, so the table has sigma·(sigma+1) buckets.
+	pairOnce sync.Once
+	pairs    table // every place, under pairKey
+	rank     [256]uint16
+	sigma    int
 }
 
-// suffix is strs[id][off:]. key holds its first 8 bytes big-endian, padded
-// with zeros, so a suffix below another never has the larger key.
-type suffix struct {
-	key     uint64
-	id, off int32
+// table is a bucketed posting list: bucket b is posts[heads[b]:heads[b+1]].
+type table struct {
+	heads []int32
+	posts []posting
 }
 
-// New returns a tree indexing strs, with ids in argument order. The array
-// is sorted before New returns, so the tree is ready for concurrent
-// queries.
+// posting is the place strs[id][off:] of an indexed string.
+type posting struct{ off, id int32 }
+
+func (tb *table) bucket(b int) []posting { return tb.posts[tb.heads[b]:tb.heads[b+1]] }
+
+// New returns a tree indexing strs, with ids in argument order. The
+// triple table is built before New returns, so the tree is ready for
+// concurrent queries.
 func New(strs ...string) *Tree {
 	t := &Tree{strs: slices.Clone(strs)}
 	t.index()
@@ -72,125 +104,170 @@ func (t *Tree) Add(s string) int {
 	return len(t.strs) - 1
 }
 
-// suffix returns the text of entry x.
-func (t *Tree) suffix(x suffix) string { return t.strs[x.id][x.off:] }
-
-// index sorts every suffix of every string, breaking ties by id: a stable
-// radix sort on the keys of entries laid out in (id, off) order, then a
-// stable string sort inside each run of equal keys.
-func (t *Tree) index() {
-	total := 0
-	for _, s := range t.strs {
-		total += len(s)
-	}
-	// Filling each string from its end derives every key from the one
-	// after it with a shift, instead of reading 8 bytes per suffix.
-	sa, buf := make([]suffix, total), make([]suffix, total)
-	k := total
-	for id := len(t.strs) - 1; id >= 0; id-- {
-		s := t.strs[id]
-		var key uint64
-		for off := len(s) - 1; off >= 0; off-- {
-			key = key>>8 | uint64(s[off])<<56
-			k--
-			sa[k] = suffix{key, int32(id), int32(off)}
-		}
-	}
-	sa = radixSort(sa, buf)
-	for lo := 0; lo < len(sa); {
-		hi := lo + 1
-		for hi < len(sa) && sa[hi].key == sa[lo].key {
-			hi++
-		}
-		if hi-lo > 1 {
-			slices.SortStableFunc(sa[lo:hi], func(a, b suffix) int {
-				return strings.Compare(t.suffix(a), t.suffix(b))
-			})
-		}
-		lo = hi
-	}
-	t.sa, t.n = sa, len(t.strs)
-}
-
-// radixSort sorts a stably by key, least significant byte first, using buf
-// (as long as a) for scratch, and returns whichever of the two holds the
-// result. A pass whose byte is the same in every key is skipped.
-func radixSort(a, buf []suffix) []suffix {
-	var counts [8][256]int
-	for _, x := range a {
-		for b := range 8 {
-			counts[b][byte(x.key>>(8*b))]++
-		}
-	}
-	for b := range 8 {
-		c := &counts[b]
-		if len(a) == 0 || c[byte(a[0].key>>(8*b))] == len(a) {
-			continue
-		}
-		sum := 0
-		for d, n := range c {
-			c[d], sum = sum, sum+n
-		}
-		for _, x := range a {
-			d := byte(x.key >> (8 * b))
-			buf[c[d]] = x
-			c[d]++
-		}
-		a, buf = buf, a
-	}
-	return a
-}
-
-// prefixKey returns p's key: its first 8 bytes big-endian, zero-padded.
-func prefixKey(p string) uint64 {
-	var key uint64
-	for i := range 8 {
-		key <<= 8
-		if i < len(p) {
-			key |= uint64(p[i])
-		}
-	}
-	return key
-}
-
-// span returns the run [lo, hi) of suffixes that start with p, indexing
-// first if an Add is pending. The search decides on keys and compares
-// strings only where a key equals p's. The run's end is found by galloping
-// from lo and then binary searching the last step, so both ends cost
-// O(log run) and a short run costs a few probes.
-func (t *Tree) span(p string) (lo, hi int) {
+// sync builds the tables again if an Add is pending.
+func (t *Tree) sync() {
 	if t.n < len(t.strs) {
 		t.index()
 	}
-	pk := prefixKey(p)
-	lo = sort.Search(len(t.sa), func(k int) bool {
-		x := t.sa[k]
-		if x.key != pk {
-			return x.key > pk
+}
+
+// gram returns the 3 bytes of s at off as one integer.
+func gram(s string, off int) uint32 {
+	return uint32(s[off])<<16 | uint32(s[off+1])<<8 | uint32(s[off+2])
+}
+
+// tripBucket returns the triple-table bucket of the 3 bytes of s at off:
+// the top tripBits bits of a multiplicative hash of their gram.
+func (t *Tree) tripBucket(s string, off int) int {
+	return int((gram(s, off) * 0x9e3779b1) >> (32 - t.tripBits))
+}
+
+// pairKey returns the pair-table bucket of the place s[off:]: its byte's
+// rank r times sigma+1, plus the next byte's rank (0 at s's last byte). The
+// places starting with the byte of rank r are then buckets
+// [(r-1)·(sigma+1), r·(sigma+1)). Both bytes must be indexed ones.
+func (t *Tree) pairKey(s string, off int) int {
+	k := (int(t.rank[s[off]]) - 1) * (t.sigma + 1)
+	if off+1 < len(s) {
+		k += int(t.rank[s[off+1]])
+	}
+	return k
+}
+
+// index builds the triple table, with one bucket per posting rounded up to
+// a power of two, and leaves the pair table to the first query needing it.
+// Resetting pairOnce is safe: index runs only in New or after an Add, when
+// no query may run beside it.
+func (t *Tree) index() {
+	n3 := 0
+	for _, s := range t.strs {
+		n3 += max(len(s)-2, 0)
+	}
+	t.tripBits = bits.Len(uint(max(n3, 1) - 1))
+	t.trips = t.build(1<<t.tripBits, n3, 3, t.tripBucket)
+	t.pairOnce, t.pairs = sync.Once{}, table{}
+	t.n = len(t.strs)
+}
+
+// build returns a table of nb buckets filing the postings of every place
+// with at least q bytes to go, n of them, under key. It counts each
+// bucket's postings and then places every posting, offset by offset and at
+// one offset by id, so each bucket comes out ascending by (offset, id).
+// Bucket b's count goes in heads[b+2], so the prefix sums leave heads[b+1]
+// at b's start, the placing cursor, which ends at b's end.
+func (t *Tree) build(nb, n, q int, key func(s string, off int) int) table {
+	heads, posts := make([]int32, nb+2), make([]posting, n)
+	for _, s := range t.strs {
+		for off := range len(s) - q + 1 {
+			heads[key(s, off)+2]++
 		}
-		return t.suffix(x) >= p
+	}
+	for b := 1; b < len(heads); b++ {
+		heads[b] += heads[b-1]
+	}
+	// active lists, ascending, the ids of the strings with q bytes to go
+	// at off.
+	active := make([]int32, len(t.strs))
+	for id := range active {
+		active[id] = int32(id)
+	}
+	for off := 0; len(active) > 0; off++ {
+		w := 0
+		for _, id := range active {
+			if s := t.strs[id]; off+q <= len(s) {
+				active[w] = id
+				w++
+				b := key(s, off) + 1
+				posts[heads[b]] = posting{int32(off), id}
+				heads[b]++
+			}
+		}
+		active = active[:w]
+	}
+	return table{heads[:nb+1], posts}
+}
+
+// pairTable returns the pair table, building it on the first call.
+func (t *Tree) pairTable() *table {
+	t.pairOnce.Do(func() {
+		t.rank, t.sigma = [256]uint16{}, 0
+		var seen [256]bool
+		n := 0
+		for _, s := range t.strs {
+			n += len(s)
+			for i := range len(s) {
+				seen[s[i]] = true
+			}
+		}
+		for c, ok := range seen {
+			if ok {
+				t.sigma++
+				t.rank[c] = uint16(t.sigma)
+			}
+		}
+		t.pairs = t.build(t.sigma*(t.sigma+1), n, 1, t.pairKey)
 	})
-	// The run's suffixes share p's first min(len(p), 8) bytes, which sit
-	// at the top of the key; the rest of the key varies inside the run.
-	mask := ^uint64(0)
-	if len(p) < 8 {
-		mask <<= 8 * (8 - len(p))
+	return &t.pairs
+}
+
+// places returns postings that include every place where an indexed
+// string holds the non-empty p, each standing for the place j bytes before
+// its own offset; holds tells which do. A p of 1 or 2 bytes reads the pair
+// table, whose postings are exactly p's places (j = 0): for 2 bytes one
+// bucket, ascending by (offset, id), for 1 byte the byte's adjacent
+// buckets. A longer p reads the triple-table bucket of its first 3 bytes
+// (j = 0), ascending by (offset, id), or with anchor the bucket of
+// whichever of its grams has the fewest postings (the lowest j on ties).
+func (t *Tree) places(p string, anchor bool) (ps []posting, j int) {
+	if len(p) <= 2 {
+		pt := t.pairTable()
+		for i := range len(p) {
+			if t.rank[p[i]] == 0 {
+				return nil, 0
+			}
+		}
+		if len(p) == 2 {
+			return pt.bucket(t.pairKey(p, 0)), 0
+		}
+		r := int(t.rank[p[0]])
+		return pt.posts[pt.heads[(r-1)*(t.sigma+1)]:pt.heads[r*(t.sigma+1)]], 0
 	}
-	in := func(k int) bool {
-		x := t.sa[k]
-		return x.key&mask == pk&mask && strings.HasPrefix(t.suffix(x), p)
+	ps = t.trips.bucket(t.tripBucket(p, 0))
+	for i := 1; anchor && i+3 <= len(p) && len(ps) > 0; i++ {
+		if b := t.trips.bucket(t.tripBucket(p, i)); len(b) < len(ps) {
+			ps, j = b, i
+		}
 	}
-	if lo == len(t.sa) || !in(lo) {
-		return lo, lo
+	return ps, j
+}
+
+// holds reports whether x, one of places(p)'s postings with shift j,
+// stands for a place holding p.
+func (t *Tree) holds(x posting, p string, j int) bool {
+	if len(p) <= 2 {
+		return true
 	}
-	last, step := lo, 1 // in(last) holds
-	for last+step < len(t.sa) && in(last+step) {
-		last += step
-		step *= 2
+	off := int(x.off) - j
+	return off >= 0 && strings.HasPrefix(t.strs[x.id][off:], p)
+}
+
+// near narrows postings ascending by offset to the offsets within k of o.
+func near(ps []posting, o, k int) []posting {
+	return ps[firstAt(ps, o-k):firstAt(ps, o+k+1)]
+}
+
+// firstAt returns the index of the first of ps, ascending by offset, at an
+// offset of at least off.
+func firstAt(ps []posting, off int) int {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); int(ps[m].off) < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	end := min(last+step, len(t.sa)) // !in(end), or end is the array's end
-	hi = last + 1 + sort.Search(end-last-1, func(i int) bool { return !in(last + 1 + i) })
-	return lo, hi
+	return lo
 }
 
 // StringsWithCommonSubstring returns the ids of every indexed string sharing
@@ -214,11 +291,15 @@ func (t *Tree) AppendCommon(dst []int32, v string, minLen int) []int32 {
 	if minLen < 1 {
 		panic("suffixtree: StringsWithCommonSubstring needs minLen >= 1")
 	}
+	t.sync()
 	start := len(dst)
 	for i := 0; i+minLen <= len(v); i++ {
-		lo, hi := t.span(v[i : i+minLen])
-		for _, x := range t.sa[lo:hi] {
-			dst = append(dst, x.id)
+		p := v[i : i+minLen]
+		ps, j := t.places(p, true)
+		for _, x := range ps {
+			if t.holds(x, p, j) {
+				dst = append(dst, x.id)
+			}
 		}
 	}
 	hits := dst[start:]
@@ -229,15 +310,20 @@ func (t *Tree) AppendCommon(dst []int32, v string, minLen int) []int32 {
 // AppendEditCandidates appends to dst, ascending and without duplicates,
 // the ids of the indexed strings that may lie within edit distance k of v,
 // and reports whether it could filter v at all. It is a q-gram count filter
-// with a position bound: v is cut into p = k+3 disjoint pieces, the piece
-// with the widest suffix-array run is skipped (ties to the lowest index),
-// and a string is kept when at least 2 distinct kept pieces occur in it at
-// an offset within k of their offset in v. The result is an exact superset
-// of the strings within distance k: each edit destroys at most one piece and
-// shifts a surviving piece by at most one byte, so k edits leave at least
-// p-k-1 = 2 kept pieces intact, each within k of its place. Unlike
-// AppendCommon, a piece shared by many strings (a common prefix) is not by
-// itself enough to make a candidate.
+// with a position bound: v is cut into p = k+3 disjoint pieces, and a
+// string is kept when at least 2 distinct kept pieces occur in it at an
+// offset within k of their offset in v. One piece is skipped: the widest,
+// ties to the lowest index. A piece's width is the posting count of the
+// window it is looked up in, the postings within k of its offset in its
+// bucket: for a 2-byte piece, the places holding it; for a longer one, the
+// places whose 3 bytes hash to the bucket of the piece's first 3, so grams
+// sharing that bucket count too. Measuring a width costs two binary
+// searches, and the widest piece's window is never scanned. The result is
+// an exact superset of the strings within distance k: each edit destroys at
+// most one piece and shifts a surviving piece by at most one byte, so k
+// edits leave at least p-k-1 = 2 kept pieces intact, each within k of its
+// place. Unlike AppendCommon, a piece shared by many strings (a common
+// prefix) is not by itself enough to make a candidate.
 //
 // ok is false, with dst unchanged, when v is too short for 2-byte pieces
 // (len(v)/p < 2); callers then fall back to AppendCommon. A negative k
@@ -250,31 +336,35 @@ func (t *Tree) AppendEditCandidates(dst []int32, v string, k int) (_ []int32, ok
 	if len(v)/p < 2 {
 		return dst, false
 	}
-	var stack [16][2]int // piece spans; heap only for k > 13
-	spans := stack[:0]
+	t.sync()
+	var stack [16][]posting // piece windows; heap only for k > 13
+	wins := stack[:0]
 	skip := 0
 	for i := range p {
-		lo, hi := t.span(v[i*len(v)/p : (i+1)*len(v)/p])
-		spans = append(spans, [2]int{lo, hi})
-		if w := spans[skip]; hi-lo > w[1]-w[0] {
+		o := i * len(v) / p
+		ps, _ := t.places(v[o:(i+1)*len(v)/p], false)
+		w := near(ps, o, k)
+		wins = append(wins, w)
+		if len(w) > len(wins[skip]) {
 			skip = i
 		}
 	}
 	start := len(dst)
-	for i, sp := range spans {
+	for i, w := range wins {
 		if i == skip {
 			continue
 		}
-		off, from := i*len(v)/p, len(dst)
-		for _, x := range t.sa[sp[0]:sp[1]] {
-			if d := int(x.off) - off; -k <= d && d <= k {
+		piece, from := v[i*len(v)/p:(i+1)*len(v)/p], len(dst)
+		for _, x := range w {
+			if t.holds(x, piece, 0) {
 				dst = append(dst, x.id)
 			}
 		}
 		// A piece can sit twice near its place in one string; count it once.
-		hits := dst[from:]
-		slices.Sort(hits)
-		dst = dst[:from+len(slices.Compact(hits))]
+		if hits := dst[from:]; len(hits) > 1 {
+			slices.Sort(hits)
+			dst = dst[:from+len(slices.Compact(hits))]
+		}
 	}
 	hits := dst[start:]
 	slices.Sort(hits)
@@ -317,13 +407,18 @@ func (t *Tree) AppendTopL(dst []Match, v string, l, minLen int) []Match {
 	if l <= 0 {
 		return dst
 	}
+	t.sync()
 	minLen = max(minLen, 1)
 	start := len(dst)
 	for i := 0; i+minLen <= len(v); i++ {
-		lo, hi := t.span(v[i : i+minLen])
-		for _, x := range t.sa[lo:hi] {
-			lcs := minLen + commonPrefix(v[i+minLen:], t.suffix(x)[minLen:])
-			dst = append(dst, Match{ID: int(x.id), LCS: lcs})
+		p := v[i : i+minLen]
+		ps, j := t.places(p, true)
+		for _, x := range ps {
+			if t.holds(x, p, j) {
+				s := t.strs[x.id][int(x.off)-j+minLen:]
+				lcs := minLen + commonPrefix(v[i+minLen:], s)
+				dst = append(dst, Match{ID: int(x.id), LCS: lcs})
+			}
 		}
 	}
 	// Keep each id's longest hit, then rank.

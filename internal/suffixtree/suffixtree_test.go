@@ -1,14 +1,12 @@
 package suffixtree
 
 import (
-	"cmp"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/similarity"
@@ -320,13 +318,15 @@ func TestStringsWithCommonSubstringRejectsVacuousBound(t *testing.T) {
 	tr.StringsWithCommonSubstring("ab", 0)
 }
 
-// TestIndexOrder pins the built array itself: every suffix with its
-// zero-padded 8-byte key, ascending by bytes and then by id, whether the
-// strings came through New or through Add and a query. The strings draw on
-// NUL, 0x01 and 0xff around two letters and often repeat each other or
-// share 8 or more leading bytes, so keys tie between different suffixes
-// and between equal ones.
-func TestIndexOrder(t *testing.T) {
+// TestIndexLayout pins the built tables: each place of each string with 3
+// bytes to go is one posting of the triple table, in the bucket of its
+// gram's hash, and each place is one posting of the pair table, in the
+// bucket of its pair key; both tables' buckets ascend by (offset, id). That
+// holds whether the strings came through New or through Add and a query.
+// The strings draw on NUL, 0x01 and 0xff around two letters and often
+// repeat each other or share leading bytes, so grams repeat within and
+// across strings, and small trees make buckets that grams share.
+func TestIndexLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	alpha := "\x00\x01ab\xff"
 	randStr := func(n int) string {
@@ -345,59 +345,110 @@ func TestIndexOrder(t *testing.T) {
 				switch r := rng.Intn(4); {
 				case r == 0:
 					s = old
-				case r == 1 && len(old) >= 8:
-					p := 8 + rng.Intn(len(old)-7)
+				case r == 1 && len(old) >= 3:
+					p := 3 + rng.Intn(len(old)-2)
 					s = old[:p] + randStr(rng.Intn(21-p))
 				}
 			}
 			strs = append(strs, s)
 		}
-		want := referenceOrder(strs)
-		if d := orderDiff(New(strs...).sa, want); d != "" {
-			t.Fatalf("New(%q): %s", strs, d)
+		if err := layoutErr(New(strs...), strs); err != "" {
+			t.Fatalf("New(%q): %s", strs, err)
 		}
 		k := rng.Intn(len(strs) + 1)
 		added := New(strs[:k]...)
+		added.StringsWithCommonSubstring("a", 1)
 		for _, s := range strs[k:] {
 			added.Add(s)
 		}
-		added.StringsWithCommonSubstring("a", 1)
-		if d := orderDiff(added.sa, want); d != "" {
-			t.Fatalf("New(%q) then Add(%q): %s", strs[:k], strs[k:], d)
+		added.StringsWithCommonSubstring("abc", 3)
+		if err := layoutErr(added, strs); err != "" {
+			t.Fatalf("New(%q) then Add(%q): %s", strs[:k], strs[k:], err)
 		}
 	}
 }
 
-// orderDiff describes the first entry where got departs from want, or
-// returns "" when they are equal.
-func orderDiff(got, want []suffix) string {
-	for i := range min(len(got), len(want)) {
-		if got[i] != want[i] {
-			return fmt.Sprintf("sa[%d] = %+v, want %+v", i, got[i], want[i])
+// layoutErr describes the first way tr's tables depart from the layout
+// TestIndexLayout pins for strs, or returns "".
+func layoutErr(tr *Tree, strs []string) string {
+	check := func(name string, tb *table, q int, key func(s string, off int) int) string {
+		want := map[posting]bool{}
+		for id, s := range strs {
+			for off := range len(s) - q + 1 {
+				want[posting{int32(off), int32(id)}] = true
+			}
 		}
+		if len(tb.posts) != len(want) {
+			return fmt.Sprintf("%s table holds %d postings, want %d", name, len(tb.posts), len(want))
+		}
+		for b := range len(tb.heads) - 1 {
+			run := tb.bucket(b)
+			for i, x := range run {
+				if !want[x] {
+					return fmt.Sprintf("%s bucket %d holds %+v twice or out of range", name, b, x)
+				}
+				delete(want, x)
+				if kb := key(strs[x.id], int(x.off)); kb != b {
+					return fmt.Sprintf("%s posting %+v in bucket %d, want %d", name, x, b, kb)
+				}
+				if i > 0 && byPlace(run[i-1], x) >= 0 {
+					return fmt.Sprintf("%s bucket %d: %+v before %+v", name, b, run[i-1], x)
+				}
+			}
+		}
+		return ""
 	}
-	if len(got) != len(want) {
-		return fmt.Sprintf("%d entries, want %d", len(got), len(want))
+	if err := check("triple", &tr.trips, 3, tr.tripBucket); err != "" {
+		return err
 	}
-	return ""
+	return check("pair", tr.pairTable(), 1, tr.pairKey)
 }
 
-// referenceOrder lists every suffix of strs with its key, sorted by
-// comparing whole suffixes and then ids.
-func referenceOrder(strs []string) []suffix {
-	var out []suffix
-	for id, s := range strs {
-		for off := range len(s) {
-			var pad [8]byte
-			copy(pad[:], s[off:])
-			out = append(out, suffix{binary.BigEndian.Uint64(pad[:]), int32(id), int32(off)})
-		}
+// TestConcurrentQueries runs every query from many goroutines on one index
+// built by New, each against the answers one goroutine got alone on
+// another. Some queries read the pair table, which the index builds on
+// the first of them, so under -race the test shows that queries build it
+// once and otherwise only read.
+func TestConcurrentQueries(t *testing.T) {
+	names, queries := genNames(2000, 500)
+	queries = queries[:200]
+	type answer struct {
+		edit, common, pair, single []int32
+		ok                         bool
+		top                        []Match
 	}
-	slices.SortFunc(out, func(a, b suffix) int {
-		if c := strings.Compare(strs[a.id][a.off:], strs[b.id][b.off:]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	return out
+	ask := func(tr *Tree, v string) answer {
+		var a answer
+		a.edit, a.ok = tr.AppendEditCandidates(nil, v, 2)
+		a.common = tr.AppendCommon(nil, v, max(1, len(v)/3))
+		a.pair = tr.AppendCommon(nil, v[3:7], 2)
+		a.single = tr.AppendCommon(nil, v[3:5], 1)
+		a.top = tr.AppendTopL(nil, v, engineTopL, len(v)/3)
+		return a
+	}
+	alone, shared := New(names...), New(names...)
+	want := make([]answer, len(queries))
+	for i, v := range queries {
+		want[i] = ask(alone, v)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := range 8 {
+		wg.Add(1)
+		go func() { //det:ok poolonly the test races queries on one index on purpose; no engine state involved
+			defer wg.Done()
+			for i := range queries {
+				i := (i + g*len(queries)/8) % len(queries)
+				if got := ask(shared, queries[i]); !reflect.DeepEqual(got, want[i]) {
+					errs <- fmt.Sprintf("goroutine %d, query %q: %+v, want %+v", g, queries[i], got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
